@@ -25,9 +25,9 @@ Reports are JSON (default) or CSV via --format, written to stdout or
 except for the wall_time_s field.
 
 Exit codes: 0 success; 2 configuration error (bad JSON/flags, violated
-nesting); 3 unsupported body/operation; 4 tolerance failure (estimate
-beyond 4 standard errors of its reference, failed invariance, or
-non-convergent quadrature).
+nesting, no line of the sample hits the body); 3 unsupported
+body/operation; 4 tolerance failure (estimate beyond 4 standard errors
+of its reference, failed invariance, or non-convergent quadrature).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .estimators import (
     estimate_line_measure,
     estimate_mean_chord,
     estimate_segment_hit_measure,
+    estimate_segment_hit_sweep,
     invariance_check,
 )
 from .measures import (
@@ -195,6 +196,12 @@ def _parse_ell_list(text: str) -> list[float]:
     return ells
 
 
+def _finite(x):
+    """The number, or None (null in JSON, an empty CSV cell) when it is
+    not finite."""
+    return x if math.isfinite(x) else None
+
+
 def _estimate_payload(est) -> dict:
     payload = {
         "value": est.value,
@@ -215,12 +222,9 @@ def _diagnostics(est) -> dict:
     rel = (
         (est.value - est.reference) / est.reference if est.reference != 0.0 else None
     )
-    diag = {"rel_error": rel}
-    if est.std_error > 0.0:
-        diag["z_score"] = (est.value - est.reference) / est.std_error
-    else:
-        diag["z_score"] = 0.0 if est.value == est.reference else math.inf
-    return diag
+    # an inexact estimate without an error bar has an infinite z score,
+    # which the report leaves empty
+    return {"rel_error": rel, "z_score": _finite(est.z_score())}
 
 
 def _gate_estimate(est) -> str | None:
@@ -284,7 +288,7 @@ def _estimate_csv_row(command: str, ell, est) -> dict:
 
 def _render(report: dict, fmt: str, csv_rows: tuple[list[str], list[dict]]) -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     fields, rows = csv_rows
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
@@ -312,175 +316,119 @@ def _common_params(args) -> dict:
     }
 
 
-def _cmd_volume(args) -> tuple[dict, tuple, int]:
-    spec, body = _load_body(args.body)
-    if args.method == "voxel":
-        res = volume_voxel_oracle(body, args.resolution or 128)
-    else:
-        res = volume(body, method=args.method)
-    report = {
-        "schema": SCHEMA,
-        "command": "volume",
-        "body": spec,
-        "result": {
-            "value": res.value,
-            "method": res.method,
-            "resolution": res.resolution,
-            "error_estimate": res.error_estimate,
-        },
-    }
-    row = {
-        "command": "volume",
+def _sampling(args) -> dict:
+    """Estimator keywords from the command's sampling flags."""
+    return {"seed": args.seed, "stratify": args.stratify, "threads": args.threads}
+
+
+def _grid(args) -> dict:
+    """Estimator keywords from the --method/--resolution flags of the
+    commands that take them; Monte Carlo ignores the resolution."""
+    return {"method": args.method, "grid_resolution": args.resolution}
+
+
+def _measure_report(command: str, spec: dict, res) -> tuple[dict, tuple, int]:
+    result = {
         "value": res.value,
         "method": res.method,
         "resolution": res.resolution,
         "error_estimate": res.error_estimate,
     }
-    return report, (_MEASURE_CSV_FIELDS, [row]), 0
+    report = {"schema": SCHEMA, "command": command, "body": spec, "result": result}
+    return report, (_MEASURE_CSV_FIELDS, [{"command": command, **result}]), 0
 
 
-def _cmd_p_area(args) -> tuple[dict, tuple, int]:
-    spec, body = _load_body(args.body)
-    if args.oracle:
-        res = p_area_triangulation_oracle(body, args.resolution or 128)
+def _estimate_report(args, command, specs, estimates, fit=None):
+    """The report, CSV rows and exit code of every estimate command.
+
+    ``estimates`` pairs each estimate with its segment length (None for
+    line estimates).  One estimate fills ``result``, ``reference`` and
+    ``diagnostics``; a sweep (``fit`` given) lists its estimates as
+    ``rows``.  Every estimate is gated against its reference.
+    """
+    report = {"schema": SCHEMA, "command": command, **specs}
+    params = _common_params(args)
+    if fit is None:
+        ((ell, est),) = estimates
+        report["result"] = _estimate_payload(est)
+        report["reference"] = {"value": est.reference, "source": est.reference_source}
+        report["diagnostics"] = _diagnostics(est)
+        if ell is not None:
+            params["ell"] = ell
     else:
-        res = p_area(body, rel_tol=args.tol)
-    report = {
-        "schema": SCHEMA,
-        "command": "p-area",
-        "body": spec,
-        "result": {
-            "value": res.value,
-            "method": res.method,
-            "resolution": res.resolution,
-            "error_estimate": res.error_estimate,
-        },
-    }
-    rows = [
-        {
-            "command": "p-area",
-            "value": res.value,
-            "method": res.method,
-            "resolution": res.resolution,
-            "error_estimate": res.error_estimate,
-        }
-    ]
-    return report, (_MEASURE_CSV_FIELDS, rows), 0
-
-
-def _run_line_estimator(args, command: str, runner, ell=None):
-    spec, body = _load_body(args.body)
-    kwargs = dict(
-        seed=args.seed,
-        stratify=args.stratify,
-        threads=args.threads,
-        method=args.method,
-    )
-    if args.method == "grid":
-        kwargs["grid_resolution"] = args.resolution
-    if ell is None:
-        est = runner(body, args.n, **kwargs)
-    else:
-        est = runner(body, ell, args.n, **kwargs)
-    report = {
-        "schema": SCHEMA,
-        "command": command,
-        "body": spec,
-        "params": _common_params(args),
-        "result": _estimate_payload(est),
-        "reference": {"value": est.reference, "source": est.reference_source},
-        "diagnostics": _diagnostics(est),
-    }
-    if ell is not None:
-        report["params"]["ell"] = ell
-    rows = [_estimate_csv_row(command, ell, est)]
+        params["ell_list"] = [ell for ell, _ in estimates]
+        report["rows"] = [
+            {**_estimate_payload(est), "ell": ell, "reference": est.reference}
+            for ell, est in estimates
+        ]
+        report["fit"] = fit
+    report["params"] = params
     code = 0
-    failure = _gate_estimate(est)
-    if failure is not None:
-        report["tolerance_failure"] = failure
-        code = 4
+    for _, est in estimates:
+        failure = _gate_estimate(est)
+        if failure is not None:
+            report["tolerance_failure"] = failure
+            code = 4
+    rows = [_estimate_csv_row(command, ell, est) for ell, est in estimates]
     return report, (_ESTIMATE_CSV_FIELDS, rows), code
 
 
+def _cmd_volume(args):
+    spec, body = _load_body(args.body)
+    if args.method == "voxel":
+        return _measure_report(
+            "volume", spec, volume_voxel_oracle(body, args.resolution or 128)
+        )
+    return _measure_report("volume", spec, volume(body, method=args.method))
+
+
+def _cmd_p_area(args):
+    spec, body = _load_body(args.body)
+    if args.oracle:
+        return _measure_report(
+            "p-area", spec, p_area_triangulation_oracle(body, args.resolution or 128)
+        )
+    return _measure_report("p-area", spec, p_area(body, rel_tol=args.tol))
+
+
 def _cmd_crofton(args):
-    return _run_line_estimator(args, "crofton", estimate_line_measure)
+    spec, body = _load_body(args.body)
+    est = estimate_line_measure(body, args.n, **_sampling(args), **_grid(args))
+    return _estimate_report(args, "crofton", {"body": spec}, [(None, est)])
 
 
 def _cmd_chord_integral(args):
-    return _run_line_estimator(args, "chord-integral", estimate_chord_integral)
+    spec, body = _load_body(args.body)
+    est = estimate_chord_integral(body, args.n, **_sampling(args), **_grid(args))
+    return _estimate_report(args, "chord-integral", {"body": spec}, [(None, est)])
 
 
 def _cmd_mean_chord(args):
     spec, body = _load_body(args.body)
-    est = estimate_mean_chord(
-        body, args.n, seed=args.seed, stratify=args.stratify, threads=args.threads
-    )
-    report = {
-        "schema": SCHEMA,
-        "command": "mean-chord",
-        "body": spec,
-        "params": _common_params(args),
-        "result": _estimate_payload(est),
-        "reference": {"value": est.reference, "source": est.reference_source},
-        "diagnostics": _diagnostics(est),
-    }
-    rows = [_estimate_csv_row("mean-chord", None, est)]
-    code = 0
-    failure = _gate_estimate(est)
-    if failure is not None:
-        report["tolerance_failure"] = failure
-        code = 4
-    return report, (_ESTIMATE_CSV_FIELDS, rows), code
+    est = estimate_mean_chord(body, args.n, **_sampling(args))
+    return _estimate_report(args, "mean-chord", {"body": spec}, [(None, est)])
 
 
 def _cmd_kinematic(args):
-    return _run_line_estimator(
-        args, "kinematic", estimate_segment_hit_measure, ell=args.ell
+    spec, body = _load_body(args.body)
+    est = estimate_segment_hit_measure(
+        body, args.ell, args.n, **_sampling(args), **_grid(args)
     )
+    return _estimate_report(args, "kinematic", {"body": spec}, [(args.ell, est)])
 
 
 def _cmd_containment(args):
     inner_spec, inner = _load_body(args.inner)
     outer_spec, outer = _load_body(args.outer)
-    est = containment_probability(
-        inner,
-        outer,
-        args.ell,
-        args.n,
-        seed=args.seed,
-        stratify=args.stratify,
-        threads=args.threads,
-    )
-    report = {
-        "schema": SCHEMA,
-        "command": "containment",
-        "inner": inner_spec,
-        "outer": outer_spec,
-        "params": {**_common_params(args), "ell": args.ell},
-        "result": _estimate_payload(est),
-        "reference": {"value": est.reference, "source": est.reference_source},
-        "diagnostics": _diagnostics(est),
-    }
-    rows = [_estimate_csv_row("containment", args.ell, est)]
-    code = 0
-    failure = _gate_estimate(est)
-    if failure is not None:
-        report["tolerance_failure"] = failure
-        code = 4
-    return report, (_ESTIMATE_CSV_FIELDS, rows), code
+    est = containment_probability(inner, outer, args.ell, args.n, **_sampling(args))
+    specs = {"inner": inner_spec, "outer": outer_spec}
+    return _estimate_report(args, "containment", specs, [(args.ell, est)])
 
 
 def _cmd_invariance(args):
     spec, body = _load_body(args.body)
     motion = _parse_motion(args.motion)
-    rep = invariance_check(
-        body,
-        motion,
-        args.n,
-        seed=args.seed,
-        stratify=args.stratify,
-        threads=args.threads,
-    )
+    rep = invariance_check(body, motion, args.n, **_sampling(args))
     rows = []
     for row in rep.rows:
         rows.append(
@@ -490,7 +438,7 @@ def _cmd_invariance(args):
                 "se_original": row.se_original,
                 "value_transformed": row.value_transformed,
                 "se_transformed": row.se_transformed,
-                "z": row.z,
+                "z": _finite(row.z),
             }
         )
     report = {
@@ -518,46 +466,17 @@ def _cmd_invariance(args):
 def _cmd_sweep(args):
     spec, body = _load_body(args.body)
     ells = _parse_ell_list(args.ell_list)
-    pa_ref = p_area(body).value
-    vol_ref = volume(body).value
-    rows = []
-    values = []
-    for ell in ells:
-        est = estimate_segment_hit_measure(
-            body,
-            ell,
-            args.n,
-            seed=args.seed,
-            stratify=args.stratify,
-            threads=args.threads,
-            reference=2.0 * math.pi * vol_ref + 2.0 * ell * pa_ref,
-        )
-        values.append(est)
-        rows.append(_estimate_csv_row("sweep", ell, est))
-    slope, intercept = np.polyfit(np.asarray(ells), [e.value for e in values], 1)
-    report = {
-        "schema": SCHEMA,
-        "command": "sweep",
-        "body": spec,
-        "params": {**_common_params(args), "ell_list": ells},
-        "rows": [
-            {**_estimate_payload(e), "ell": ell, "reference": e.reference}
-            for ell, e in zip(ells, values)
-        ],
-        "fit": {
-            "slope": float(slope),
-            "intercept": float(intercept),
-            "slope_reference": 2.0 * pa_ref,
-            "intercept_reference": 2.0 * math.pi * vol_ref,
-        },
+    sweep = estimate_segment_hit_sweep(body, ells, args.n, **_sampling(args))
+    # the law is 2*pi*V + 2*ell*pA: its slope is the line measure and its
+    # intercept the chord integral of the same lines
+    fit = {
+        "slope": sweep.slope.value,
+        "intercept": sweep.intercept.value,
+        "slope_reference": sweep.slope.reference,
+        "intercept_reference": sweep.intercept.reference,
     }
-    code = 0
-    for est in values:
-        failure = _gate_estimate(est)
-        if failure is not None:
-            report["tolerance_failure"] = failure
-            code = 4
-    return report, (_ESTIMATE_CSV_FIELDS, rows), code
+    estimates = list(zip(ells, sweep.rows))
+    return _estimate_report(args, "sweep", {"body": spec}, estimates, fit)
 
 
 def _add_common(parser: argparse.ArgumentParser, body: bool = True) -> None:

@@ -21,6 +21,14 @@ integrated in closed form: a segment of length l placed on a line with
 chord [a, b] meets the body for h in an interval of length sigma + l and
 lies inside it for max(sigma - l, 0).
 
+Every estimator is one pass of ``_pass``: per fixed block it draws
+lines, evaluates their chords and sums each array an integrand yields.
+A mean/std-error or a ratio (delta-method) finisher turns the sums into
+an :class:`EstimateResult` with its reference, so a new identity = one
+integrand + one reference.  Line measure, chord integral and the hit
+measures at any number of lengths share one pass
+(:func:`estimate_segment_hit_sweep`).
+
 Randomness is counter-based (see :mod:`h1geom.rng`) and work is split
 into fixed-size blocks, so results are bit-identical for a given
 (seed, n) regardless of thread count.
@@ -28,6 +36,7 @@ into fixed-size blocks, so results are bit-identical for a given
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -48,10 +57,12 @@ __all__ = [
     "EstimateResult",
     "InvarianceRow",
     "InvarianceReport",
+    "SegmentHitSweep",
     "line_window",
     "estimate_line_measure",
     "estimate_chord_integral",
     "estimate_segment_hit_measure",
+    "estimate_segment_hit_sweep",
     "estimate_segment_containment_measure",
     "estimate_mean_chord",
     "containment_probability",
@@ -217,139 +228,208 @@ class InvarianceReport:
         return all(abs(row.z) < self.threshold for row in self.rows)
 
 
-def _check_common(n: int, seed: int, threads: int) -> None:
+@dataclass(frozen=True)
+class SegmentHitSweep:
+    """Segment hit measures at several lengths from one sample pass.
+
+    ``rows[i]`` is the hit measure at ``ells[i]``.  The measure
+    2 pi V + 2 ell pA is linear in ell: ``slope`` is the line measure
+    (reference 2 pA) and ``intercept`` the chord integral (reference
+    2 pi V) of the same lines.  Every estimate is bitwise what the
+    standalone estimator returns for the same arguments.
+    """
+
+    ells: list[float]
+    rows: list[EstimateResult]
+    slope: EstimateResult
+    intercept: EstimateResult
+
+
+def _setup(body, window, n, seed, threads, method="mc") -> LineWindow:
+    """Validate the arguments every estimator shares; return the
+    caller's window or the body's own."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
-
-
-def _sample_block(
-    window: LineWindow, seed: int, lo: int, hi: int, stratify: bool, streams: int = 3
-):
-    u = uniforms(seed, lo, hi - lo, streams)
-    if stratify:
-        # sample i draws theta from stratum i mod K, so every contiguous
-        # index range covers the circle nearly uniformly
-        strata = np.mod(np.arange(lo, hi, dtype=np.float64), float(_STRATA))
-        theta = (strata + u[0]) * (TWO_PI / _STRATA)
-    else:
-        theta = u[0] * TWO_PI
-    p = u[1] * window.p_max
-    t = window.t_lo + u[2] * (window.t_hi - window.t_lo)
-    return p, theta, t, u
-
-
-def _run_blocks(n: int, threads: int, work) -> np.ndarray:
-    blocks = [(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
-    if threads == 1:
-        rows = [work(lo, hi) for lo, hi in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda blk: work(*blk), blocks))
-    return np.sum(np.asarray(rows, dtype=float), axis=0)
-
-
-def _chord_stats(body, p, theta, t):
-    s_lo, s_hi, hit = body.chord_batch(p, theta, t)
-    sigma = np.where(hit, np.maximum(s_hi - s_lo, 0.0), 0.0)
-    return sigma, hit
-
-
-def _moment_estimate(body, window, n, seed, stratify, threads, f_of, track_clamp=False):
-    def work(lo, hi):
-        p, theta, t, _ = _sample_block(window, seed, lo, hi, stratify)
-        sigma, hit = _chord_stats(body, p, theta, t)
-        f = f_of(sigma, hit)
-        clamped = np.count_nonzero(hit & (f == 0.0)) if track_clamp else 0
-        return np.array(
-            [f.sum(), np.sum(f * f), float(np.count_nonzero(hit)), float(clamped)]
-        )
-
-    s1, s2, hits, clamped = _run_blocks(n, threads, work)
-    mean = s1 / n
-    var = max(s2 - s1 * s1 / n, 0.0) / max(n - 1, 1)
-    w = window.measure
-    value = w * mean
-    se = w * math.sqrt(var / n)
-    if track_clamp:
-        clamp_fraction = clamped / hits if hits > 0 else 0.0
-    else:
-        clamp_fraction = None
-    return value, se, int(hits), clamp_fraction
-
-
-def _grid_estimate(body, window, resolution, f_of):
-    """Deterministic tensor-product midpoint rule over the chart box."""
-    if resolution < 2:
-        raise ValueError("grid resolution must be at least 2")
-    p_vals = (np.arange(resolution) + 0.5) / resolution * window.p_max
-    th_vals = (np.arange(resolution) + 0.5) / resolution * TWO_PI
-    t_vals = window.t_lo + (np.arange(resolution) + 0.5) / resolution * (
-        window.t_hi - window.t_lo
-    )
-    th_grid, t_grid = np.meshgrid(th_vals, t_vals, indexing="ij")
-    th_flat, t_flat = th_grid.ravel(), t_grid.ravel()
-    total = 0.0
-    hits_total = 0
-    for p in p_vals:
-        sigma, hit = _chord_stats(
-            body, np.full_like(th_flat, p), th_flat, t_flat
-        )
-        total += float(np.sum(f_of(sigma, hit)))
-        hits_total += int(np.count_nonzero(hit))
-    n_cells = resolution**3
-    return window.measure * total / n_cells, n_cells, hits_total
-
-
-def _make_result(
-    body,
-    n,
-    seed,
-    window,
-    stratify,
-    threads,
-    method,
-    grid_resolution,
-    f_of,
-    reference,
-    ref_fn,
-    track_clamp=False,
-):
-    _check_common(n, seed, threads)
     if method not in ("mc", "grid"):
         raise ValueError(f"unknown method {method!r}")
-    if window is None:
-        window = line_window(body)
-    clamp_fraction = None
+    return window if window is not None else line_window(body)
+
+
+def _check_ell(ell) -> float:
+    ell = float(ell)
+    if not math.isfinite(ell) or ell < 0.0:
+        raise ValueError(f"ell must be finite and >= 0, got {ell}")
+    return ell
+
+
+def _pass(
+    bodies, window, n, seed, stratify, threads, method, grid_res, integrand, streams=3
+):
+    """The one sample-and-sum pass behind every estimator.
+
+    Lines come in fixed blocks: BLOCK consecutive Monte Carlo draws, or
+    one p-slice of a tensor-product midpoint grid over the window.  Per
+    block, ``integrand(chords, u)`` receives each body's ``chord_batch``
+    triple on the block's lines and the block's uniforms (None on the
+    grid) and yields arrays, each reduced to its sum as soon as it is
+    made.  Block sums are added in block order, so the totals do not
+    depend on the thread count.  Returns the totals and the line count.
+    """
     if method == "grid":
-        res = grid_resolution or max(8, int(round(n ** (1.0 / 3.0))))
-        value, n_eff, hits = _grid_estimate(body, window, res, f_of)
-        se = 0.0
-    else:
-        n_eff = n
-        value, se, hits, clamp_fraction = _moment_estimate(
-            body, window, n, seed, stratify, threads, f_of, track_clamp
+        res = grid_res or max(8, int(round(n ** (1.0 / 3.0))))
+        if res < 2:
+            raise ValueError("grid resolution must be at least 2")
+        mid = (np.arange(res) + 0.5) / res
+        th_grid, t_grid = np.meshgrid(
+            mid * TWO_PI, window.t_lo + mid * (window.t_hi - window.t_lo), indexing="ij"
         )
-    ref_value, ref_source = (None, None)
+        th_flat, t_flat = th_grid.ravel(), t_grid.ravel()
+        # p-slices of res^2 lines are too small to be worth a thread pool
+        keys, n_lines, threads = mid * window.p_max, res**3, 1
+
+        def lines(p):
+            return np.full_like(th_flat, p), th_flat, t_flat, None
+
+    else:
+        keys, n_lines = [(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)], n
+
+        def lines(block):
+            lo, hi = block
+            u = uniforms(seed, lo, hi - lo, streams)
+            if stratify:
+                # sample i draws theta from stratum i mod K, so every
+                # contiguous index range covers the circle nearly uniformly
+                strata = np.mod(np.arange(lo, hi, dtype=np.float64), float(_STRATA))
+                theta = (strata + u[0]) * (TWO_PI / _STRATA)
+            else:
+                theta = u[0] * TWO_PI
+            t = window.t_lo + u[2] * (window.t_hi - window.t_lo)
+            return u[1] * window.p_max, theta, t, u
+
+    def block_sums(key):
+        p, theta, t, u = lines(key)
+        chords = [body.chord_batch(p, theta, t) for body in bodies]
+        return np.array([np.sum(a) for a in integrand(chords, u)], dtype=float)
+
+    if threads == 1:
+        rows = map(block_sums, keys)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            rows = list(pool.map(block_sums, keys))
+    return sum(rows), n_lines
+
+
+def _sigma(chord):
+    """Chord lengths (zero off the body) and the hit mask of a
+    ``chord_batch`` triple."""
+    s_lo, s_hi, hit = chord
+    return np.where(hit, np.maximum(s_hi - s_lo, 0.0), 0.0), hit
+
+
+def _mean_se(s1, s2, n, w, method):
+    """Window-scaled mean of an integrand and its standard error, from its
+    sum and sum of squares over n lines; the grid has no error bar."""
+    if method == "grid":
+        return w * s1 / n, 0.0
+    var = max(s2 - s1 * s1 / n, 0.0) / max(n - 1, 1)
+    return w * (s1 / n), w * math.sqrt(var / n)
+
+
+def _ratio_terms(x, y):
+    yield from (x, y, x * x, y * y, x * y)
+
+
+def _ratio(sums, n):
+    """Ratio of two integrals on common samples, from the sums of
+    ``_ratio_terms``, with a delta-method standard error."""
+    sx, sy, sxx, syy, sxy = sums[:5]
+    if sy <= 0.0:
+        raise ValueError("no hits in the sample; enlarge n or check the window")
+    mx, my = sx / n, sy / n
+    r = mx / my
+    denom = max(n - 1, 1)
+    var_x = max(sxx - sx * sx / n, 0.0) / denom
+    var_y = max(syy - sy * sy / n, 0.0) / denom
+    cov = (sxy - sx * sy / n) / denom
+    var_r = max(var_x - 2.0 * r * cov + r * r * var_y, 0.0) / (n * my * my)
+    return r, math.sqrt(var_r)
+
+
+def _result(value, se, n, hits, seed, method, reference, auto, clamp_fraction=None):
+    """The one EstimateResult builder.  ``reference='auto'`` takes
+    (value, source) from ``auto()``, None skips the reference, and any
+    other value is the caller's."""
     if reference == "auto":
-        ref_value, ref_source = ref_fn()
-    elif reference is not None:
+        ref_value, ref_source = auto()
+    elif reference is None:
+        ref_value, ref_source = None, None
+    else:
         ref_value, ref_source = float(reference), "caller"
     return EstimateResult(
         value=value,
         std_error=se,
         ci95=(value - 1.96 * se, value + 1.96 * se),
-        n_samples=n_eff,
-        n_hits=hits,
+        n_samples=n,
+        n_hits=int(hits),
         seed=seed,
         method=method,
         reference=ref_value,
         reference_source=ref_source,
         clamp_fraction=clamp_fraction,
     )
+
+
+def _measures(body):
+    """Volume and p-Area of the body, each computed on first use."""
+    return (
+        functools.cache(lambda: volume(body).value),
+        functools.cache(lambda: p_area(body).value),
+    )
+
+
+def _hit_reference(vol, pa, ell):
+    return (
+        TWO_PI * vol() + 2.0 * ell * pa(),
+        "2*pi*measures.volume + 2*ell*measures.p_area",
+    )
+
+
+def _line_pass(body, ells, window, n, seed, stratify, threads, method, grid_res):
+    """Line measure, chord integral and segment hit measure at each ell,
+    from one pass over the same lines.  Returns ``finish(k, reference)``,
+    which builds estimate k: 0 the line measure, 1 the chord integral,
+    2 + i the hit measure at ``ells[i]``."""
+    window = _setup(body, window, n, seed, threads, method)
+
+    def integrand(chords, u):
+        sigma, hit = _sigma(chords[0])
+        # (f, f^2) per estimate; the indicator is its own square
+        yield from (hit, hit, sigma, sigma * sigma)
+        for ell in ells:
+            f = (sigma + ell) * hit
+            yield f
+            yield f * f
+
+    sums, n_lines = _pass(
+        (body,), window, n, seed, stratify, threads, method, grid_res, integrand
+    )
+    vol, pa = _measures(body)
+    refs = [
+        lambda: (2.0 * pa(), "2 * measures.p_area(body)"),
+        lambda: (TWO_PI * vol(), "2*pi * measures.volume(body)"),
+    ] + [lambda ell=ell: _hit_reference(vol, pa, ell) for ell in ells]
+
+    def finish(k, reference):
+        value, se = _mean_se(
+            sums[2 * k], sums[2 * k + 1], n_lines, window.measure, method
+        )
+        return _result(value, se, n_lines, sums[0], seed, method, reference, refs[k])
+
+    return finish
 
 
 def estimate_line_measure(
@@ -370,26 +450,10 @@ def estimate_line_measure(
     computes it by quadrature; pass a float to supply your own or None
     to skip.
     """
-
-    def f_of(sigma, hit):
-        return hit.astype(float)
-
-    def ref_fn():
-        return 2.0 * p_area(body).value, "2 * measures.p_area(body)"
-
-    return _make_result(
-        body,
-        n,
-        seed,
-        window,
-        stratify,
-        threads,
-        method,
-        grid_resolution,
-        f_of,
-        reference,
-        ref_fn,
+    finish = _line_pass(
+        body, (), window, n, seed, stratify, threads, method, grid_resolution
     )
+    return finish(0, reference)
 
 
 def estimate_chord_integral(
@@ -406,25 +470,32 @@ def estimate_chord_integral(
 ) -> EstimateResult:
     """Integral of the chord length over oriented lines; equals
     2 pi V(body)."""
+    finish = _line_pass(
+        body, (), window, n, seed, stratify, threads, method, grid_resolution
+    )
+    return finish(1, reference)
 
-    def f_of(sigma, hit):
-        return sigma
 
-    def ref_fn():
-        return TWO_PI * volume(body).value, "2*pi * measures.volume(body)"
-
-    return _make_result(
-        body,
-        n,
-        seed,
-        window,
-        stratify,
-        threads,
-        method,
-        grid_resolution,
-        f_of,
-        reference,
-        ref_fn,
+def estimate_segment_hit_sweep(
+    body: ConvexBody,
+    ells,
+    n: int,
+    seed: int = DEFAULT_SEED,
+    *,
+    stratify: bool = False,
+    threads: int = 1,
+) -> SegmentHitSweep:
+    """Kinematic measure of segments meeting the body at every length in
+    ``ells``, with the slope and intercept of its linear law, all from
+    one Monte Carlo sample pass.  Every estimate carries its reference,
+    from one volume and one p-Area computation."""
+    ells = [_check_ell(ell) for ell in ells]
+    finish = _line_pass(body, ells, None, n, seed, stratify, threads, "mc", None)
+    return SegmentHitSweep(
+        ells=ells,
+        rows=[finish(2 + i, "auto") for i in range(len(ells))],
+        slope=finish(0, "auto"),
+        intercept=finish(1, "auto"),
     )
 
 
@@ -447,78 +518,43 @@ def estimate_segment_hit_measure(
 
     With ``marginalize_h`` (default) the segment offset h is integrated
     exactly: a segment meets the body iff h lies in an interval of
-    length sigma + ell.  Setting it False samples h uniformly as a
-    fourth coordinate, a slower direct check of the dK = dG dh
-    factorization.
+    length sigma + ell.  This is the one-length case of
+    :func:`estimate_segment_hit_sweep`.  Setting it False samples h
+    uniformly as a fourth coordinate, a slower direct check of the
+    dK = dG dh factorization.
     """
-    ell = float(ell)
-    if not math.isfinite(ell) or ell < 0.0:
-        raise ValueError(f"ell must be finite and >= 0, got {ell}")
-
-    def ref_fn():
-        ref = TWO_PI * volume(body).value + 2.0 * ell * p_area(body).value
-        return ref, "2*pi*measures.volume + 2*ell*measures.p_area"
-
+    ell = _check_ell(ell)
     if marginalize_h:
-
-        def f_of(sigma, hit):
-            return (sigma + ell) * hit
-
-        return _make_result(
-            body,
-            n,
-            seed,
-            window,
-            stratify,
-            threads,
-            method,
-            grid_resolution,
-            f_of,
-            reference,
-            ref_fn,
+        finish = _line_pass(
+            body, (ell,), window, n, seed, stratify, threads, method, grid_resolution
         )
+        return finish(2, reference)
 
     # direct 4D sampling over (p, theta, t, h); any chord parameter
     # satisfies p^2 + s^2 <= r_xy^2, so h in [-(r + ell), r] covers every
     # hitting segment
-    _check_common(n, seed, threads)
+    window = _setup(body, window, n, seed, threads)
     if method != "mc":
         raise ValueError("direct h sampling is Monte Carlo only")
-    win = window if window is not None else line_window(body)
-    h_lo, h_hi = -(win.p_max + ell), win.p_max
+    h_lo, h_hi = -(window.p_max + ell), window.p_max
     h_len = h_hi - h_lo
 
-    def work(lo, hi):
-        p, theta, t, u = _sample_block(win, seed, lo, hi, stratify, streams=4)
-        s_lo, s_hi, hit = body.chord_batch(p, theta, t)
+    def integrand(chords, u):
+        s_lo, s_hi, hit = chords[0]
         h = h_lo + u[3] * h_len
         f = (hit & (h <= s_hi) & (h + ell >= s_lo)).astype(float)
-        # f is an indicator, so its square sums to the same total
-        sf = float(f.sum())
-        return np.array([sf, sf, sf, 0.0])
+        yield f
+        yield f * f
 
-    s1, s2, hits, _ = _run_blocks(n, threads, work)
-    w = win.measure * h_len
-    mean = s1 / n
-    var = max(s2 - s1 * s1 / n, 0.0) / max(n - 1, 1)
-    value = w * mean
-    se = w * math.sqrt(var / n)
-    ref_value, ref_source = (None, None)
-    if reference == "auto":
-        ref_value, ref_source = ref_fn()
-    elif reference is not None:
-        ref_value, ref_source = float(reference), "caller"
-    return EstimateResult(
-        value=value,
-        std_error=se,
-        ci95=(value - 1.96 * se, value + 1.96 * se),
-        n_samples=n,
-        n_hits=int(hits),
-        seed=seed,
-        method="mc-4d",
-        reference=ref_value,
-        reference_source=ref_source,
+    sums, _ = _pass(
+        (body,), window, n, seed, stratify, threads, "mc", None, integrand, streams=4
     )
+    value, se = _mean_se(sums[0], sums[1], n, window.measure * h_len, "mc")
+
+    def auto():
+        return _hit_reference(*_measures(body), ell)
+
+    return _result(value, se, n, sums[0], seed, "mc-4d", reference, auto)
 
 
 def estimate_segment_containment_measure(
@@ -543,46 +579,31 @@ def estimate_segment_containment_measure(
     result).  A closed-form reference exists only at ell = 0, where the
     measure is the chord integral 2 pi V.
     """
-    ell = float(ell)
-    if not math.isfinite(ell) or ell < 0.0:
-        raise ValueError(f"ell must be finite and >= 0, got {ell}")
+    ell = _check_ell(ell)
+    window = _setup(body, window, n, seed, threads, method)
 
-    def f_of(sigma, hit):
-        return np.maximum(sigma - ell, 0.0)
+    def integrand(chords, u):
+        sigma, hit = _sigma(chords[0])
+        f = np.maximum(sigma - ell, 0.0)
+        yield from (f, f * f, hit, hit & (f == 0.0))
 
-    def ref_fn():
+    sums, n_lines = _pass(
+        (body,), window, n, seed, stratify, threads, method, grid_resolution, integrand
+    )
+    value, se = _mean_se(sums[0], sums[1], n_lines, window.measure, method)
+    hits, clamped = sums[2], sums[3]
+    clamp_fraction = None
+    if method == "mc":
+        clamp_fraction = clamped / hits if hits > 0 else 0.0
+
+    def auto():
         if ell == 0.0:
             return TWO_PI * volume(body).value, "2*pi * measures.volume(body)"
         return None, None
 
-    return _make_result(
-        body,
-        n,
-        seed,
-        window,
-        stratify,
-        threads,
-        method,
-        grid_resolution,
-        f_of,
-        reference,
-        ref_fn,
-        track_clamp=True,
+    return _result(
+        value, se, n_lines, hits, seed, method, reference, auto, clamp_fraction
     )
-
-
-def _ratio_from_sums(sums, n):
-    sx, sy, sxx, syy, sxy = sums
-    if sy <= 0.0:
-        raise RuntimeError("no hits in the sample; enlarge n or check the window")
-    mx, my = sx / n, sy / n
-    r = mx / my
-    denom = max(n - 1, 1)
-    var_x = max(sxx - sx * sx / n, 0.0) / denom
-    var_y = max(syy - sy * sy / n, 0.0) / denom
-    cov = (sxy - sx * sy / n) / denom
-    var_r = max(var_x - 2.0 * r * cov + r * r * var_y, 0.0) / (n * my * my)
-    return r, math.sqrt(var_r)
 
 
 def estimate_mean_chord(
@@ -598,43 +619,20 @@ def estimate_mean_chord(
     """Mean chord length over lines meeting the body: the ratio of the
     chord integral to the line measure, estimated on common samples with
     a delta-method standard error.  Reference: pi V / pA."""
-    _check_common(n, seed, threads)
-    win = window if window is not None else line_window(body)
+    window = _setup(body, window, n, seed, threads)
 
-    def work(lo, hi):
-        p, theta, t, _ = _sample_block(win, seed, lo, hi, stratify)
-        sigma, hit = _chord_stats(body, p, theta, t)
-        y = hit.astype(float)
-        return np.array(
-            [
-                sigma.sum(),
-                y.sum(),
-                np.sum(sigma * sigma),
-                y.sum(),
-                np.sum(sigma * y),
-            ]
-        )
+    def integrand(chords, u):
+        sigma, hit = _sigma(chords[0])
+        yield from _ratio_terms(sigma, hit.astype(float))
 
-    sums = _run_blocks(n, threads, work)
-    value, se = _ratio_from_sums(sums, n)
-    hits = int(sums[1])
-    ref_value, ref_source = (None, None)
-    if reference == "auto":
-        ref_value = math.pi * volume(body).value / p_area(body).value
-        ref_source = "pi * measures.volume / measures.p_area"
-    elif reference is not None:
-        ref_value, ref_source = float(reference), "caller"
-    return EstimateResult(
-        value=value,
-        std_error=se,
-        ci95=(value - 1.96 * se, value + 1.96 * se),
-        n_samples=n,
-        n_hits=hits,
-        seed=seed,
-        method="mc",
-        reference=ref_value,
-        reference_source=ref_source,
-    )
+    sums, _ = _pass((body,), window, n, seed, stratify, threads, "mc", None, integrand)
+    value, se = _ratio(sums, n)
+
+    def auto():
+        ref = math.pi * volume(body).value / p_area(body).value
+        return ref, "pi * measures.volume / measures.p_area"
+
+    return _result(value, se, n, sums[1], seed, "mc", reference, auto)
 
 
 def _boundary_points(body: ConvexBody, count: int, seed: int) -> np.ndarray:
@@ -670,56 +668,34 @@ def containment_probability(
     Requires inner to be contained in outer (checked by sampling the
     inner boundary); raises ContainmentError otherwise.
     """
-    ell = float(ell)
-    if not math.isfinite(ell) or ell < 0.0:
-        raise ValueError(f"ell must be finite and >= 0, got {ell}")
-    _check_common(n, seed, threads)
+    ell = _check_ell(ell)
+    window = _setup(outer, None, n, seed, threads)
     ob = outer.bounds()
     scale = max(1.0, ob.r_xy, abs(ob.z_min), abs(ob.z_max))
     probe = _boundary_points(inner, 1024, seed)
     if not outer.contains_batch(probe, tol=1e-9 * scale).all():
         raise ContainmentError("inner body is not contained in the outer body")
-    win = line_window(outer)
 
-    def work(lo, hi):
-        p, theta, t, _ = _sample_block(win, seed, lo, hi, stratify)
-        sig_in, hit_in = _chord_stats(inner, p, theta, t)
-        sig_out, hit_out = _chord_stats(outer, p, theta, t)
-        x = (sig_in + ell) * hit_in
-        y = (sig_out + ell) * hit_out
-        return np.array(
-            [
-                x.sum(),
-                y.sum(),
-                np.sum(x * x),
-                np.sum(y * y),
-                np.sum(x * y),
-                float(np.count_nonzero(hit_out)),
-            ]
-        )
+    def integrand(chords, u):
+        (sig_in, hit_in), (sig_out, hit_out) = map(_sigma, chords)
+        yield from _ratio_terms((sig_in + ell) * hit_in, (sig_out + ell) * hit_out)
+        yield hit_out
 
-    sums = _run_blocks(n, threads, work)
-    value, se = _ratio_from_sums(sums[:5], n)
-    hits = int(sums[5])
-    ref_value, ref_source = (None, None)
-    if reference == "auto":
-        num = TWO_PI * volume(inner).value + 2.0 * ell * p_area(inner).value
-        den = TWO_PI * volume(outer).value + 2.0 * ell * p_area(outer).value
-        ref_value = num / den
-        ref_source = "(2*pi*V + 2*ell*pA) inner over outer [measures]"
-    elif reference is not None:
-        ref_value, ref_source = float(reference), "caller"
-    return EstimateResult(
-        value=value,
-        std_error=se,
-        ci95=(value - 1.96 * se, value + 1.96 * se),
-        n_samples=n,
-        n_hits=hits,
-        seed=seed,
-        method="mc",
-        reference=ref_value,
-        reference_source=ref_source,
+    sums, _ = _pass(
+        (inner, outer), window, n, seed, stratify, threads, "mc", None, integrand
     )
+    value, se = _ratio(sums, n)
+
+    def auto():
+        num = _hit_reference(*_measures(inner), ell)[0]
+        den = _hit_reference(*_measures(outer), ell)[0]
+        return num / den, "(2*pi*V + 2*ell*pA) inner over outer [measures]"
+
+    return _result(value, se, n, sums[5], seed, "mc", reference, auto)
+
+
+# invariant quantities and their estimate in a one-length line pass
+_INVARIANTS = {"line_measure": 0, "chord_integral": 1, "segment_hit_measure_ell1": 2}
 
 
 def invariance_check(
@@ -741,28 +717,19 @@ def invariance_check(
     rigid motion, each in its own window, and compare with two-sample
     z statistics.  The quantities (line measure, chord integral, segment
     hit measure at ell = 1) are exactly invariant, so |z| beyond the
-    threshold signals an implementation defect rather than noise."""
-    _check_common(n, seed, threads)
-    image = transform_body(motion, body)
-    runners = {
-        "line_measure": lambda b, s: estimate_line_measure(
-            b, n, s, stratify=stratify, threads=threads, reference=None
-        ),
-        "chord_integral": lambda b, s: estimate_chord_integral(
-            b, n, s, stratify=stratify, threads=threads, reference=None
-        ),
-        "segment_hit_measure_ell1": lambda b, s: estimate_segment_hit_measure(
-            b, 1.0, n, s, stratify=stratify, threads=threads, reference=None
-        ),
-    }
-    unknown = [q for q in quantities if q not in runners]
+    threshold signals an implementation defect rather than noise.  One
+    sample pass per body (seed for the body, seed + 1 for its image)
+    serves every quantity."""
+    unknown = [q for q in quantities if q not in _INVARIANTS]
     if unknown:
         raise ValueError(f"unknown invariance quantities {unknown}")
+    passes = [
+        _line_pass(b, (1.0,), None, n, s, stratify, threads, "mc", None)
+        for b, s in ((body, seed), (transform_body(motion, body), seed + 1))
+    ]
     rows = []
     for name in quantities:
-        runner = runners[name]
-        est_a = runner(body, seed)
-        est_b = runner(image, seed + 1)
+        est_a, est_b = (finish(_INVARIANTS[name], None) for finish in passes)
         pooled = math.hypot(est_a.std_error, est_b.std_error)
         if pooled == 0.0:
             z = 0.0 if est_a.value == est_b.value else math.inf

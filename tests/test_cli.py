@@ -10,9 +10,14 @@ import pytest
 
 import h1geom.cli as cli
 from h1geom import (
+    DEFAULT_SEED,
     CapabilityError,
     EstimateResult,
+    InvarianceReport,
+    InvarianceRow,
     QuadratureError,
+    estimate_chord_integral,
+    estimate_line_measure,
     p_area,
     volume,
 )
@@ -248,6 +253,19 @@ def test_sweep_command(capsys, ball_file):
         2.0 * math.pi * volume(ball).value
     )
 
+    # the fit is the line measure and chord integral of the sweep's lines,
+    # so a single or repeated length still recovers both coefficients
+    slope = estimate_line_measure(ball, 100000, DEFAULT_SEED, reference=None)
+    intercept = estimate_chord_integral(ball, 100000, DEFAULT_SEED, reference=None)
+    for ell_list in ("1", "0.5,0.5,0.5"):
+        code, out, _ = run_cli(
+            capsys,
+            ["sweep", "--body", ball_file, "--n", "100000", "--ell-list", ell_list],
+        )
+        assert code == 0
+        fit = json.loads(out)["fit"]
+        assert (fit["slope"], fit["intercept"]) == (slope.value, intercept.value)
+
 
 def test_out_file(tmp_path, capsys, ball_file):
     out_path = tmp_path / "report.json"
@@ -310,6 +328,15 @@ def test_config_errors(capsys, tmp_path, ball_file):
     )
     assert code == 2
 
+    # a sample where no line hits the body has no ratio estimate
+    code, _, err = run_cli(capsys, ["mean-chord", "--body", ball_file, "--n", "1"])
+    assert code == 2 and "no hits" in err
+    code, _, err = run_cli(
+        capsys,
+        ["containment", "--inner", ball_file, "--outer", ball_file, "--n", "1"],
+    )
+    assert code == 2 and "no hits" in err
+
     with pytest.raises(SystemExit) as exc:
         main(["crofton", "--body", ball_file, "--n", "0"])
     assert exc.value.code == 2
@@ -325,7 +352,17 @@ def test_capability_exit_code(capsys, ball_file, monkeypatch):
     assert "unsupported" in err
 
 
-def test_tolerance_exit_codes(capsys, ball_file, monkeypatch):
+# each estimate command and the estimator it reports
+_ESTIMATORS = {
+    "crofton": "estimate_line_measure",
+    "kinematic": "estimate_segment_hit_measure",
+    "mean-chord": "estimate_mean_chord",
+    "containment": "containment_probability",
+}
+
+
+@pytest.mark.parametrize("command", list(_ESTIMATORS))
+def test_tolerance_exit_codes(capsys, ball_file, monkeypatch, command):
     def bad_quadrature(*args, **kwargs):
         raise QuadratureError("did not converge")
 
@@ -333,7 +370,8 @@ def test_tolerance_exit_codes(capsys, ball_file, monkeypatch):
     code, _, err = run_cli(capsys, ["p-area", "--body", ball_file])
     assert code == 4 and "converge" in err
 
-    def skewed(body, n, **kwargs):
+    def skewed(*args, **kwargs):
+        n = args[-1]
         return EstimateResult(
             value=30.0,
             std_error=0.1,
@@ -346,9 +384,40 @@ def test_tolerance_exit_codes(capsys, ball_file, monkeypatch):
             reference_source="2 * measures.p_area(body)",
         )
 
-    monkeypatch.setattr(cli, "estimate_line_measure", skewed)
-    code, out, _ = run_cli(capsys, ["crofton", "--body", ball_file, "--n", "1000"])
+    monkeypatch.setattr(cli, _ESTIMATORS[command], skewed)
+    if command == "containment":
+        bodies = ["--inner", ball_file, "--outer", ball_file]
+    else:
+        bodies = ["--body", ball_file]
+    code, out, _ = run_cli(capsys, [command, *bodies, "--n", "1000"])
     assert code == 4
     report = json.loads(out)
     assert "tolerance_failure" in report
     assert "standard errors" in report["tolerance_failure"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"report is not strict JSON: bare {name}")
+
+
+def test_reports_are_strict_json(capsys, ball_file, monkeypatch):
+    # a 4^3 grid has no error bar and misses 2 pA by 14%, so its z score
+    # is infinite: null in JSON, an empty cell in CSV
+    argv = ["crofton", "--body", ball_file, "--method", "grid", "--resolution", "4"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["diagnostics"]["z_score"] is None
+    code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    header, row = csv.reader(io.StringIO(out))
+    assert dict(zip(header, row))["z_score"] == ""
+
+    def exact_but_different(body, motion, n, **kwargs):
+        row = InvarianceRow("line_measure", 1.0, 0.0, 2.0, 0.0, math.inf)
+        return InvarianceReport(motion, n, kwargs["seed"], 4.0, [row])
+
+    monkeypatch.setattr(cli, "invariance_check", exact_but_different)
+    code, out, _ = run_cli(capsys, ["invariance", "--body", ball_file])
+    assert code == 4
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["rows"][0]["z"] is None and report["passed"] is False

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import h1geom.estimators as estimators
 from conftest import random_motion
 from h1geom import (
+    BLOCK,
     Ball,
     Box,
     ContainmentError,
@@ -20,10 +22,12 @@ from h1geom import (
     estimate_mean_chord,
     estimate_segment_containment_measure,
     estimate_segment_hit_measure,
+    estimate_segment_hit_sweep,
     invariance_check,
     line_through,
     line_window,
     p_area,
+    transform_body,
     volume,
 )
 
@@ -261,6 +265,76 @@ def test_invariance_check():
     assert report.passed and len(report.rows) == 2
     with pytest.raises(ValueError):
         invariance_check(BALL, PshMotion.identity(), 1000, quantities=("volume",))
+
+
+def _bits(est):
+    return (est.value, est.std_error, est.n_hits)
+
+
+def test_sweep_rows_match_standalone_estimators():
+    # one pass serves every length: each row, and the slope and intercept
+    # of the linear law, equal the standalone estimators bitwise
+    ells = [0.0, 0.5, 1.0, 0.5]
+    n, seed = 3 * BLOCK + 17, 101
+    runs = {}
+    for threads in (1, 2):
+        kw = dict(seed=seed, threads=threads)
+        sweep = estimate_segment_hit_sweep(BOX, ells, n, **kw)
+        assert sweep.ells == ells and len(sweep.rows) == len(ells)
+        for ell, row in zip(ells, sweep.rows):
+            assert _bits(row) == _bits(estimate_segment_hit_measure(BOX, ell, n, **kw))
+        assert _bits(sweep.slope) == _bits(estimate_line_measure(BOX, n, **kw))
+        assert _bits(sweep.intercept) == _bits(estimate_chord_integral(BOX, n, **kw))
+        runs[threads] = [_bits(e) for e in (*sweep.rows, sweep.slope, sweep.intercept)]
+    assert runs[1] == runs[2]
+
+    sweep = estimate_segment_hit_sweep(BALL, [0.0, 0.7], 2000, seed=seed)
+    assert sweep.rows[1].reference == estimate_segment_hit_measure(
+        BALL, 0.7, 2000, seed=seed
+    ).reference
+    assert sweep.slope.reference == estimate_line_measure(BALL, 2000).reference
+    assert sweep.intercept.reference == estimate_chord_integral(BALL, 2000).reference
+    with pytest.raises(ValueError):
+        estimate_segment_hit_sweep(BALL, [0.5, -1.0], 1000)
+
+
+def test_invariance_rows_match_standalone_estimators():
+    motion = PshMotion(0.3, -0.2, 0.4, 1.1)
+    n, seed = 2 * BLOCK + 5, 103
+    image = transform_body(motion, BOX)
+    kw = dict(threads=2, reference=None)
+    standalone = {
+        "line_measure": lambda b, s: estimate_line_measure(b, n, s, **kw),
+        "chord_integral": lambda b, s: estimate_chord_integral(b, n, s, **kw),
+        "segment_hit_measure_ell1": lambda b, s: estimate_segment_hit_measure(
+            b, 1.0, n, s, **kw
+        ),
+    }
+    report = invariance_check(BOX, motion, n, seed=seed, threads=2)
+    assert len(report.rows) == 3
+    for row in report.rows:
+        a = standalone[row.quantity](BOX, seed)
+        b = standalone[row.quantity](image, seed + 1)
+        assert (row.value_original, row.se_original) == (a.value, a.std_error)
+        assert (row.value_transformed, row.se_transformed) == (b.value, b.std_error)
+
+
+def test_one_draw_per_block_per_body(monkeypatch):
+    draws = []
+    real = estimators.uniforms
+
+    def counting(seed, start, count, streams):
+        draws.append((seed, start))
+        return real(seed, start, count, streams)
+
+    monkeypatch.setattr(estimators, "uniforms", counting)
+    n = 2 * BLOCK + 3
+    blocks = [0, BLOCK, 2 * BLOCK]
+    estimate_segment_hit_sweep(BALL, [0.0, 0.5, 1.0, 2.0], n, seed=5, threads=2)
+    assert sorted(draws) == [(5, lo) for lo in blocks]
+    draws.clear()
+    invariance_check(BALL, PshMotion(0.1, 0.2, 0.3, 0.4), n, seed=5, threads=2)
+    assert sorted(draws) == [(s, lo) for s in (5, 6) for lo in blocks]
 
 
 def test_estimate_result_api():
