@@ -22,7 +22,8 @@ chord [a, b] meets the body for h in an interval of length sigma + l and
 lies inside it for max(sigma - l, 0).
 
 Every estimator is one pass of ``_pass``: per fixed block it draws
-lines, evaluates their chords and sums each array an integrand yields.
+lines, evaluates their chords and sums each array an integrand yields,
+sub-block by sub-block in the order of numpy's pairwise summation.
 A mean/std-error or a ratio (delta-method) finisher turns the sums into
 an :class:`EstimateResult` with its reference, so a new identity = one
 integrand + one reference.  Line measure, chord integral and the hit
@@ -37,6 +38,7 @@ into fixed-size blocks, so results are bit-identical for a given
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TWO_PI, HorizontalLine, PshMotion
-from .bodies import ConvexBody, transform_body
+from .bodies import Box, ConvexBody, Polytope, transform_body
 from .measures import p_area, volume
 from .rng import uniforms
 
@@ -73,6 +75,13 @@ DEFAULT_SEED = 1729
 # fixed work-block size; sharding by blocks keeps sums independent of
 # the thread count
 BLOCK = 1 << 16
+# lines per sub-block: a block's lines, kernels and integrands run on
+# sub-blocks of at most this many lines.  Their temporaries stay below
+# the block's array of uniforms in size, and glibc's adaptive mmap/trim
+# thresholds, raised by that array, then let the heap reuse them from
+# one sub-block to the next instead of page-faulting fresh pages for
+# multi-megabyte temporaries on every block
+_SUB_BLOCK = 1 << 13
 _STRATA = 64
 
 
@@ -273,11 +282,12 @@ def _pass(
 
     Lines come in fixed blocks: BLOCK consecutive Monte Carlo draws, or
     one p-slice of a tensor-product midpoint grid over the window.  Per
-    block, ``integrand(chords, u)`` receives each body's ``chord_batch``
-    triple on the block's lines and the block's uniforms (None on the
-    grid) and yields arrays, each reduced to its sum as soon as it is
-    made.  Block sums are added in block order, so the totals do not
-    depend on the thread count.  Returns the totals and the line count.
+    sub-block of a block (see ``_split_sum``), ``integrand(chords, u)``
+    receives each body's ``chord_batch`` triple on its lines and their
+    uniforms (None on the grid) and yields arrays, each reduced to its
+    sum as soon as it is made.  Block sums are added in block order, so
+    the totals do not depend on the thread count.  Returns the totals
+    and the line count.
     """
     if method == "grid":
         res = grid_res or max(8, int(round(n ** (1.0 / 3.0))))
@@ -291,29 +301,41 @@ def _pass(
         # p-slices of res^2 lines are too small to be worth a thread pool
         keys, n_lines, threads = mid * window.p_max, res**3, 1
 
-        def lines(p):
-            return np.full_like(th_flat, p), th_flat, t_flat, None
+        def draw(p):
+            return p, th_flat.size
+
+        def lines(p, part):
+            return np.full(part.stop - part.start, p), th_flat[part], t_flat[part], None
 
     else:
         keys, n_lines = [(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)], n
 
-        def lines(block):
+        def draw(block):
             lo, hi = block
-            u = uniforms(seed, lo, hi - lo, streams)
+            return (lo, uniforms(seed, lo, hi - lo, streams)), hi - lo
+
+        def lines(drawn, part):
+            lo, u = drawn
+            u = u[:, part]
             if stratify:
                 # sample i draws theta from stratum i mod K, so every
                 # contiguous index range covers the circle nearly uniformly
-                strata = np.mod(np.arange(lo, hi, dtype=np.float64), float(_STRATA))
-                theta = (strata + u[0]) * (TWO_PI / _STRATA)
+                index = np.arange(lo + part.start, lo + part.stop, dtype=np.float64)
+                theta = (np.mod(index, float(_STRATA)) + u[0]) * (TWO_PI / _STRATA)
             else:
                 theta = u[0] * TWO_PI
             t = window.t_lo + u[2] * (window.t_hi - window.t_lo)
             return u[1] * window.p_max, theta, t, u
 
     def block_sums(key):
-        p, theta, t, u = lines(key)
-        chords = [body.chord_batch(p, theta, t) for body in bodies]
-        return np.array([np.sum(a) for a in integrand(chords, u)], dtype=float)
+        drawn, size = draw(key)
+
+        def sums(part):
+            p, theta, t, u = lines(drawn, part)
+            chords = [body.chord_batch(p, theta, t) for body in bodies]
+            return np.array([np.sum(a) for a in integrand(chords, u)], dtype=float)
+
+        return _split_sum(sums, 0, size)
 
     if threads == 1:
         rows = map(block_sums, keys)
@@ -321,6 +343,17 @@ def _pass(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(block_sums, keys))
     return sum(rows), n_lines
+
+
+def _split_sum(sums, lo, n):
+    """``sums`` of the lines [lo, lo + n) of a block, taken in sub-blocks
+    of at most _SUB_BLOCK lines.  The range is split where numpy's pairwise
+    summation splits an array of length n, so each total is bitwise the
+    sum over the whole range."""
+    if n <= _SUB_BLOCK:
+        return sums(slice(lo, lo + n))
+    half = n // 2 - (n // 2) % 8
+    return _split_sum(sums, lo, half) + _split_sum(sums, lo + half, n - half)
 
 
 def _sigma(chord):
@@ -635,12 +668,19 @@ def estimate_mean_chord(
     return _result(value, se, n, sums[1], seed, "mc", reference, auto)
 
 
-def _boundary_points(body: ConvexBody, count: int, seed: int) -> np.ndarray:
-    """Deterministic pseudo-random points on the body boundary via its
-    patches; coverage, not uniformity, is what nesting checks need."""
+def _nesting_probe(body: ConvexBody, seed: int) -> np.ndarray:
+    """Points of the body that must lie in a convex outer body for the
+    body to be nested in it.  For a box or polytope these are its
+    vertices, which decide nesting exactly; a curved body gives 1024
+    deterministic pseudo-random boundary points via its patches, where
+    coverage, not uniformity, is what matters."""
+    if isinstance(body, Box):
+        return np.array(list(itertools.product(*zip(body.lo, body.hi))))
+    if isinstance(body, Polytope):
+        return body.vertices
     patches = body.boundary_patches()
     rng = np.random.default_rng(seed)
-    per_patch = max(1, -(-count // len(patches)))
+    per_patch = max(1, -(-1024 // len(patches)))
     pts = []
     for patch in patches:
         u = rng.random(per_patch)
@@ -665,14 +705,15 @@ def containment_probability(
     body also meets the inner one: the ratio of kinematic hit measures,
     estimated on common samples drawn from the outer body's window.
 
-    Requires inner to be contained in outer (checked by sampling the
-    inner boundary); raises ContainmentError otherwise.
+    Requires inner to be contained in outer, raising ContainmentError
+    otherwise: checked exactly on the vertices of a box or polytope
+    inner body, by sampling the boundary of a curved one.
     """
     ell = _check_ell(ell)
     window = _setup(outer, None, n, seed, threads)
     ob = outer.bounds()
     scale = max(1.0, ob.r_xy, abs(ob.z_min), abs(ob.z_max))
-    probe = _boundary_points(inner, 1024, seed)
+    probe = _nesting_probe(inner, seed)
     if not outer.contains_batch(probe, tol=1e-9 * scale).all():
         raise ContainmentError("inner body is not contained in the outer body")
 

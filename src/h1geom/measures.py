@@ -12,10 +12,17 @@ group, and it is the line measure's companion: the invariant measure of
 horizontal lines meeting a convex body equals twice its p-Area.
 
 Bodies expose their boundary as parametrized patches (rectangles,
-triangles, linear images of the sphere).  ``p_area`` integrates the
-integrand adaptively with midpoint rules and Richardson extrapolation;
-``p_area_triangulation_oracle`` and ``volume_voxel_oracle`` are slower,
-structurally independent cross-checks used by the test suite.
+triangles, linear images of the sphere).  ``p_area`` is exact for bodies
+whose patches are all planar (``Box``, ``Polytope`` and their images
+under rigid motions): on a facet with unit normal n, |N_H| equals
+|n3| * |(x, y) - c| with c = (n2/n3, -n1/n3) and dA = dx dy / |n3|, so
+the facet contributes the integral of the distance to c over its
+xy-projection, a sum of closed-form fan terms over its edges.  Curved
+bodies (balls, ellipsoids) get adaptive midpoint quadrature with
+Richardson extrapolation, which ``method='quadrature'`` also forces on
+planar bodies as a cross-check.  ``p_area_triangulation_oracle`` and
+``volume_voxel_oracle`` are slower, structurally independent
+cross-checks used by the test suite.
 
 The integrand |N_H| vanishes continuously at characteristic points
 (where the tangent plane is the contact plane), so no special handling
@@ -45,7 +52,16 @@ __all__ = [
 ]
 
 # evaluation is chunked so refinement never materializes huge grids
-_CHUNK_POINTS = 1 << 20
+_CHUNK_POINTS = 1 << 16
+
+# a planar facet's fan formula is used only when the centre c of its
+# distance integrand lies within this many projected diameters of the
+# facet's centroid.  Farther out the fan terms cancel (relative error
+# about 1e-13 at 2 diameters, 1e-10 at 30, O(1) at 1e5), while the
+# integrand is analytic on the facet and the 10-point Gauss-Legendre
+# rule is within 2e-15 of a 40-digit reference from 2 diameters out
+_FAN_REACH = 2.0
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
 class QuadratureError(RuntimeError):
@@ -308,19 +324,93 @@ def volume(
     )
 
 
+def _planar_vertices(patch: SurfacePatch) -> np.ndarray | None:
+    """Vertices (k, 3) of a planar patch in cyclic order, or None for a
+    curved one."""
+    if isinstance(patch, RectanglePatch):
+        o, eu, ev = patch.origin, patch.eu, patch.ev
+        return np.array([o, o + eu, o + eu + ev, o + ev])
+    if isinstance(patch, TrianglePatch):
+        return np.array([patch.p0, patch.p1, patch.p2])
+    return None
+
+
+def _fan_distance_integral(poly: np.ndarray) -> float:
+    """Integral of |q| over a plane polygon with vertices (k, 2) in cyclic
+    order: the signed sum of the integrals over the fan triangles
+    (0, a, b) of its edges.  With h the signed distance of the origin
+    from the edge's line and s the coordinate along it, a triangle gives
+    (h/6) [s sqrt(h^2 + s^2) + h^2 asinh(s/|h|)] between a and b."""
+    total = 0.0
+    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
+        cross = float(a[0] * b[1] - a[1] * b[0])
+        if cross == 0.0:  # the fan triangle is degenerate
+            continue
+        edge = b - a
+        length = math.hypot(edge[0], edge[1])
+        h = cross / length
+        prim_a, prim_b = (
+            s * math.hypot(h, s) + h * h * math.asinh(s / abs(h))
+            for s in (float(a @ edge) / length, float(b @ edge) / length)
+        )
+        total += h * (prim_b - prim_a) / 6.0
+    return abs(total)
+
+
+def _gauss_patch_p_area(patch: SurfacePatch) -> float:
+    """p-Area of a patch by the tensor Gauss-Legendre rule on its chart."""
+    nodes = 0.5 * (_GAUSS_NODES + 1.0)
+    weights = 0.5 * _GAUSS_WEIGHTS
+    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
+    pts, normals, jac = patch.evaluate(uu, vv)
+    return float(weights @ (horizontal_normal_norm(pts, normals) * jac) @ weights)
+
+
+def _planar_facet_p_area(patch: SurfacePatch, vertices: np.ndarray) -> float:
+    """p-Area of one planar facet: the fan formula around c when c is
+    near the facet's xy-projection, Gauss-Legendre on the patch chart
+    otherwise (vertical facets included, with no division by n3)."""
+    n1, n2, n3 = patch.normal
+    proj = vertices[:, :2]
+    mid = proj.mean(axis=0)
+    diam = 2.0 * float(np.max(np.hypot(*(proj - mid).T)))
+    # |c - mid| <= reach * diam, multiplied through by |n3|
+    if math.hypot(n2 - n3 * mid[0], -n1 - n3 * mid[1]) <= _FAN_REACH * diam * abs(n3):
+        return _fan_distance_integral(proj - (n2 / n3, -n1 / n3))
+    return _gauss_patch_p_area(patch)
+
+
 def p_area(
     body,
+    method: str = "auto",
     rel_tol: float = 1e-6,
     min_resolution: int = 16,
     max_resolution: int = 4096,
 ) -> MeasureResult:
     """Sub-Riemannian perimeter (p-Area) of a convex body: the integral of
-    |N_H| over the boundary, via adaptive midpoint quadrature on each
-    boundary patch.
+    |N_H| over the boundary.
 
-    Raises QuadratureError if the tolerance cannot be met within
-    ``max_resolution`` cells per patch axis.
+    ``method='auto'`` is exact when every boundary patch is planar
+    (boxes, polytopes and their images under rigid motions) and falls
+    back to adaptive midpoint quadrature on each boundary patch for
+    curved bodies; ``'exact'`` (ValueError on a curved body) and
+    ``'quadrature'`` force one path.
+
+    Raises QuadratureError if the quadrature cannot meet the tolerance
+    within ``max_resolution`` cells per patch axis.
     """
+    if method not in ("auto", "exact", "quadrature"):
+        raise ValueError(f"unknown p_area method {method!r}")
+    if method in ("auto", "exact"):
+        patches = body.boundary_patches()
+        facets = [(p, _planar_vertices(p)) for p in patches]
+        if patches and all(v is not None for _, v in facets):
+            value = sum(_planar_facet_p_area(p, v) for p, v in facets)
+            return MeasureResult(
+                value=float(value), method="exact", resolution=0, error_estimate=0.0
+            )
+        if method == "exact":
+            raise ValueError("body has no closed-form p-Area (curved boundary)")
     return _adaptive_surface_integral(
         body,
         horizontal_normal_norm,

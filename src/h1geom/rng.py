@@ -17,6 +17,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _INV53 = 1.0 / float(1 << 53)
+_CHUNK = 1 << 13
 
 __all__ = ["uniforms"]
 
@@ -51,12 +52,16 @@ def uniforms(seed: int, start: int, count: int, streams: int) -> np.ndarray:
     # scramble the seed before the counter is added; a merely affine key
     # would make (seed, i) and (seed + 1, i - 1) collide exactly
     key = _mix_int((int(seed) & _MASK) * _GAMMA + 0x85EBCA6B)
-    idx = np.arange(int(start), int(start) + int(count), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        base = _mix(np.uint64(key) + idx * np.uint64(_GAMMA))
-        out = np.empty((streams, count), dtype=np.float64)
-        for k in range(streams):
-            offset = np.uint64(((k + 1) * _GAMMA) & _MASK)
-            bits = _mix(base + offset)
-            out[k] = (bits >> np.uint64(11)).astype(np.float64) * _INV53
+    offsets = [np.uint64(((k + 1) * _GAMMA) & _MASK) for k in range(streams)]
+    out = np.empty((streams, count), dtype=np.float64)
+    # hashed a chunk of indices at a time, so the uint64 temporaries stay
+    # small whatever the count
+    for lo in range(0, count, _CHUNK):
+        hi = min(lo + _CHUNK, count)
+        idx = np.arange(int(start) + lo, int(start) + hi, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            base = _mix(np.uint64(key) + idx * np.uint64(_GAMMA))
+            for k, offset in enumerate(offsets):
+                bits = _mix(base + offset)
+                out[k, lo:hi] = (bits >> np.uint64(11)).astype(np.float64) * _INV53
     return out

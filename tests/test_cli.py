@@ -80,6 +80,34 @@ def test_p_area_command(capsys, ball_file):
     assert abs(report["result"]["value"] - quad_value) < 0.01 * quad_value
 
 
+def test_p_area_command_planar_bodies(capsys, tmp_path, box_file):
+    poly_file = tmp_path / "poly.json"
+    poly_file.write_text(
+        json.dumps(
+            {
+                "kind": "polytope",
+                "halfspaces": [
+                    [1, 0, 0.3, 1], [-1, 0, 0, 0], [0, 1, 0, 1],
+                    [0, -1, -0.2, 0], [0, 0, 1, 1], [0.1, 0, -1, 0],
+                ],
+            }
+        )
+    )
+    for path in (box_file, str(poly_file)):
+        code, out, _ = run_cli(capsys, ["p-area", "--body", path])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["method"] == "exact"
+        assert result["resolution"] == 0 and result["error_estimate"] == 0.0
+
+        code, out, _ = run_cli(
+            capsys, ["p-area", "--body", path, "--oracle", "--resolution", "128"]
+        )
+        assert code == 0
+        oracle = json.loads(out)["result"]["value"]
+        assert abs(oracle - result["value"]) < 0.01 * result["value"]
+
+
 def test_crofton_report_fields(capsys, ball_file):
     code, out, _ = run_cli(
         capsys, ["crofton", "--body", ball_file, "--n", "50000", "--seed", "42"]

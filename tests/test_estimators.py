@@ -187,6 +187,35 @@ def test_containment_probability():
         containment_probability(far, BALL, 0.0, 10_000, seed=59)
 
 
+def test_containment_nesting_exact_for_polygonal_inner():
+    # a cube centred in the unit ball whose corners stick out by 0.1% or
+    # 0.02%: most of its boundary is inside, so only its vertices decide
+    for excess in (1e-3, 2e-4):
+        half = (1.0 + excess) / math.sqrt(3.0)
+        cube = Box((-half,) * 3, (half,) * 3)
+        with pytest.raises(ContainmentError):
+            containment_probability(cube, BALL, 0.0, 1000, seed=67)
+        # the same cube as a polytope, moved by a rigid motion with it
+        motion = PshMotion(0.3, -0.2, 0.1, 0.7)
+        moved = transform_body(motion, cube)
+        with pytest.raises(ContainmentError):
+            containment_probability(moved, transform_body(motion, BALL), 0.0, 1000)
+    half = (1.0 - 1e-3) / math.sqrt(3.0)
+    inside = Box((-half,) * 3, (half,) * 3)
+    est = containment_probability(inside, BALL, 0.0, 20_000, seed=67)
+    assert abs(est.z_score()) < 4.0
+
+
+def test_sub_block_sums_are_bitwise_whole_block_sums():
+    # the pass sums a block in sub-blocks; split where numpy's pairwise
+    # summation splits, the total is bitwise one np.sum over the block
+    rng = np.random.default_rng(71)
+    for n in (1, 1000, 8192, 8193, 34464, 65535, BLOCK):
+        a = rng.normal(size=n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+        total = estimators._split_sum(lambda part: np.array([np.sum(a[part])]), 0, n)
+        assert total[0] == np.sum(a)
+
+
 def test_determinism_across_threads_and_repeats():
     base = estimate_chord_integral(BALL, 120_000, seed=61)
     for threads in (3, 8):

@@ -8,11 +8,13 @@ import pytest
 from scipy import integrate
 
 from conftest import make_acceptance_bodies, random_motion
+import h1geom.measures as measures
 from h1geom import (
     Ball,
     Box,
     Ellipsoid,
     EllipsoidPatch,
+    Polytope,
     QuadratureError,
     RectanglePatch,
     TrianglePatch,
@@ -114,8 +116,6 @@ def test_p_area_polytope_matches_box():
     # triangle patches instead of rectangles
     normals = np.vstack([np.eye(3), -np.eye(3)])
     offsets = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-    from h1geom import Polytope
-
     poly = Polytope(normals, offsets)
     assert abs(p_area(poly).value - p_area(BODIES["box"]).value) < 1e-6
 
@@ -196,3 +196,99 @@ def test_measure_result_fields():
     oracle = volume_voxel_oracle(BODIES["box"], resolution=64)
     assert oracle.resolution == 64
     assert oracle.error_estimate >= 0.0
+
+
+CUBE_P_AREA = 4.0 + 2.0 * (math.sqrt(2.0) + math.log(1.0 + math.sqrt(2.0))) / 3.0
+
+
+def _tilted_cube(n3: float) -> Polytope:
+    """The unit cube with its x = 1 facet tilted so that its unit normal
+    has |n3| about n3: a near-vertical facet whose c = (n2/n3, -n1/n3)
+    lies about 1/n3 away."""
+    normals = np.array(
+        [[1.0, 0.0, n3], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+         [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
+    )
+    return Polytope(normals, np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]))
+
+
+def _planar_bodies() -> dict:
+    rng = np.random.default_rng(31415)
+    found = {"box": BODIES["box"], "polytope": BODIES["polytope"]}
+    for name in ("box", "polytope"):
+        for k in range(4):
+            image = transform_body(random_motion(rng, 1.5), BODIES[name])
+            assert isinstance(image, Polytope)
+            found[f"{name}-image{k}"] = image
+    for n3 in (1e-2, 1e-4, 1e-6, 1e-8):
+        found[f"tilted-{n3:g}"] = _tilted_cube(n3)
+    return found
+
+
+PLANAR = _planar_bodies()
+
+
+def test_p_area_cube_closed_form():
+    res = p_area(BODIES["box"])
+    assert (res.method, res.resolution, res.error_estimate) == ("exact", 0, 0.0)
+    assert abs(res.value - CUBE_P_AREA) <= 1e-14 * CUBE_P_AREA
+    # the same cube as a polytope has twelve triangle facets
+    poly = Polytope(
+        np.vstack([np.eye(3), -np.eye(3)]), np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    )
+    assert abs(p_area(poly, method="exact").value - CUBE_P_AREA) <= 1e-14 * CUBE_P_AREA
+
+
+@pytest.mark.parametrize("name", list(PLANAR))
+def test_p_area_closed_form_within_quadrature_error_bar(name):
+    # the quadrature's Richardson error estimate must bound its actual
+    # error against the closed form, near-vertical facets included
+    body = PLANAR[name]
+    exact = p_area(body)
+    quad = p_area(body, method="quadrature")
+    assert exact.method == "exact" and quad.method == "quadrature"
+    assert abs(exact.value - quad.value) <= quad.error_estimate
+
+
+def test_p_area_planar_bodies_skip_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("planar body reached the quadrature")
+
+    monkeypatch.setattr(measures, "_adaptive_surface_integral", no_quadrature)
+    for body in PLANAR.values():
+        assert p_area(body).method == "exact"
+
+
+def test_p_area_fan_and_gauss_agree_where_they_meet():
+    # facets whose centre c lies one to four projected diameters from
+    # the centroid, where the two branches of the closed form hand over
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        # |n3| > 0.5 keeps c, and so the facet, near the origin, where
+        # rounding of the vertices does not blur the facet's geometry
+        n = np.append(rng.uniform(-1.0, 1.0, 2), rng.choice([-1.0, 1.0]))
+        n /= np.linalg.norm(n)
+        e1 = np.cross(n, rng.normal(size=3))
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(n, e1) * rng.uniform(0.05, 1.0)
+        centre = np.array([n[1] / n[2], -n[0] / n[2]])
+        # slide the facet within its plane until its centroid sits at the
+        # chosen distance from c
+        diam = np.linalg.norm((e1 + e2)[:2])
+        target = centre + rng.uniform(1.0, 4.0) * diam * np.array([1.0, 0.0])
+        ab = np.linalg.solve(np.column_stack([e1[:2], e2[:2]]), target)
+        origin = ab[0] * e1 + ab[1] * e2 - 0.5 * (e1 + e2)
+        patch = RectanglePatch(origin, e1, e2, n)
+        proj = measures._planar_vertices(patch)[:, :2]
+        fan = measures._fan_distance_integral(proj - centre)
+        gauss = measures._gauss_patch_p_area(patch)
+        assert abs(fan - gauss) <= 1e-13 * gauss
+
+
+def test_p_area_method_validation():
+    with pytest.raises(ValueError):
+        p_area(BODIES["ellipsoid"], method="exact")
+    with pytest.raises(ValueError):
+        p_area(BODIES["box"], method="montecarlo")
+    res = p_area(BODIES["box"], method="quadrature")
+    assert res.method == "quadrature" and res.resolution >= 16

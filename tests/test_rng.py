@@ -33,6 +33,15 @@ def test_counter_splits_into_blocks():
     assert np.array_equal(whole, np.concatenate(parts, axis=1))
 
 
+def test_long_draws_match_single_samples():
+    # long draws are hashed in internal chunks; a sample must not depend
+    # on which chunk of which call it falls in
+    whole = uniforms(seed=9, start=5, count=20_000, streams=3)
+    for i in (0, 8191, 8192, 8193, 16383, 16384, 19_999):
+        one = uniforms(seed=9, start=5 + i, count=1, streams=3)
+        assert np.array_equal(whole[:, i], one[:, 0])
+
+
 def test_streams_are_prefix_stable():
     wide = uniforms(seed=7, start=10, count=64, streams=5)
     narrow = uniforms(seed=7, start=10, count=64, streams=3)
