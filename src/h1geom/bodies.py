@@ -8,9 +8,12 @@ the sub-Riemannian arclength, s_out - s_in is exactly the Levi length of
 the chord, which is what the kinematic identities integrate.
 
 All bodies support vectorized membership and chord queries; ``chord``
-solves a quadratic (balls, ellipsoids and their images under rigid
-motions) or clips against slabs/halfspaces (boxes, polytopes), so chords
-are exact to round-off, not root-finding approximations.
+solves one quadratic (ellipsoids, of which a ball is the case
+lin = r I, and their images under rigid motions) or clips against
+slabs/halfspaces (boxes, polytopes), so chords are exact to round-off,
+not root-finding approximations.  The ``tol`` of ``contains_batch``
+inflates a quadric by the factor 1 + tol about its center (r * tol in
+distance for a ball) and a box or polytope by tol in distance.
 """
 
 from __future__ import annotations
@@ -155,54 +158,15 @@ class ConvexBody(abc.ABC):
         return ChordInterval(float(lo[0]), float(hi[0]))
 
 
-class Ball(ConvexBody):
-    """Euclidean ball of given center and radius."""
-
-    def __init__(self, center, radius: float) -> None:
-        self.center = np.asarray(center, dtype=float).reshape(3)
-        self.radius = float(radius)
-        if not np.isfinite(self.center).all() or not math.isfinite(self.radius):
-            raise ValueError("Ball needs finite center and radius")
-        if self.radius <= 0.0:
-            raise ValueError(f"Ball needs radius > 0, got {self.radius}")
-
-    def contains_batch(self, points, tol=0.0):
-        d2 = np.sum((np.asarray(points, dtype=float) - self.center) ** 2, axis=-1)
-        return d2 <= (self.radius + tol) ** 2
-
-    def chord_batch(self, p, theta, t):
-        base, u = _line_rays(p, theta, t)
-        w = base - self.center
-        # |w + s u|^2 = r^2 with |u|^2 = 1 + p^2
-        a = np.sum(u * u, axis=-1)
-        b = 2.0 * np.sum(w * u, axis=-1)
-        c = np.sum(w * w, axis=-1) - self.radius**2
-        lo, hi, hit = _solve_chord_quadratic(a, b, c)
-        return lo, hi, hit
-
-    def bounds(self):
-        cx, cy, cz = self.center
-        return BoundingData(
-            r_xy=math.hypot(cx, cy) + self.radius,
-            z_min=cz - self.radius,
-            z_max=cz + self.radius,
-        )
-
-    def volume_exact(self):
-        return 4.0 / 3.0 * math.pi * self.radius**3
-
-    def boundary_patches(self):
-        return [EllipsoidPatch(self.center, self.radius * np.eye(3))]
-
-    def interior_point(self):
-        return self.center.copy()
-
-
 class Ellipsoid(ConvexBody):
     """Image of the unit ball under x |-> center + lin @ x for an
     invertible 3x3 map.  Axis-aligned ellipsoids use the main
-    constructor; rigid-motion images of balls and ellipsoids arrive here
-    through ``transform_body`` with a full linear part."""
+    constructor, balls are the case lin = r I (:class:`Ball`), and
+    rigid-motion images of balls and ellipsoids arrive here through
+    ``transform_body`` with a full linear part.
+
+    ``contains_batch`` inflates the body by the factor 1 + tol about its
+    center, so for a ball tol is r * tol in distance."""
 
     def __init__(self, center, semi_axes) -> None:
         semi = np.asarray(semi_axes, dtype=float).reshape(3)
@@ -217,28 +181,45 @@ class Ellipsoid(ConvexBody):
         return obj
 
     def _init_linear(self, center, lin) -> None:
+        name = type(self).__name__
         self.center = np.asarray(center, dtype=float).reshape(3)
         self.lin = np.asarray(lin, dtype=float).reshape(3, 3)
         if not (np.isfinite(self.center).all() and np.isfinite(self.lin).all()):
-            raise ValueError("Ellipsoid needs finite data")
+            raise ValueError(f"{name} needs finite data")
         scale = np.linalg.norm(self.lin)
         if scale == 0.0 or abs(np.linalg.det(self.lin)) < 1e-12 * scale**3:
-            raise ValueError("Ellipsoid linear map must be invertible")
+            raise ValueError(f"{name} linear map must be invertible")
         self._lin_inv = np.linalg.inv(self.lin)
+        # the metric M of the body {x : (x - c)^T M (x - c) <= 1}
+        self._metric = self._lin_inv.T @ self._lin_inv
 
     def contains_batch(self, points, tol=0.0):
         y = (np.asarray(points, dtype=float) - self.center) @ self._lin_inv.T
         return np.sum(y * y, axis=-1) <= (1.0 + tol) ** 2
 
     def chord_batch(self, p, theta, t):
-        base, u = _line_rays(p, theta, t)
-        wq = (base - self.center) @ self._lin_inv.T
-        uq = u @ self._lin_inv.T
-        a = np.sum(uq * uq, axis=-1)
-        b = 2.0 * np.sum(wq * uq, axis=-1)
-        c = np.sum(wq * wq, axis=-1) - 1.0
-        lo, hi, hit = _solve_chord_quadratic(a, b, c)
-        return lo, hi, hit
+        # the line is x(s) = x0 + s u with x0 = (p cos, p sin, t) and
+        # u = (sin, -cos, p); with w = x0 - c the chord solves
+        # (w + s u)^T M (w + s u) = 1, written out in the six entries of M
+        p = np.asarray(p, dtype=float)
+        ct, st = np.cos(theta), np.sin(theta)
+        (m00, m01, m02), (_, m11, m12), (_, _, m22) = self._metric.tolist()
+        cx, cy, cz = self.center.tolist()
+        w0 = p * ct - cx
+        w1 = p * st - cy
+        w2 = t - cz
+        mu0 = m00 * st - m01 * ct + m02 * p
+        mu1 = m01 * st - m11 * ct + m12 * p
+        mu2 = m02 * st - m12 * ct + m22 * p
+        a = st * mu0 - ct * mu1 + p * mu2
+        b = 2.0 * (w0 * mu0 + w1 * mu1 + w2 * mu2)
+        c = (
+            w0 * (m00 * w0 + 2.0 * (m01 * w1 + m02 * w2))
+            + w1 * (m11 * w1 + 2.0 * m12 * w2)
+            + m22 * (w2 * w2)
+            - 1.0
+        )
+        return _solve_chord_quadratic(a, b, c)
 
     def bounds(self):
         cx, cy, cz = self.center
@@ -255,7 +236,7 @@ class Ellipsoid(ConvexBody):
         """Symmetric 4x4 matrix Q of the homogeneous quadric: with
         X = (1, x, y, t), the body is { X^T Q X <= 0 }.  Rigid-motion
         images of balls and ellipsoids stay exact in this form."""
-        m = self._lin_inv.T @ self._lin_inv
+        m = self._metric
         mc = m @ self.center
         q = np.empty((4, 4))
         q[0, 0] = float(self.center @ mc) - 1.0
@@ -269,6 +250,21 @@ class Ellipsoid(ConvexBody):
 
     def interior_point(self):
         return self.center.copy()
+
+
+class Ball(Ellipsoid):
+    """Euclidean ball of given center and radius: the ellipsoid with
+    lin = radius * I."""
+
+    def __init__(self, center, radius: float) -> None:
+        self.radius = float(radius)
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"Ball needs a finite radius > 0, got {self.radius}")
+        self._init_linear(center, self.radius * np.eye(3))
+
+    # an entry of its own: perfbench/tracing.py times each body class's
+    # chord_batch from the class __dict__
+    chord_batch = Ellipsoid.chord_batch
 
 
 class Box(ConvexBody):
@@ -386,7 +382,10 @@ class Polytope(ConvexBody):
         halfspaces = np.hstack([self.normals, -self.offsets[:, None]])
         try:
             intersection = HalfspaceIntersection(halfspaces, self._cheb)
-            vertices = np.unique(np.round(intersection.intersections, 9), axis=0)
+            # dedupe on rounded coordinates, keep qhull's unrounded points
+            points = intersection.intersections
+            _, first = np.unique(np.round(points, 9), axis=0, return_index=True)
+            vertices = points[first]
             hull = ConvexHull(vertices)
         except QhullError as exc:
             raise ValueError(f"Polytope must be bounded with full-dimensional interior: {exc}") from exc
@@ -467,11 +466,8 @@ def transform_body(m: PshMotion, body: ConvexBody) -> ConvexBody:
     """
     a_mat, q = motion_affine(m)
     vertical = m.a == 0.0 and m.b == 0.0
-    if isinstance(body, Ball):
-        center = a_mat @ body.center + q
-        if vertical:
-            return Ball(center, body.radius)
-        return Ellipsoid.from_linear(center, body.radius * a_mat)
+    if isinstance(body, Ball) and vertical:
+        return Ball(a_mat @ body.center + q, body.radius)
     if isinstance(body, Ellipsoid):
         return Ellipsoid.from_linear(a_mat @ body.center + q, a_mat @ body.lin)
     if isinstance(body, Box):

@@ -601,10 +601,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, csv_rows, code = args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ContainmentError as exc:
+    except (ConfigError, ContainmentError, ValueError) as exc:
+        # invalid numeric arguments surface from the library layer as ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:
@@ -613,10 +611,6 @@ def main(argv=None) -> int:
     except (ToleranceFailure, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        # invalid numeric arguments surface from the library layer
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     report["wall_time_s"] = time.perf_counter() - started
     _emit(_render(report, args.format, csv_rows), args.out)
     return code

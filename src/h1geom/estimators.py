@@ -46,7 +46,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TWO_PI, HorizontalLine, PshMotion
-from .bodies import Box, ConvexBody, Polytope, transform_body
+from .bodies import (
+    Box,
+    CapabilityError,
+    ConvexBody,
+    Ellipsoid,
+    Polytope,
+    _box_halfspaces,
+    transform_body,
+)
 from .measures import p_area, volume
 from .rng import uniforms
 
@@ -668,26 +676,60 @@ def estimate_mean_chord(
     return _result(value, se, n, sums[1], seed, "mc", reference, auto)
 
 
-def _nesting_probe(body: ConvexBody, seed: int) -> np.ndarray:
-    """Points of the body that must lie in a convex outer body for the
-    body to be nested in it.  For a box or polytope these are its
-    vertices, which decide nesting exactly; a curved body gives 1024
-    deterministic pseudo-random boundary points via its patches, where
-    coverage, not uniformity, is what matters."""
-    if isinstance(body, Box):
-        return np.array(list(itertools.product(*zip(body.lo, body.hi))))
-    if isinstance(body, Polytope):
-        return body.vertices
-    patches = body.boundary_patches()
-    rng = np.random.default_rng(seed)
-    per_patch = max(1, -(-1024 // len(patches)))
-    pts = []
-    for patch in patches:
-        u = rng.random(per_patch)
-        v = rng.random(per_patch)
-        p, _, _ = patch.evaluate(u, v)
-        pts.append(p)
-    return np.concatenate(pts, axis=0)
+def _ellipsoid_reach_sq(inner: Ellipsoid, outer: Ellipsoid) -> float:
+    """The maximum of |L_o^{-1} (x - c_o)|^2 over x in the inner
+    ellipsoid (c_i, L_i): 1 when it touches the outer one from inside.
+
+    By the S-lemma it is the minimum over lam > s_max^2 of
+    lam + sum lam w_k^2 / (lam - s_k^2), with U S V^T the SVD of
+    L_o^{-1} L_i and w = U^T L_o^{-1} (c_i - c_o).  That dual is convex
+    in lam, so its derivative is bisected down to adjacent floats.
+    Every lam > s_max^2 bounds the maximum from above: rounding can
+    reject an inner body that touches, but not accept one that sticks
+    out."""
+    outer_inv = np.linalg.inv(outer.lin)
+    u, s, _ = np.linalg.svd(outer_inv @ inner.lin)
+    w = u.T @ (outer_inv @ (inner.center - outer.center))
+    s2 = (s * s).tolist()
+    w2 = (w * w).tolist()
+    # s is sorted descending; the derivative is >= 0 from hi on
+    lo = s2[0]
+    hi = lo + math.sqrt(s2[0] * sum(w2))
+    if hi == lo:
+        return lo
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        slope = 1.0 - sum(a * b / (mid - a) ** 2 for a, b in zip(s2, w2))
+        if slope >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi + sum(hi * b / (hi - a) for a, b in zip(s2, w2))
+
+
+def _nested(inner: ConvexBody, outer: ConvexBody, tol: float) -> bool:
+    """Whether the inner body lies in the outer one inflated by tol (in
+    the sense of ``contains_batch``), decided exactly: a box or polytope
+    by its vertices, an ellipsoid by its support function n.c + |L^T n|
+    on the halfspaces of a box or polytope and by the S-lemma inside an
+    ellipsoid."""
+    if isinstance(inner, Box):
+        vertices = np.array(list(itertools.product(*zip(inner.lo, inner.hi))))
+        return bool(outer.contains_batch(vertices, tol=tol).all())
+    if isinstance(inner, Polytope):
+        return bool(outer.contains_batch(inner.vertices, tol=tol).all())
+    if isinstance(inner, Ellipsoid):
+        if isinstance(outer, Ellipsoid):
+            return _ellipsoid_reach_sq(inner, outer) <= (1.0 + tol) ** 2
+        if isinstance(outer, (Box, Polytope)):
+            if isinstance(outer, Box):
+                normals, offsets = _box_halfspaces(outer)
+            else:
+                normals, offsets = outer.normals, outer.offsets
+            support = normals @ inner.center + np.linalg.norm(normals @ inner.lin, axis=1)
+            return bool((support <= offsets + tol).all())
+    raise CapabilityError(
+        f"nesting of {type(inner).__name__} in {type(outer).__name__} is not supported"
+    )
 
 
 def containment_probability(
@@ -706,15 +748,13 @@ def containment_probability(
     estimated on common samples drawn from the outer body's window.
 
     Requires inner to be contained in outer, raising ContainmentError
-    otherwise: checked exactly on the vertices of a box or polytope
-    inner body, by sampling the boundary of a curved one.
+    otherwise; nesting is decided exactly for every pair of body types.
     """
     ell = _check_ell(ell)
     window = _setup(outer, None, n, seed, threads)
     ob = outer.bounds()
     scale = max(1.0, ob.r_xy, abs(ob.z_min), abs(ob.z_max))
-    probe = _nesting_probe(inner, seed)
-    if not outer.contains_batch(probe, tol=1e-9 * scale).all():
+    if not _nested(inner, outer, 1e-9 * scale):
         raise ContainmentError("inner body is not contained in the outer body")
 
     def integrand(chords, u):

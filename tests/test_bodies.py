@@ -21,6 +21,7 @@ from h1geom import (
     psh_apply_line,
     transform_body,
 )
+from h1geom.bodies import _line_rays, _solve_chord_quadratic
 
 BODIES = make_acceptance_bodies()
 
@@ -320,3 +321,54 @@ def test_scalar_wrappers():
     chord = ball.chord(HorizontalLine(0.5, 1.0, 0.0))
     assert isinstance(chord, ChordInterval)
     assert abs(chord.sigma - 2.0 * math.sqrt(1.0 - 0.25) / math.sqrt(1.25)) < 1e-12
+
+
+def reference_ellipsoid_chords(body: Ellipsoid, p, theta, t):
+    """The quadric chord from (N, 3) stacks: map the line's base point
+    and velocity to the unit ball's frame and solve |w + s u|^2 = 1."""
+    base, u = _line_rays(p, theta, t)
+    wq = (base - body.center) @ np.linalg.inv(body.lin).T
+    uq = u @ np.linalg.inv(body.lin).T
+    a = np.sum(uq * uq, axis=-1)
+    b = 2.0 * np.sum(wq * uq, axis=-1)
+    c = np.sum(wq * wq, axis=-1) - 1.0
+    return _solve_chord_quadratic(a, b, c)
+
+
+def test_ellipsoid_chords_match_stacked_reference():
+    rng = np.random.default_rng(2718)
+    quadrics = {
+        "ellipsoid": BODIES["ellipsoid"],
+        "ball": BODIES["ball"],
+        "off-centre ball": Ball((0.4, -0.3, 0.2), 0.65),
+    }
+    for k in range(4):
+        image = transform_body(random_motion(rng, 1.5), BODIES["ellipsoid"])
+        quadrics[f"ellipsoid-image{k}"] = image
+    n = 10_000
+    for name, body in quadrics.items():
+        b = body.bounds()
+        p = rng.uniform(0.0, b.r_xy, n)
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        t = rng.uniform(b.z_min - 1.0, b.z_max + 1.0, n)
+        lo, hi, hit = body.chord_batch(p, theta, t)
+        ref_lo, ref_hi, ref_hit = reference_ellipsoid_chords(body, p, theta, t)
+        assert np.array_equal(hit, ref_hit), name
+        assert hit.sum() > n // 20, name
+        for s, ref in ((lo, ref_lo), (hi, ref_hi)):
+            err = np.abs(s[hit] - ref[hit])
+            assert np.all(err <= 1e-12 * (1.0 + np.abs(ref[hit]))), name
+
+
+def test_ball_is_the_ellipsoid_with_lin_r_identity():
+    rng = np.random.default_rng(1618)
+    n = 10_000
+    for center, radius in (((0.0, 0.0, 0.0), 1.0), ((0.4, -0.3, 0.2), 0.65)):
+        ball = Ball(center, radius)
+        assert isinstance(ball, Ellipsoid) and type(ball) is Ball
+        same = Ellipsoid.from_linear(center, radius * np.eye(3))
+        p = rng.uniform(0.0, 2.0, n)
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        t = rng.uniform(-2.0, 2.0, n)
+        for got, want in zip(ball.chord_batch(p, theta, t), same.chord_batch(p, theta, t)):
+            assert np.array_equal(got, want)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import h1geom.estimators as estimators
-from conftest import random_motion
+from conftest import make_acceptance_bodies, random_motion
 from h1geom import (
     BLOCK,
     Ball,
     Box,
     ContainmentError,
+    Ellipsoid,
     LineWindow,
     PshMotion,
     Segment,
@@ -204,6 +205,50 @@ def test_containment_nesting_exact_for_polygonal_inner():
     inside = Box((-half,) * 3, (half,) * 3)
     est = containment_probability(inside, BALL, 0.0, 20_000, seed=67)
     assert abs(est.z_score()) < 4.0
+
+
+def test_containment_nesting_exact_for_curved_inner():
+    # tips 0.05% outside the unit ball, between sparse boundary samples
+    with pytest.raises(ContainmentError):
+        containment_probability(
+            Ellipsoid((0.0, 0.0, 0.0), (1.0005, 0.3, 0.3)), BALL, 0.0, 1000, seed=67
+        )
+    # an internally tangent ball is nested, the same ball moved by 1e-6
+    # is not
+    est = containment_probability(Ball((0.5, 0.0, 0.0), 0.5), BALL, 0.0, 20_000, seed=67)
+    assert abs(est.z_score()) < 4.0
+    with pytest.raises(ContainmentError):
+        containment_probability(Ball((0.5 + 1e-6, 0.0, 0.0), 0.5), BALL, 0.0, 1000)
+
+    # each inner ellipsoid touches its outer body from inside at scale 1
+    rng = np.random.default_rng(68)
+    bodies = make_acceptance_bodies()
+    shape = transform_body(random_motion(rng), bodies["ellipsoid"]).lin
+    pairs = []
+    # a box or polytope: the support function on every halfspace
+    poly = bodies["polytope"]
+    box_normals = np.vstack([np.eye(3), -np.eye(3)])
+    for outer, normals, offsets in (
+        (poly, poly.normals, poly.offsets),
+        (BOX, box_normals, np.concatenate([BOX.hi, -BOX.lo])),
+    ):
+        c = outer.interior_point()
+        reach = np.linalg.norm(normals @ shape, axis=1)
+        pairs.append((outer, c, np.min((offsets - normals @ c) / reach) * shape))
+    # an ellipsoid: in the outer's unit-ball frame, the ellipsoid with
+    # semi-axes (0.6, 0.5, 0.4) centred at (0.4, 0, 0) meets the sphere
+    # only at (1, 0, 0), where its curvatures 0.6/0.5^2 and 0.6/0.4^2
+    # exceed the sphere's 1; the frame is turned by a random rotation
+    outer = Ellipsoid.from_linear(bodies["ellipsoid"].center, shape)
+    rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    center = outer.center + shape @ rotation @ np.array([0.4, 0.0, 0.0])
+    pairs.append((outer, center, shape @ rotation @ np.diag([0.6, 0.5, 0.4])))
+    for outer, center, lin in pairs:
+        containment_probability(Ellipsoid.from_linear(center, lin), outer, 0.0, 1000)
+        with pytest.raises(ContainmentError):
+            containment_probability(
+                Ellipsoid.from_linear(center, (1.0 + 1e-6) * lin), outer, 0.0, 1000
+            )
 
 
 def test_sub_block_sums_are_bitwise_whole_block_sums():

@@ -239,6 +239,17 @@ def test_p_area_cube_closed_form():
     assert abs(p_area(poly, method="exact").value - CUBE_P_AREA) <= 1e-14 * CUBE_P_AREA
 
 
+def test_cube_images_keep_volume_and_p_area_to_round_off():
+    # rigid images of the unit cube are polytopes whose vertices come
+    # straight from qhull, so their volume and closed-form p-Area are the
+    # cube's to round-off
+    rng = np.random.default_rng(2024)
+    for _ in range(8):
+        image = transform_body(random_motion(rng, 1.5), BODIES["box"])
+        assert abs(volume(image).value - 1.0) <= 1e-13
+        assert abs(p_area(image).value - CUBE_P_AREA) <= 1e-13 * CUBE_P_AREA
+
+
 @pytest.mark.parametrize("name", list(PLANAR))
 def test_p_area_closed_form_within_quadrature_error_bar(name):
     # the quadrature's Richardson error estimate must bound its actual
