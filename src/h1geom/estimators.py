@@ -706,17 +706,37 @@ def _ellipsoid_reach_sq(inner: Ellipsoid, outer: Ellipsoid) -> float:
     return hi + sum(hi * b / (hi - a) for a, b in zip(s2, w2))
 
 
+def _vertices(body: ConvexBody) -> np.ndarray | None:
+    """Vertices (k, 3) of a box or polytope, None for other bodies."""
+    if isinstance(body, Box):
+        return np.array(list(itertools.product(*zip(body.lo, body.hi))))
+    if isinstance(body, Polytope):
+        return body.vertices
+    return None
+
+
+def _nesting_tol(outer: ConvexBody) -> float:
+    """The slack of the nesting check: 1e-9 of the outer body's size, not
+    of its distance from the origin, so that a pair placed far from the
+    t-axis is judged as it is at the origin.  A quadric's tol is a
+    relative factor already; a box's or polytope's is a distance, scaled
+    here by the largest distance of its vertices from their centroid."""
+    vertices = _vertices(outer)
+    if vertices is None:
+        return 1e-9
+    reach = np.linalg.norm(vertices - vertices.mean(axis=0), axis=1)
+    return 1e-9 * float(np.max(reach))
+
+
 def _nested(inner: ConvexBody, outer: ConvexBody, tol: float) -> bool:
     """Whether the inner body lies in the outer one inflated by tol (in
     the sense of ``contains_batch``), decided exactly: a box or polytope
     by its vertices, an ellipsoid by its support function n.c + |L^T n|
     on the halfspaces of a box or polytope and by the S-lemma inside an
     ellipsoid."""
-    if isinstance(inner, Box):
-        vertices = np.array(list(itertools.product(*zip(inner.lo, inner.hi))))
+    vertices = _vertices(inner)
+    if vertices is not None:
         return bool(outer.contains_batch(vertices, tol=tol).all())
-    if isinstance(inner, Polytope):
-        return bool(outer.contains_batch(inner.vertices, tol=tol).all())
     if isinstance(inner, Ellipsoid):
         if isinstance(outer, Ellipsoid):
             return _ellipsoid_reach_sq(inner, outer) <= (1.0 + tol) ** 2
@@ -752,9 +772,7 @@ def containment_probability(
     """
     ell = _check_ell(ell)
     window = _setup(outer, None, n, seed, threads)
-    ob = outer.bounds()
-    scale = max(1.0, ob.r_xy, abs(ob.z_min), abs(ob.z_max))
-    if not _nested(inner, outer, 1e-9 * scale):
+    if not _nested(inner, outer, _nesting_tol(outer)):
         raise ContainmentError("inner body is not contained in the outer body")
 
     def integrand(chords, u):

@@ -17,16 +17,21 @@ whose patches are all planar (``Box``, ``Polytope`` and their images
 under rigid motions): on a facet with unit normal n, |N_H| equals
 |n3| * |(x, y) - c| with c = (n2/n3, -n1/n3) and dA = dx dy / |n3|, so
 the facet contributes the integral of the distance to c over its
-xy-projection, a sum of closed-form fan terms over its edges.  Curved
-bodies (balls, ellipsoids) get adaptive midpoint quadrature with
-Richardson extrapolation, which ``method='quadrature'`` also forces on
-planar bodies as a cross-check.  ``p_area_triangulation_oracle`` and
+xy-projection, a sum of closed-form fan terms over its edges.
+
+The integrand |N_H| vanishes at characteristic points (where the
+tangent plane is the contact plane), and it has a cone-like kink there:
+|N_H| = rho * h(phi) in polar coordinates about the point.  A grid cell
+that contains the kink spoils the convergence order of any tensor rule.
+Curved bodies (balls, ellipsoids and their images, whose boundary is
+one ``EllipsoidPatch``) are therefore integrated on a sphere chart whose
+poles are the body's two characteristic points, where the midpoint grid
+is the periodic trapezoid rule of an analytic function and converges
+spectrally.  ``method='quadrature'`` forces the adaptive midpoint rule
+with Richardson extrapolation on the standard patch charts instead, on
+every body, as a cross-check.  ``p_area_triangulation_oracle`` and
 ``volume_voxel_oracle`` are slower, structurally independent
 cross-checks used by the test suite.
-
-The integrand |N_H| vanishes continuously at characteristic points
-(where the tangent plane is the contact plane), so no special handling
-is needed there.
 """
 
 from __future__ import annotations
@@ -62,6 +67,10 @@ _CHUNK_POINTS = 1 << 16
 # rule is within 2e-15 of a 40-digit reference from 2 diameters out
 _FAN_REACH = 2.0
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+# no quadrature result claims an error below this fraction of its value:
+# summing 10^3 to 10^7 rounded terms loses more than a few ulp
+_ROUNDOFF = 256.0 * float(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
@@ -211,6 +220,94 @@ class EllipsoidPatch(SurfacePatch):
         return pts, normals, jac
 
 
+def _characteristic_directions(center, lin) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors u+ and u- whose images center + lin u are the two
+    characteristic points of the ellipsoid, u+ the one with n3 > 0.
+
+    X = c + L u is characteristic when its normal L^{-T} u is parallel
+    to (-y, x, 1) = J X + e3, J = [e3]_x: L^{-T} u = lam (J (X - c) + w)
+    with w = J c + e3.  Multiplied by L^T this is (I - lam K) u = lam a
+    with a = L^T w and K = L^T J L = [k]_x, k = det(L) L^{-1} e3.  As K
+    is skew, (I - lam K)^{-1} = (I + lam K + lam^2 k k^T) / (1 + lam^2
+    |k|^2), and since k . a = det(L), |u| = 1 reduces to
+    det(L)^2 s^2 + (|a|^2 - |k|^2) s - 1 = 0 in s = lam^2: one positive
+    root, and lam = +sqrt(s) (north), -sqrt(s) (south)."""
+    det = float(np.linalg.det(lin))
+    a = lin.T @ np.array([-center[1], center[0], 1.0])
+    k = det * np.linalg.inv(lin)[:, 2]
+    kk = float(k @ k)
+    b = float(a @ a) - kk
+    root = math.hypot(b, 2.0 * det)
+    # the quadratic's positive root, in the form that does not cancel
+    s = 2.0 / (b + root) if b >= 0.0 else (root - b) / (2.0 * det * det)
+    ka = np.cross(k, a)
+    north, south = (
+        lam * (a + lam * ka + s * det * k) / (1.0 + s * kk)
+        for lam in (math.sqrt(s), -math.sqrt(s))
+    )
+    return north, south
+
+
+class _CharacteristicChart(SurfacePatch):
+    """The surface of an ``EllipsoidPatch`` over a sphere chart whose
+    poles are the body's two characteristic points.
+
+    With u+ and u- the characteristic directions (on the unit sphere of
+    the patch's chart), a rotation R takes them to (-beta, 0,
+    +-sqrt(1 - beta^2)) and the sphere boost of speed beta along the
+    first axis, a Mobius map, takes those to the poles.  The chart is
+    X = center + L R B^{-1}(q) over the standard sphere chart q(u, v),
+    with B^{-1}(q) = (q1 - beta, r q2, r q3) / (1 - beta q1), r =
+    sqrt(1 - beta^2), and the area factor (1 - beta^2) / (1 - beta q1)^2.
+    Near a pole |N_H| dA = rho h(phi) rho d rho d phi with h smooth and
+    nonzero, so on the double cover of the (psi, phi) torus the p-Area
+    integrand is analytic and the midpoint grid (n even) is its
+    periodic trapezoid rule."""
+
+    def __init__(self, patch: EllipsoidPatch) -> None:
+        north, south = _characteristic_directions(patch.center, patch.lin)
+        e3 = (north - south) / np.linalg.norm(north - south)
+        bisector = north + south
+        bisector -= (bisector @ e3) * e3
+        self.beta = 0.5 * float(np.linalg.norm(bisector))
+        if self.beta > 1e-12:
+            e1 = -bisector / (2.0 * self.beta)
+        else:
+            # antipodal points (every body centred on the t-axis and its
+            # images): no boost, and any axis orthogonal to e3; a kink
+            # 1e-12 off the pole is far below any tolerance
+            self.beta = 0.0
+            axis = np.eye(3)[np.argmin(np.abs(e3))]
+            e1 = axis - (axis @ e3) * e3
+            e1 /= np.linalg.norm(e1)
+        self.center = patch.center
+        self.lin = patch.lin @ np.column_stack([e1, np.cross(e3, e1), e3])
+        self._lin_inv = np.linalg.inv(self.lin)
+        # |N_H| dA_X = |det L| |N_H(g)| dA_u for the unnormalised normal
+        # g = L^{-T} u, and the standard chart has dA_u = 2 pi^2 sin(psi)
+        det = abs(float(np.linalg.det(patch.lin)))
+        self._area_scale = 2.0 * math.pi**2 * det * (1.0 - self.beta**2)
+
+    def evaluate(self, u, v):
+        phi = 2.0 * math.pi * np.asarray(u, dtype=float)
+        psi = math.pi * np.asarray(v, dtype=float)
+        sp = np.sin(psi)
+        q1 = sp * np.cos(phi)
+        inv = 1.0 / (1.0 - self.beta * q1)
+        r = math.sqrt(1.0 - self.beta**2) * inv
+        sphere = np.stack(
+            np.broadcast_arrays(
+                (q1 - self.beta) * inv, sp * np.sin(phi) * r, np.cos(psi) * r
+            ),
+            axis=-1,
+        )
+        pts = self.center + sphere @ self.lin.T
+        grad = sphere @ self._lin_inv
+        gnorm = np.linalg.norm(grad, axis=-1)
+        jac = self._area_scale * gnorm * sp * inv * inv
+        return pts, grad / gnorm[..., None], jac
+
+
 def horizontal_normal_norm(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """The p-Area integrand |N_H| = |(n1 + y n3, n2 - x n3)| for points
     (..., 3) and Euclidean unit normals (..., 3)."""
@@ -245,7 +342,8 @@ def _adaptive_patch_integral(
     max_resolution: int,
 ) -> tuple[float, float, int]:
     """Refine the midpoint rule until the Richardson error estimate meets
-    tol_abs; return (extrapolated value, error estimate, resolution)."""
+    tol_abs; return (extrapolated value, error estimate, resolution).  The
+    returned estimate is at least the round-off floor."""
     n = min_resolution
     coarse = _midpoint_patch_sum(patch, integrand, n)
     while True:
@@ -255,7 +353,8 @@ def _adaptive_patch_integral(
         # overestimates the remaining error by a factor 3
         err = abs(fine - coarse) / 3.0
         if err <= tol_abs:
-            return fine + (fine - coarse) / 3.0, err, n
+            value = fine + (fine - coarse) / 3.0
+            return value, max(err, _ROUNDOFF * abs(value)), n
         if n >= max_resolution:
             raise QuadratureError(
                 f"patch integral did not reach tolerance {tol_abs:.3e} at "
@@ -289,6 +388,36 @@ def _adaptive_surface_integral(
         err += e
         res = max(res, n)
     return MeasureResult(value=value, method=method, resolution=res, error_estimate=err)
+
+
+def _charted_p_area(
+    patch: EllipsoidPatch, rel_tol: float, min_resolution: int, max_resolution: int
+) -> MeasureResult:
+    """p-Area of one ellipsoid patch by the midpoint rule on its
+    characteristic-point chart, doubled until two levels agree to
+    rel_tol.  The finer level is returned as it is: it converges
+    spectrally, so a Richardson step would only move the coarse level's
+    error into it, and the difference of the levels bounds its error."""
+    chart = _CharacteristicChart(patch)
+    n = min_resolution
+    coarse = _midpoint_patch_sum(chart, horizontal_normal_norm, n)
+    while True:
+        n *= 2
+        fine = _midpoint_patch_sum(chart, horizontal_normal_norm, n)
+        err = abs(fine - coarse)
+        if err <= rel_tol * abs(fine):
+            return MeasureResult(
+                value=fine,
+                method="quadrature",
+                resolution=n,
+                error_estimate=max(err, _ROUNDOFF * abs(fine)),
+            )
+        if n >= max_resolution:
+            raise QuadratureError(
+                f"p-Area did not reach relative tolerance {rel_tol:.3e} at "
+                f"resolution {n} (levels differ by {err:.3e})"
+            )
+        coarse = fine
 
 
 def volume(
@@ -391,10 +520,18 @@ def p_area(
     |N_H| over the boundary.
 
     ``method='auto'`` is exact when every boundary patch is planar
-    (boxes, polytopes and their images under rigid motions) and falls
-    back to adaptive midpoint quadrature on each boundary patch for
-    curved bodies; ``'exact'`` (ValueError on a curved body) and
-    ``'quadrature'`` force one path.
+    (boxes, polytopes and their images under rigid motions).  A body
+    whose boundary is one ellipsoid patch (balls, ellipsoids and their
+    images) is integrated on a sphere chart whose poles are its two
+    characteristic points, the only kinks of |N_H|: the midpoint grid,
+    doubled from ``min_resolution`` until two levels agree to
+    ``rel_tol``, is then a spectrally convergent periodic trapezoid
+    rule, and the finer level is returned with the difference of the
+    levels as its error estimate.  Other bodies get the adaptive
+    midpoint rule with Richardson extrapolation on each boundary patch.
+    ``'exact'`` (ValueError on a curved body) and ``'quadrature'`` force
+    one path; ``'quadrature'`` is the Richardson rule on the standard
+    patch charts, kept as an independent cross-check.
 
     Raises QuadratureError if the quadrature cannot meet the tolerance
     within ``max_resolution`` cells per patch axis.
@@ -411,6 +548,8 @@ def p_area(
             )
         if method == "exact":
             raise ValueError("body has no closed-form p-Area (curved boundary)")
+        if len(patches) == 1 and isinstance(patches[0], EllipsoidPatch):
+            return _charted_p_area(patches[0], rel_tol, min_resolution, max_resolution)
     return _adaptive_surface_integral(
         body,
         horizontal_normal_norm,

@@ -251,6 +251,29 @@ def test_containment_nesting_exact_for_curved_inner():
             )
 
 
+def test_containment_nesting_tolerance_is_translation_invariant():
+    # both pairs stick out by 5e-7, far from the t-axis as at the origin
+    for offset in (0.0, 999.0):
+        pairs = [
+            (
+                Ball((offset + 1.5000005, 0.0, 0.0), 0.5),
+                Ball((offset + 1.0, 0.0, 0.0), 1.0),
+            ),
+            (
+                Box((offset + 0.5, 0.0, 0.0), (offset + 1.0000005, 0.5, 0.5)),
+                Box((offset, 0.0, 0.0), (offset + 1.0, 1.0, 1.0)),
+            ),
+        ]
+        for inner, outer in pairs:
+            with pytest.raises(ContainmentError):
+                containment_probability(inner, outer, 0.0, 1000)
+    # an internally tangent ball far from the t-axis is still nested
+    outer = Ball((1000.0, 0.0, 0.0), 1.0)
+    assert estimators._nested(
+        Ball((1000.5, 0.0, 0.0), 0.5), outer, estimators._nesting_tol(outer)
+    )
+
+
 def test_sub_block_sums_are_bitwise_whole_block_sums():
     # the pass sums a block in sub-blocks; split where numpy's pairwise
     # summation splits, the total is bitwise one np.sum over the block

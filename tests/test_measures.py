@@ -303,3 +303,137 @@ def test_p_area_method_validation():
         p_area(BODIES["box"], method="montecarlo")
     res = p_area(BODIES["box"], method="quadrature")
     assert res.method == "quadrature" and res.resolution >= 16
+
+
+def _spheroid_p_area(a: float, b: float) -> tuple[float, float]:
+    """p-Area of the spheroid with semi-axes (a, a, b) centred on the
+    t-axis, and quad's error bound: with X = (a sin psi cos phi,
+    a sin psi sin phi, t0 + b cos psi), |N_H| dA is
+    a^2 b sin^2 psi sqrt(1/a^2 + a^2 cos^2 psi / b^2) d psi d phi."""
+    scale = 2.0 * math.pi * a * a * b
+    value, err = integrate.quad(
+        lambda psi: math.sin(psi) ** 2
+        * math.sqrt(1.0 / a**2 + (a * math.cos(psi) / b) ** 2),
+        0.0,
+        math.pi,
+        epsabs=0.0,
+        epsrel=1e-13,
+    )
+    return scale * value, scale * err
+
+
+def _with_images(body, seed: int, count: int = 4) -> list:
+    rng = np.random.default_rng(seed)
+    images = [transform_body(random_motion(rng, 1.5), body) for _ in range(count)]
+    return [body] + images
+
+
+SPHEROIDS = [
+    (1.0, 1.0), (0.5, 0.5), (2.0, 2.0), (1.0, 0.3), (0.3, 1.0), (0.05, 3.0), (1.5, 0.02)
+]
+
+
+@pytest.mark.parametrize("a, b", SPHEROIDS)
+def test_p_area_error_bar_covers_spheroid_closed_form(a, b):
+    # balls (a = b), prolate, oblate, needle- and disc-like spheroids, off
+    # the origin along the t-axis, and four rigid images of each
+    ref, ref_err = _spheroid_p_area(a, b)
+    body = Ball((0.0, 0.0, 0.7), a) if a == b else Ellipsoid((0.0, 0.0, 0.7), (a, a, b))
+    for image in _with_images(body, seed=int(1000 * a + b)):
+        res = p_area(image)
+        assert res.method == "quadrature"
+        assert abs(res.value - ref) <= res.error_estimate + ref_err
+        assert 0.0 < res.error_estimate <= 1e-6 * res.value
+
+
+def test_p_area_spheroid_matches_ball_formula():
+    # a = b is the ball formula 2 pi r^2 int sin^2 psi sqrt(1 + r^2 cos^2 psi)
+    assert abs(_spheroid_p_area(1.0, 1.0)[0] - 10.9832489998) < 1e-9
+    assert abs(_spheroid_p_area(2.0, 2.0)[0] - 54.2566258) < 1e-6
+
+
+# the charted rule at resolution 2048 and the standard chart's midpoint
+# Richardson step at 2048/4096 agree on this value to 4e-11
+NEEDLE_P_AREA = 0.87722985372
+
+
+def test_p_area_needle_within_error_bar():
+    # a needle off the t-axis: its characteristic points lie inside the
+    # standard chart's patches, where the Richardson step under-covers
+    res = p_area(Ellipsoid((0.2, 0.1, 0.0), (2.0, 0.05, 0.05)))
+    assert abs(res.value - NEEDLE_P_AREA) <= res.error_estimate + 5e-11
+
+
+def test_characteristic_points_are_the_chart_poles():
+    # images of the acceptance ellipsoid, a linear map that reverses
+    # orientation (det < 0), whose outward normal is still L^{-T} u, and
+    # a large ball, where |L^T w| < |k| takes the other root formula, and
+    # a ball far from the t-axis, where that formula would cancel
+    reversing = Ellipsoid.from_linear(
+        (0.3, -0.2, 0.1), [[0.9, 0.2, 0.1], [0.1, -0.7, 0.3], [0.0, 0.2, 1.1]]
+    )
+    others = [reversing, Ball((0.4, -0.3, 0.2), 2.0), Ball((1000.0, 0.0, 0.0), 1.0)]
+    for image in _with_images(BODIES["ellipsoid"], seed=4242) + others:
+        north, south = measures._characteristic_directions(image.center, image.lin)
+        pts = image.center + np.array([north, south]) @ image.lin.T
+        lifted = np.column_stack([np.ones(2), pts])
+        homog = lifted @ image.quadratic_form()
+        # on the surface, where the quadric's gradient is the normal
+        assert np.all(np.abs(np.sum(homog * lifted, axis=1)) < 1e-12)
+        normals = homog[:, 1:] / np.linalg.norm(homog[:, 1:], axis=1, keepdims=True)
+        assert np.all(horizontal_normal_norm(pts, normals) < 1e-12)
+        assert normals[0, 2] > 0.0 > normals[1, 2]
+        chart = measures._CharacteristicChart(image.boundary_patches()[0])
+        assert chart.beta > 0.0
+        poles, pole_normals, _ = chart.evaluate(np.zeros(2), np.array([0.0, 1.0]))
+        assert np.allclose(poles, pts, rtol=0.0, atol=1e-12)
+        assert np.allclose(pole_normals, normals, rtol=0.0, atol=1e-12)
+
+
+def test_characteristic_chart_area_element_and_normals():
+    # central differences of the chart's points give its area element
+    # and the normal direction, boosted charts (beta > 0) included
+    bodies = [
+        BODIES["ellipsoid"],
+        Ball((0.3, -0.4, 0.2), 0.5),
+        Ball((10.0, 0.0, 0.0), 1.0),
+        Ellipsoid((0.2, 0.1, 0.0), (2.0, 0.05, 0.05)),
+        BODIES["ball"],
+    ]
+    rng = np.random.default_rng(99)
+    u, v = rng.uniform(0.05, 0.95, (2, 50))
+    h = 1e-6
+    for body in bodies:
+        chart = measures._CharacteristicChart(body.boundary_patches()[0])
+        pts, normals, jac = chart.evaluate(u, v)
+        xu = (chart.evaluate(u + h, v)[0] - chart.evaluate(u - h, v)[0]) / (2.0 * h)
+        xv = (chart.evaluate(u, v + h)[0] - chart.evaluate(u, v - h)[0]) / (2.0 * h)
+        cross = np.cross(xu, xv)
+        area = np.linalg.norm(cross, axis=1)
+        assert np.allclose(jac, area, rtol=1e-6, atol=0.0)
+        along = np.abs(np.sum(normals * cross, axis=1))
+        assert np.allclose(along, area, rtol=1e-6, atol=0.0)
+        assert np.all(np.sum((pts - body.center) * normals, axis=1) > 0.0)
+
+
+def test_charted_p_area_within_forced_quadrature_error_bar():
+    # bodies whose characteristic points are not antipodal on the sphere
+    # chart, so the charted rule boosts them to the poles
+    for body in (BODIES["ellipsoid"], Ball((0.3, -0.4, 0.2), 0.5)):
+        charted = p_area(body)
+        forced = p_area(body, method="quadrature")
+        assert charted.resolution <= 64
+        bar = charted.error_estimate + forced.error_estimate
+        assert abs(charted.value - forced.value) <= bar
+
+
+def test_quadrature_error_estimates_have_a_round_off_floor():
+    # an error estimate of 0.0 is reserved for closed forms
+    cases = [(Ball((0.0, 0.0, 0.2), 0.5), 0.5), (BODIES["ball"], 1.0)]
+    for body, radius in cases:
+        ref = _spheroid_p_area(radius, radius)[0]
+        for image in _with_images(body, seed=7, count=2):
+            for method in ("auto", "quadrature"):
+                res = p_area(image, method=method)
+                assert res.error_estimate >= 256.0 * np.finfo(float).eps * res.value
+                assert abs(res.value - ref) <= res.error_estimate
