@@ -9,16 +9,19 @@ the chord, which is what the kinematic identities integrate.
 
 All bodies support vectorized membership and chord queries; ``chord``
 solves one quadratic (ellipsoids, of which a ball is the case
-lin = r I, and their images under rigid motions) or clips against
-slabs/halfspaces (boxes, polytopes), so chords are exact to round-off,
-not root-finding approximations.  The ``tol`` of ``contains_batch``
-inflates a quadric by the factor 1 + tol about its center (r * tol in
-distance for a ball) and a box or polytope by tol in distance.
+lin = r I, and their images under rigid motions) or clips the line
+against one halfspace at a time (polytopes, of which a box is the case
+of the six axis halfspaces, and their images), so chords are exact to
+round-off, not root-finding approximations.  The ``tol`` of
+``contains_batch`` inflates a quadric by the factor 1 + tol about its
+center (r * tol in distance for a ball) and a box or polytope by tol in
+distance.
 """
 
 from __future__ import annotations
 
 import abc
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -90,15 +93,11 @@ class BoundingData:
     z_max: float
 
 
-def _line_rays(p, theta, t) -> tuple[np.ndarray, np.ndarray]:
-    """Base points and velocities of lines given by coordinate arrays."""
-    p = np.asarray(p, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    t = np.asarray(t, dtype=float)
-    ct, st = np.cos(theta), np.sin(theta)
-    base = np.stack(np.broadcast_arrays(p * ct, p * st, t), axis=-1)
-    direction = np.stack(np.broadcast_arrays(st, -ct, p), axis=-1)
-    return base, direction
+def _combine(coeffs, arrays):
+    """The sum of c * a over the nonzero coefficients c: a face normal
+    to an axis costs one product, not three."""
+    terms = [c * a for c, a in zip(coeffs, arrays) if c]
+    return sum(terms[1:], terms[0])
 
 
 def _solve_chord_quadratic(a, b, c):
@@ -267,84 +266,11 @@ class Ball(Ellipsoid):
     chord_batch = Ellipsoid.chord_batch
 
 
-class Box(ConvexBody):
-    """Axis-aligned box [lo, hi] componentwise."""
-
-    def __init__(self, lo, hi) -> None:
-        self.lo = np.asarray(lo, dtype=float).reshape(3)
-        self.hi = np.asarray(hi, dtype=float).reshape(3)
-        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
-            raise ValueError("Box needs finite corners")
-        if not (self.hi > self.lo).all():
-            raise ValueError(f"Box needs hi > lo componentwise, got {self.lo}, {self.hi}")
-
-    def contains_batch(self, points, tol=0.0):
-        pts = np.asarray(points, dtype=float)
-        return np.logical_and(
-            (pts >= self.lo - tol).all(axis=-1), (pts <= self.hi + tol).all(axis=-1)
-        )
-
-    def chord_batch(self, p, theta, t):
-        base, u = _line_rays(p, theta, t)
-        n = base.shape[0]
-        s_lo = np.full(n, -np.inf)
-        s_hi = np.full(n, np.inf)
-        for ax in range(3):
-            d = u[:, ax]
-            b = base[:, ax]
-            parallel = d == 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ta = (self.lo[ax] - b) / d
-                tb = (self.hi[ax] - b) / d
-            ax_lo = np.minimum(ta, tb)
-            ax_hi = np.maximum(ta, tb)
-            in_slab = (b >= self.lo[ax]) & (b <= self.hi[ax])
-            s_lo = np.where(parallel, np.where(in_slab, s_lo, np.inf), np.maximum(s_lo, ax_lo))
-            s_hi = np.where(parallel, np.where(in_slab, s_hi, -np.inf), np.minimum(s_hi, ax_hi))
-        hit = s_lo <= s_hi
-        return s_lo, s_hi, hit
-
-    def bounds(self):
-        corners = [
-            (x, y)
-            for x in (self.lo[0], self.hi[0])
-            for y in (self.lo[1], self.hi[1])
-        ]
-        return BoundingData(
-            r_xy=max(math.hypot(x, y) for x, y in corners),
-            z_min=float(self.lo[2]),
-            z_max=float(self.hi[2]),
-        )
-
-    def volume_exact(self):
-        return float(np.prod(self.hi - self.lo))
-
-    def boundary_patches(self):
-        lo, hi = self.lo, self.hi
-        size = hi - lo
-        patches = []
-        for ax in range(3):
-            au, av = (ax + 1) % 3, (ax + 2) % 3
-            eu = np.zeros(3)
-            ev = np.zeros(3)
-            eu[au] = size[au]
-            ev[av] = size[av]
-            for coord, sign in ((lo[ax], -1.0), (hi[ax], 1.0)):
-                origin = lo.copy()
-                origin[ax] = coord
-                normal = np.zeros(3)
-                normal[ax] = sign
-                patches.append(RectanglePatch(origin, eu, ev, normal))
-        return patches
-
-    def interior_point(self):
-        return 0.5 * (self.lo + self.hi)
-
-
 class Polytope(ConvexBody):
     """Bounded intersection of halfspaces n_i . x <= d_i with nonempty
     interior.  Vertex enumeration, the interior (Chebyshev) point, and
-    facet data come from scipy's qhull bindings."""
+    facet data come from scipy's qhull bindings; a :class:`Box` knows
+    its own."""
 
     def __init__(self, normals, offsets) -> None:
         normals = np.asarray(normals, dtype=float)
@@ -403,18 +329,32 @@ class Polytope(ConvexBody):
         return (slack <= tol).all(axis=-1)
 
     def chord_batch(self, p, theta, t):
-        base, u = _line_rays(p, theta, t)
-        denom = u @ self.normals.T
-        num = self.offsets - base @ self.normals.T
+        # the line x(s) = x0 + s u, x0 = (p cos, p sin, t), u = (sin, -cos, p),
+        # meets n.x <= d where s den >= num, den = -n.u and num = n.x0 - d:
+        # a lower bound num / den on entering halfspaces (den > 0), an
+        # upper one on leaving halfspaces (den < 0).  side = +-inf by the
+        # sign of den routes each ratio: min(ratio, side) is the ratio or
+        # -inf, max(ratio, side) the ratio or +inf.  A line parallel to a
+        # face (den = +-0) goes with the sign bit of its zero, so its
+        # infinite ratio empties the chord when the line lies outside the
+        # halfspace and drops out when inside; the NaN of a line in the
+        # face plane is passed on by minimum / maximum and skipped by
+        # fmax / fmin
+        p = np.asarray(p, dtype=float)
+        ct, st = np.cos(theta), np.sin(theta)
+        velocity = (st, ct, p)
+        base = (p * ct, p * st, t)
+        shape = np.broadcast_shapes(p.shape, np.shape(theta), np.shape(t))
+        s_lo = np.full(shape, -np.inf)
+        s_hi = np.full(shape, np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = num / denom
-        entering = denom < 0.0
-        leaving = denom > 0.0
-        parallel = denom == 0.0
-        s_lo = np.max(np.where(entering, ratio, -np.inf), axis=-1)
-        s_hi = np.min(np.where(leaving, ratio, np.inf), axis=-1)
-        feasible = np.all(~parallel | (num >= 0.0), axis=-1)
-        hit = feasible & (s_lo <= s_hi) & np.isfinite(s_lo) & np.isfinite(s_hi)
+            for (n0, n1, n2), d in zip(self.normals.tolist(), self.offsets.tolist()):
+                den = _combine((-n0, n1, -n2), velocity)
+                ratio = (_combine((n0, n1, n2), base) - d) / den
+                side = np.copysign(np.inf, den)
+                np.fmax(s_lo, np.minimum(ratio, side), out=s_lo)
+                np.fmin(s_hi, np.maximum(ratio, side), out=s_hi)
+        hit = (s_lo <= s_hi) & np.isfinite(s_lo) & np.isfinite(s_hi)
         return s_lo, s_hi, hit
 
     def bounds(self):
@@ -439,10 +379,48 @@ class Polytope(ConvexBody):
         return self._cheb.copy()
 
 
-def _box_halfspaces(box: Box) -> tuple[np.ndarray, np.ndarray]:
-    normals = np.vstack([np.eye(3), -np.eye(3)])
-    offsets = np.concatenate([box.hi, -box.lo])
-    return normals, offsets
+class Box(Polytope):
+    """Axis-aligned box [lo, hi] componentwise: the polytope of the
+    halfspaces x_i <= hi_i and -x_i <= -lo_i, built from its exact
+    corners without qhull.  Its volume is the product of its sides and
+    its boundary is six rectangles."""
+
+    def __init__(self, lo, hi) -> None:
+        self.lo = np.asarray(lo, dtype=float).reshape(3)
+        self.hi = np.asarray(hi, dtype=float).reshape(3)
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ValueError("Box needs finite corners")
+        if not (self.hi > self.lo).all():
+            raise ValueError(f"Box needs hi > lo componentwise, got {self.lo}, {self.hi}")
+        self.normals = np.vstack([np.eye(3), -np.eye(3)])
+        self.offsets = np.concatenate([self.hi, -self.lo])
+        self._vertices = np.array(list(itertools.product(*zip(self.lo, self.hi))))
+        self._cheb = 0.5 * (self.lo + self.hi)
+
+    # an entry of its own: perfbench/tracing.py times each body class's
+    # chord_batch (and __init__) from the class __dict__
+    chord_batch = Polytope.chord_batch
+
+    def volume_exact(self):
+        return float(np.prod(self.hi - self.lo))
+
+    def boundary_patches(self):
+        lo, hi = self.lo, self.hi
+        size = hi - lo
+        patches = []
+        for ax in range(3):
+            au, av = (ax + 1) % 3, (ax + 2) % 3
+            eu = np.zeros(3)
+            ev = np.zeros(3)
+            eu[au] = size[au]
+            ev[av] = size[av]
+            for coord, sign in ((lo[ax], -1.0), (hi[ax], 1.0)):
+                origin = lo.copy()
+                origin[ax] = coord
+                normal = np.zeros(3)
+                normal[ax] = sign
+                patches.append(RectanglePatch(origin, eu, ev, normal))
+        return patches
 
 
 def _transform_halfspaces(m: PshMotion, normals, offsets):
@@ -470,10 +448,8 @@ def transform_body(m: PshMotion, body: ConvexBody) -> ConvexBody:
         return Ball(a_mat @ body.center + q, body.radius)
     if isinstance(body, Ellipsoid):
         return Ellipsoid.from_linear(a_mat @ body.center + q, a_mat @ body.lin)
-    if isinstance(body, Box):
-        if vertical and m.alpha == 0.0:
-            return Box(body.lo + q, body.hi + q)
-        return Polytope(*_transform_halfspaces(m, *_box_halfspaces(body)))
+    if isinstance(body, Box) and vertical and m.alpha == 0.0:
+        return Box(body.lo + q, body.hi + q)
     if isinstance(body, Polytope):
         return Polytope(*_transform_halfspaces(m, body.normals, body.offsets))
     raise CapabilityError(f"transform_body does not support {type(body).__name__}")

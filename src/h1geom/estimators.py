@@ -38,7 +38,6 @@ into fixed-size blocks, so results are bit-identical for a given
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -46,15 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TWO_PI, HorizontalLine, PshMotion
-from .bodies import (
-    Box,
-    CapabilityError,
-    ConvexBody,
-    Ellipsoid,
-    Polytope,
-    _box_halfspaces,
-    transform_body,
-)
+from .bodies import CapabilityError, ConvexBody, Ellipsoid, Polytope, transform_body
 from .measures import p_area, volume
 from .rng import uniforms
 
@@ -706,24 +697,15 @@ def _ellipsoid_reach_sq(inner: Ellipsoid, outer: Ellipsoid) -> float:
     return hi + sum(hi * b / (hi - a) for a, b in zip(s2, w2))
 
 
-def _vertices(body: ConvexBody) -> np.ndarray | None:
-    """Vertices (k, 3) of a box or polytope, None for other bodies."""
-    if isinstance(body, Box):
-        return np.array(list(itertools.product(*zip(body.lo, body.hi))))
-    if isinstance(body, Polytope):
-        return body.vertices
-    return None
-
-
 def _nesting_tol(outer: ConvexBody) -> float:
     """The slack of the nesting check: 1e-9 of the outer body's size, not
     of its distance from the origin, so that a pair placed far from the
     t-axis is judged as it is at the origin.  A quadric's tol is a
     relative factor already; a box's or polytope's is a distance, scaled
     here by the largest distance of its vertices from their centroid."""
-    vertices = _vertices(outer)
-    if vertices is None:
+    if not isinstance(outer, Polytope):
         return 1e-9
+    vertices = outer.vertices
     reach = np.linalg.norm(vertices - vertices.mean(axis=0), axis=1)
     return 1e-9 * float(np.max(reach))
 
@@ -734,19 +716,16 @@ def _nested(inner: ConvexBody, outer: ConvexBody, tol: float) -> bool:
     by its vertices, an ellipsoid by its support function n.c + |L^T n|
     on the halfspaces of a box or polytope and by the S-lemma inside an
     ellipsoid."""
-    vertices = _vertices(inner)
-    if vertices is not None:
-        return bool(outer.contains_batch(vertices, tol=tol).all())
+    if isinstance(inner, Polytope):
+        return bool(outer.contains_batch(inner.vertices, tol=tol).all())
     if isinstance(inner, Ellipsoid):
         if isinstance(outer, Ellipsoid):
             return _ellipsoid_reach_sq(inner, outer) <= (1.0 + tol) ** 2
-        if isinstance(outer, (Box, Polytope)):
-            if isinstance(outer, Box):
-                normals, offsets = _box_halfspaces(outer)
-            else:
-                normals, offsets = outer.normals, outer.offsets
-            support = normals @ inner.center + np.linalg.norm(normals @ inner.lin, axis=1)
-            return bool((support <= offsets + tol).all())
+        if isinstance(outer, Polytope):
+            support = outer.normals @ inner.center + np.linalg.norm(
+                outer.normals @ inner.lin, axis=1
+            )
+            return bool((support <= outer.offsets + tol).all())
     raise CapabilityError(
         f"nesting of {type(inner).__name__} in {type(outer).__name__} is not supported"
     )

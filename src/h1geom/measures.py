@@ -29,8 +29,10 @@ poles are the body's two characteristic points, where the midpoint grid
 is the periodic trapezoid rule of an analytic function and converges
 spectrally.  ``method='quadrature'`` forces the adaptive midpoint rule
 with Richardson extrapolation on the standard patch charts instead, on
-every body, as a cross-check.  ``p_area_triangulation_oracle`` and
-``volume_voxel_oracle`` are slower, structurally independent
+every body, as a cross-check; it stops only where three successive
+levels show the h^2 order its error estimate assumes, so a kink inside
+a patch costs resolution, not coverage.  ``p_area_triangulation_oracle``
+and ``volume_voxel_oracle`` are slower, structurally independent
 cross-checks used by the test suite.
 """
 
@@ -345,22 +347,31 @@ def _adaptive_patch_integral(
     tol_abs; return (extrapolated value, error estimate, resolution).  The
     returned estimate is at least the round-off floor."""
     n = min_resolution
+    older = None
     coarse = _midpoint_patch_sum(patch, integrand, n)
     while True:
         n *= 2
         fine = _midpoint_patch_sum(patch, integrand, n)
+        diff = fine - coarse
         # midpoint rule converges at order h^2, so the h -> h/2 step
-        # overestimates the remaining error by a factor 3
-        err = abs(fine - coarse) / 3.0
-        if err <= tol_abs:
-            value = fine + (fine - coarse) / 3.0
+        # overestimates the remaining error by a factor 3.  A kink inside
+        # the patch (a characteristic point) breaks that order until h
+        # resolves it, so the step is trusted only where the last three
+        # levels show it, their differences shrinking by 3 or more, or
+        # where the difference is round-off
+        err = abs(diff) / 3.0
+        settled = abs(diff) <= _ROUNDOFF * abs(fine) or (
+            older is not None and (coarse - older) / diff >= 3.0
+        )
+        if err <= tol_abs and settled:
+            value = fine + diff / 3.0
             return value, max(err, _ROUNDOFF * abs(value)), n
         if n >= max_resolution:
             raise QuadratureError(
                 f"patch integral did not reach tolerance {tol_abs:.3e} at "
                 f"resolution {n} (error estimate {err:.3e})"
             )
-        coarse = fine
+        older, coarse = coarse, fine
 
 
 def _adaptive_surface_integral(

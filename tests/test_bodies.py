@@ -18,10 +18,11 @@ from h1geom import (
     PshMotion,
     line_point_at,
     motion_affine,
+    p_area,
     psh_apply_line,
     transform_body,
 )
-from h1geom.bodies import _line_rays, _solve_chord_quadratic
+from h1geom.bodies import _solve_chord_quadratic
 
 BODIES = make_acceptance_bodies()
 
@@ -323,10 +324,21 @@ def test_scalar_wrappers():
     assert abs(chord.sigma - 2.0 * math.sqrt(1.0 - 0.25) / math.sqrt(1.25)) < 1e-12
 
 
+def line_rays(p, theta, t) -> tuple[np.ndarray, np.ndarray]:
+    """Base points and velocities (N, 3) of lines given by coordinate arrays."""
+    p = np.asarray(p, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    t = np.asarray(t, dtype=float)
+    ct, st = np.cos(theta), np.sin(theta)
+    base = np.stack(np.broadcast_arrays(p * ct, p * st, t), axis=-1)
+    direction = np.stack(np.broadcast_arrays(st, -ct, p), axis=-1)
+    return base, direction
+
+
 def reference_ellipsoid_chords(body: Ellipsoid, p, theta, t):
     """The quadric chord from (N, 3) stacks: map the line's base point
     and velocity to the unit ball's frame and solve |w + s u|^2 = 1."""
-    base, u = _line_rays(p, theta, t)
+    base, u = line_rays(p, theta, t)
     wq = (base - body.center) @ np.linalg.inv(body.lin).T
     uq = u @ np.linalg.inv(body.lin).T
     a = np.sum(uq * uq, axis=-1)
@@ -372,3 +384,213 @@ def test_ball_is_the_ellipsoid_with_lin_r_identity():
         t = rng.uniform(-2.0, 2.0, n)
         for got, want in zip(ball.chord_batch(p, theta, t), same.chord_batch(p, theta, t)):
             assert np.array_equal(got, want)
+
+
+def reference_polytope_chords(body: Polytope, p, theta, t):
+    """The halfspace chord from (N, H) stacks: every line against every
+    halfspace at once, entering and leaving ratios picked by np.where."""
+    base, u = line_rays(p, theta, t)
+    denom = u @ body.normals.T
+    num = body.offsets - base @ body.normals.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / denom
+    s_lo = np.max(np.where(denom < 0.0, ratio, -np.inf), axis=-1)
+    s_hi = np.min(np.where(denom > 0.0, ratio, np.inf), axis=-1)
+    feasible = np.all((denom != 0.0) | (num >= 0.0), axis=-1)
+    hit = feasible & (s_lo <= s_hi) & np.isfinite(s_lo) & np.isfinite(s_hi)
+    return s_lo, s_hi, hit
+
+
+def reference_box_chords(lo, hi, p, theta, t):
+    """The slab chord of the box [lo, hi]: clip the line against one
+    axis slab at a time."""
+    base, u = line_rays(p, theta, t)
+    s_lo = np.full(len(base), -np.inf)
+    s_hi = np.full(len(base), np.inf)
+    for ax in range(3):
+        d = u[:, ax]
+        b = base[:, ax]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta = (lo[ax] - b) / d
+            tb = (hi[ax] - b) / d
+        parallel = d == 0.0
+        in_slab = (b >= lo[ax]) & (b <= hi[ax])
+        s_lo = np.where(
+            parallel, np.where(in_slab, s_lo, np.inf), np.maximum(s_lo, np.minimum(ta, tb))
+        )
+        s_hi = np.where(
+            parallel, np.where(in_slab, s_hi, -np.inf), np.minimum(s_hi, np.maximum(ta, tb))
+        )
+    return s_lo, s_hi, s_lo <= s_hi
+
+
+def line_through(x, theta) -> HorizontalLine:
+    """The horizontal line of direction angle theta (theta + pi if that
+    makes p >= 0) through the point x = (p cos + s sin, p sin - s cos,
+    t + s p)."""
+    ct, st = math.cos(theta), math.sin(theta)
+    p = x[0] * ct + x[1] * st
+    s = x[0] * st - x[1] * ct
+    if p < 0.0:
+        p, theta = -p, theta + math.pi
+    return HorizontalLine(p, theta % (2.0 * math.pi), x[2] - s * p)
+
+
+def lines_arrays(lines):
+    return tuple(np.array([getattr(g, k) for g in lines]) for k in ("p", "theta", "t"))
+
+
+def random_planar_lines(rng, body: Polytope, n=10_000):
+    """n lines over the body's window: a tenth at theta in {0, pi/2, pi,
+    3 pi/2}, a tenth at p = 0 and a tenth with both."""
+    b = body.bounds()
+    p = rng.uniform(0.0, b.r_xy, n)
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    t = rng.uniform(b.z_min - 1.0, b.z_max + 1.0, n)
+    k = n // 10
+    quarter_turns = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
+    theta[:k] = rng.choice(quarter_turns, k)
+    theta[2 * k : 3 * k] = rng.choice(quarter_turns, k)
+    p[k : 3 * k] = 0.0
+    return p, theta, t
+
+
+def vertex_lines(rng, body: Polytope, k=8):
+    """k lines through each vertex, one of them at theta = 0."""
+    lines = []
+    for x in body.vertices:
+        lines.append(line_through(x, 0.0))
+        lines.extend(line_through(x, phi) for phi in rng.uniform(0.0, 2.0 * math.pi, k - 1))
+    return lines
+
+
+def face_plane_lines(body: Box):
+    """Lines through the centre of each face that lie in its plane with
+    den = +-0 and num = 0 exactly: theta = 0 (sin 0 = 0) on the faces
+    normal to x that p >= 0 reaches, p = 0 on the faces normal to z."""
+    lines = []
+    for normal, offset in zip(body.normals, body.offsets):
+        c = 0.5 * (body.lo + body.hi)
+        if normal[0] != 0.0:
+            c[0] = normal[0] * offset
+            if c[0] >= 0.0:
+                lines.append(HorizontalLine(c[0], 0.0, c[2] + c[1] * c[0]))
+        elif normal[2] != 0.0:
+            theta = math.atan2(c[0], -c[1]) % (2.0 * math.pi)
+            lines.append(HorizontalLine(0.0, theta, normal[2] * offset))
+    return lines
+
+
+def planar_bodies():
+    """The acceptance polytope, the unit cube as a Box, four seeded
+    motion images of each, and an off-origin box."""
+    rng = np.random.default_rng(3141)
+    bodies = {"polytope": BODIES["polytope"], "box": BODIES["box"]}
+    for k in range(4):
+        for name in ("polytope", "box"):
+            bodies[f"{name}-image{k}"] = transform_body(random_motion(rng, 1.5), BODIES[name])
+    bodies["off-origin box"] = Box((0.3, -0.2, 0.1), (1.4, 0.9, 0.8))
+    return bodies
+
+
+def assert_chords_match(got, want, name):
+    lo, hi, hit = got
+    ref_lo, ref_hi, ref_hit = want
+    assert np.array_equal(hit, ref_hit), name
+    for s, ref in ((lo, ref_lo), (hi, ref_hi)):
+        err = np.abs(s[hit] - ref[hit])
+        assert np.all(err <= 1e-12 * (1.0 + np.abs(ref[hit]))), name
+
+
+def test_polytope_chords_match_stacked_and_slab_references():
+    rng = np.random.default_rng(2719)
+    for name, body in planar_bodies().items():
+        p, theta, t = random_planar_lines(rng, body)
+        got = body.chord_batch(p, theta, t)
+        assert got[2].sum() > len(p) // 50, name
+        assert_chords_match(got, reference_polytope_chords(body, p, theta, t), name)
+        if isinstance(body, Box):
+            slab = reference_box_chords(body.lo, body.hi, p, theta, t)
+            assert_chords_match(got, slab, name)
+
+
+def test_box_chords_on_face_planes_and_vertices():
+    # the axis faces make den an exact +-0: a line in a face plane meets
+    # the box along the face, and the box's chords are bitwise the slab
+    # kernel's
+    rng = np.random.default_rng(2720)
+    boxes = {
+        "unit cube": BODIES["box"],
+        "off-origin box": Box((0.3, -0.2, 0.1), (1.4, 0.9, 0.8)),
+        "box about the origin": Box((-0.5, -0.4, -0.3), (0.6, 0.7, 0.8)),
+    }
+    for name, box in boxes.items():
+        in_face = face_plane_lines(box)
+        assert len(in_face) >= 3, name
+        p, theta, t = lines_arrays(in_face + vertex_lines(rng, box))
+        got = box.chord_batch(p, theta, t)
+        assert got[2][: len(in_face)].all(), name
+        assert_chords_match(got, reference_polytope_chords(box, p, theta, t), name)
+        ref_lo, ref_hi, ref_hit = reference_box_chords(box.lo, box.hi, p, theta, t)
+        assert np.array_equal(got[2], ref_hit), name
+        assert np.array_equal(got[0][ref_hit], ref_lo[ref_hit]), name
+        assert np.array_equal(got[1][ref_hit], ref_hi[ref_hit]), name
+
+
+def test_polytope_chords_through_vertices_differ_only_on_the_boundary():
+    # a line through a vertex, or in a tilted face's plane up to
+    # round-off, touches the boundary only; there the two formulas may
+    # round either way, but a chord one of them finds lies on the boundary
+    rng = np.random.default_rng(2721)
+    for name, body in planar_bodies().items():
+        lines = vertex_lines(rng, body)
+        for normal, offset in zip(body.normals, body.offsets):
+            on_face = body.vertices[np.abs(body.vertices @ normal - offset) <= 1e-9]
+            c = on_face.mean(axis=0)
+            # through c, the direction (sin, -cos, p) is normal to n where
+            # sin (n0 + n2 c1) + cos (n2 c0 - n1) = 0
+            theta = math.atan2(normal[1] - normal[2] * c[0], normal[0] + normal[2] * c[1])
+            lines.append(line_through(c, theta))
+        p, theta, t = lines_arrays(lines)
+        got = body.chord_batch(p, theta, t)
+        want = reference_polytope_chords(body, p, theta, t)
+        close = [
+            np.abs(a - b) <= 1e-12 * (1.0 + np.abs(b)) for a, b in zip(got[:2], want[:2])
+        ]
+        differ = (got[2] != want[2]) | (got[2] & ~(close[0] & close[1]))
+        for lo, hi, hit in (got, want):
+            for s in (lo, hi, 0.5 * (lo + hi)):
+                sel = differ & hit
+                pts = np.stack(
+                    [
+                        p[sel] * np.cos(theta[sel]) + s[sel] * np.sin(theta[sel]),
+                        p[sel] * np.sin(theta[sel]) - s[sel] * np.cos(theta[sel]),
+                        t[sel] + s[sel] * p[sel],
+                    ],
+                    axis=-1,
+                )
+                slack = np.max(pts @ body.normals.T - body.offsets, axis=-1)
+                assert np.all(np.abs(slack) <= 1e-9), name
+
+
+def test_box_is_a_polytope_built_without_qhull(monkeypatch):
+    import h1geom.bodies as bodies_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Box is built from its corners")
+
+    for name in ("linprog", "HalfspaceIntersection", "ConvexHull"):
+        monkeypatch.setattr(bodies_module, name, refuse)
+    box = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    assert isinstance(box, Polytope) and type(box) is Box
+    assert "chord_batch" in Box.__dict__ and "__init__" in Box.__dict__
+    corners = {(x, y, z) for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)}
+    assert len(box.vertices) == 8
+    assert {tuple(v) for v in box.vertices.tolist()} == corners
+    off = Box((0.3, -0.2, 0.1), (1.4, 0.9, 0.8))
+    assert {tuple(v) for v in off.vertices.tolist()} == {
+        (x, y, z) for x in (0.3, 1.4) for y in (-0.2, 0.9) for z in (0.1, 0.8)
+    }
+    assert np.array_equal(box.interior_point(), [0.5, 0.5, 0.5])
+    assert p_area(box).value == 5.5303914329284245
+    assert box.volume_exact() == 1.0

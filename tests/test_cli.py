@@ -138,6 +138,20 @@ def test_output_deterministic_modulo_wall_time(capsys, ball_file):
     assert r1["result"]["value"] == r3["result"]["value"]
 
 
+def test_main_reuses_one_parser_without_leaking_options(capsys, ball_file):
+    assert cli.build_parser() is not cli.build_parser()
+    plain = ["crofton", "--body", ball_file, "--n", "20000", "--seed", "5"]
+    cli._parser.cache_clear()
+    _, fresh, _ = run_cli(capsys, plain)
+    code, _, _ = run_cli(capsys, plain + ["--method", "grid", "--resolution", "8"])
+    assert code in (0, 4)
+    _, again, _ = run_cli(capsys, plain)
+    assert cli._parser() is cli._parser()
+    assert json.loads(again)["result"]["method"] == "mc"
+    strip = lambda s: re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": X', s)
+    assert strip(again) == strip(fresh)
+
+
 def test_csv_format(capsys, ball_file):
     code, out, _ = run_cli(
         capsys,
