@@ -22,7 +22,7 @@ from h1geom import (
     psh_apply_line,
     transform_body,
 )
-from h1geom.bodies import _solve_chord_quadratic
+from h1geom.bodies import _direction, _solve_chord_quadratic
 
 BODIES = make_acceptance_bodies()
 
@@ -46,6 +46,56 @@ def test_chord_interval():
         ChordInterval(math.nan, 0.0)
 
 
+def test_direction_is_cos_and_sin_within_a_few_ulp():
+    eps = np.finfo(float).eps
+    ulp_pi = math.ulp(math.pi)
+    special = [
+        0.0,
+        math.pi / 2,
+        math.pi,
+        3 * math.pi / 2,
+        2 * math.pi - math.ulp(2 * math.pi),
+        math.pi - ulp_pi,
+        math.pi + ulp_pi,
+        1e-300,
+        -1e-300,
+        -0.3,
+        -math.pi / 2,
+        -4.0,
+        -50.0,
+        2 * math.pi,
+        2 * math.pi + 0.3,
+        7.0,
+        100.0,
+        1e5,
+    ]
+    rng = np.random.default_rng(2723)
+    theta = np.concatenate([special, rng.uniform(0.0, 2.0 * math.pi, 1_000_000)])
+    ct, st = _direction(theta)
+    assert np.all(np.abs(ct - np.cos(theta)) <= 4.0 * eps)
+    assert np.all(np.abs(st - np.sin(theta)) <= 4.0 * eps)
+    assert np.all(np.abs(ct * ct + st * st - 1.0) <= 4.0 * eps)
+    # the face-plane lines of a box rely on den = +-0 at theta = 0
+    c0, s0 = _direction(np.zeros(1))
+    assert c0[0] == 1.0 and s0[0] == 0.0
+
+
+def test_chord_kernels_call_no_sin_or_cos(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direction comes from one half-angle tan")
+
+    rng = np.random.default_rng(2724)
+    bodies = dict(BODIES)
+    bodies["polytope-image"] = transform_body(random_motion(rng, 1.0), BODIES["polytope"])
+    bodies["ellipsoid-image"] = transform_body(random_motion(rng, 1.0), BODIES["ellipsoid"])
+    p, theta, t = rng.uniform(0.0, 1.0, (3, 100))
+    monkeypatch.setattr(np, "cos", refuse)
+    monkeypatch.setattr(np, "sin", refuse)
+    for name, body in bodies.items():
+        assert body.chord_batch(p, theta, t)[2].any(), name
+        assert not body.chord(HorizontalLine(0.0, 0.3, 0.0)).is_empty, name
+
+
 def test_ball_chord_examples():
     ball = Ball((0.0, 0.0, 0.0), 1.0)
     for theta in (0.0, 0.9, math.pi / 2, 4.0):
@@ -63,6 +113,15 @@ def test_ball_tangent_line_is_degenerate_hit():
     assert not chord.is_empty
     assert chord.sigma == 0.0
     assert ball.chord(HorizontalLine(1.0 + 1e-5, 0.3, 0.0)).is_empty
+    # at every angle, however cos^2 + sin^2 rounds: the tangent point is
+    # the base point (b = 0), so only the tolerance on c keeps the hit
+    theta = np.linspace(0.0, 2.0 * math.pi, 10_000, endpoint=False)
+    for radius in (1.0, 0.65, 3.0):
+        ball = Ball((0.0, 0.0, 0.0), radius)
+        s_lo, s_hi, hit = ball.chord_batch(np.full_like(theta, radius), theta, 0.0 * theta)
+        assert hit.all() and np.all(s_hi - s_lo <= 1e-6), radius
+        miss = ball.chord_batch(np.full_like(theta, radius * (1.0 + 1e-9)), theta, 0.0 * theta)
+        assert not miss[2].any(), radius
     # same contact through the scaled chart of an ellipsoid; rounding may
     # leave a sliver of chord no larger than sqrt(tolerance)
     ell = Ellipsoid((0.0, 0.0, 0.0), (2.0, 2.0, 1.0))
@@ -325,11 +384,12 @@ def test_scalar_wrappers():
 
 
 def line_rays(p, theta, t) -> tuple[np.ndarray, np.ndarray]:
-    """Base points and velocities (N, 3) of lines given by coordinate arrays."""
+    """Base points and velocities (N, 3) of lines given by coordinate
+    arrays, on the kernels' own directions: the reference formulas then
+    check the kernels' arithmetic, not the rounding of cos and sin."""
     p = np.asarray(p, dtype=float)
-    theta = np.asarray(theta, dtype=float)
     t = np.asarray(t, dtype=float)
-    ct, st = np.cos(theta), np.sin(theta)
+    ct, st = _direction(theta)
     base = np.stack(np.broadcast_arrays(p * ct, p * st, t), axis=-1)
     direction = np.stack(np.broadcast_arrays(st, -ct, p), axis=-1)
     return base, direction
@@ -345,6 +405,34 @@ def reference_ellipsoid_chords(body: Ellipsoid, p, theta, t):
     b = 2.0 * np.sum(wq * uq, axis=-1)
     c = np.sum(wq * wq, axis=-1) - 1.0
     return _solve_chord_quadratic(a, b, c)
+
+
+def full_quadric_chords(body: Ellipsoid, p, theta, t):
+    """The quadric chord with every entry of M and c multiplied in and
+    the discriminant's scale taken from b^2 and 4ac alone: the kernel
+    that skips zero entries must give bitwise the same chords."""
+    p = np.asarray(p, dtype=float)
+    ct, st = _direction(theta)
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = body._metric.tolist()
+    cx, cy, cz = body.center.tolist()
+    w0 = p * ct - cx
+    w1 = p * st - cy
+    w2 = t - cz
+    mu0 = m00 * st - m01 * ct + m02 * p
+    mu1 = m01 * st - m11 * ct + m12 * p
+    mu2 = m02 * st - m12 * ct + m22 * p
+    a = st * mu0 - ct * mu1 + p * mu2
+    b = 2.0 * (w0 * mu0 + w1 * mu1 + w2 * mu2)
+    c = (
+        w0 * (m00 * w0 + 2.0 * (m01 * w1 + m02 * w2))
+        + w1 * (m11 * w1 + 2.0 * m12 * w2)
+        + m22 * (w2 * w2)
+        - 1.0
+    )
+    disc = b * b - 4.0 * a * c
+    hit = disc >= -1e-12 * (b * b + np.abs(4.0 * a * c))
+    sq = np.sqrt(np.maximum(np.where(hit, disc, 0.0), 0.0))
+    return (-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a), hit
 
 
 def test_ellipsoid_chords_match_stacked_reference():
@@ -363,6 +451,9 @@ def test_ellipsoid_chords_match_stacked_reference():
         p = rng.uniform(0.0, b.r_xy, n)
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
         t = rng.uniform(b.z_min - 1.0, b.z_max + 1.0, n)
+        # lines on the axis and lines at theta = 0 make products of +-0
+        p[: n // 10] = 0.0
+        theta[n // 10 : n // 5] = 0.0
         lo, hi, hit = body.chord_batch(p, theta, t)
         ref_lo, ref_hi, ref_hit = reference_ellipsoid_chords(body, p, theta, t)
         assert np.array_equal(hit, ref_hit), name
@@ -370,6 +461,9 @@ def test_ellipsoid_chords_match_stacked_reference():
         for s, ref in ((lo, ref_lo), (hi, ref_hi)):
             err = np.abs(s[hit] - ref[hit])
             assert np.all(err <= 1e-12 * (1.0 + np.abs(ref[hit]))), name
+        # skipping zero entries of M and c changes no bit
+        for got, want in zip((lo, hi, hit), full_quadric_chords(body, p, theta, t)):
+            assert np.array_equal(got, want), name
 
 
 def test_ball_is_the_ellipsoid_with_lin_r_identity():
