@@ -1,4 +1,5 @@
-"""Monte Carlo and grid estimators for the kinematic measure identities.
+"""Monte Carlo and randomised quasi-Monte Carlo estimators for the
+kinematic measure identities.
 
 With lines charted by (p, theta, t) and the invariant density
 dG = dp dtheta dt, three identities tie line statistics of a convex body
@@ -30,9 +31,11 @@ integrand + one reference.  Line measure, chord integral and the hit
 measures at any number of lengths share one pass
 (:func:`estimate_segment_hit_sweep`).
 
-Randomness is counter-based (see :mod:`h1geom.rng`) and work is split
-into fixed-size blocks, so results are bit-identical for a given
-(seed, n) regardless of thread count.
+The grid method's blocks are randomly shifted copies of one Kronecker
+point set (randomised QMC): each copy is an unbiased estimate, and
+their spread is the standard error.  Randomness is counter-based (see
+:mod:`h1geom.rng`) and work is split into fixed blocks, so results are
+bit-identical for a given (seed, n) regardless of thread count.
 """
 
 from __future__ import annotations
@@ -82,6 +85,11 @@ BLOCK = 1 << 16
 # multi-megabyte temporaries on every block
 _SUB_BLOCK = 1 << 13
 _STRATA = 64
+# the grid's shifted copies of the Kronecker set frac(i alpha), where
+# alpha = phi^-(1, 2, 3) and phi = 1.22074... is the real root of
+# x^4 = x + 1 (the "R3" set)
+_SHIFTS = 16
+_R3 = 1.2207440846057596 ** -np.arange(1.0, 4.0)[:, None]
 
 
 class ContainmentError(Exception):
@@ -179,8 +187,9 @@ class Segment:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """A Monte Carlo (or grid) estimate with its uncertainty and, when a
-    closed form or quadrature value exists, a reference to compare against.
+    """A Monte Carlo or grid estimate with its standard error (a grid z
+    score follows Student's t with _SHIFTS - 1 = 15 degrees of freedom)
+    and, when a closed form or quadrature value exists, a reference.
 
     ``clamp_fraction`` is populated by the containment estimator: the
     fraction of hitting lines whose chord is shorter than the segment,
@@ -200,13 +209,19 @@ class EstimateResult:
     clamp_fraction: float | None = None
 
     def z_score(self, reference: float | None = None) -> float:
-        """Standardized deviation from a reference value."""
+        """Standardized deviation from a reference value; without an error
+        bar, 0 on an exact match and infinite otherwise."""
         ref = self.reference if reference is None else reference
         if ref is None:
             raise ValueError("no reference available for z_score")
-        if self.std_error == 0.0:
-            return 0.0 if self.value == ref else math.inf
-        return (self.value - ref) / self.std_error
+        return _z(self.value, ref, self.std_error)
+
+
+def _z(value: float, reference: float, std_error: float) -> float:
+    """The z score of :meth:`EstimateResult.z_score`, for any pair."""
+    if std_error == 0.0:
+        return 0.0 if value == reference else math.inf
+    return (value - reference) / std_error
 
 
 @dataclass(frozen=True)
@@ -279,69 +294,61 @@ def _pass(
 ):
     """The one sample-and-sum pass behind every estimator.
 
-    Lines come in fixed blocks: BLOCK consecutive Monte Carlo draws, or
-    one p-slice of a tensor-product midpoint grid over the window.  Per
-    sub-block of a block (see ``_split_sum``), ``integrand(chords, u)``
-    receives each body's ``chord_batch`` triple on its lines and their
-    uniforms (None on the grid) and yields arrays, each reduced to its
-    sum as soon as it is made.  Block sums are added in block order, so
-    the totals do not depend on the thread count.  Returns the totals
-    and the line count.
+    Lines come in fixed blocks of uniforms u: BLOCK consecutive Monte
+    Carlo draws, or the grid's _SHIFTS shifts of max(1, res^3 // _SHIFTS)
+    points, point i of shift r being frac(i alpha + U_r) with U_r drawn
+    at counter r.  Per sub-block (see ``_split_sum``), ``integrand`` gets
+    each body's ``chord_batch`` triple and the uniforms of its lines and
+    yields arrays, each summed as soon as it is made.  Returns the sums,
+    one row per block in block order, and the line count.
     """
     if method == "grid":
-        res = grid_res or max(8, int(round(n ** (1.0 / 3.0))))
+        res = max(8, int(round(n ** (1.0 / 3.0)))) if grid_res is None else grid_res
         if res < 2:
-            raise ValueError("grid resolution must be at least 2")
-        mid = (np.arange(res) + 0.5) / res
-        th_grid, t_grid = np.meshgrid(
-            mid * TWO_PI, window.t_lo + mid * (window.t_hi - window.t_lo), indexing="ij"
-        )
-        th_flat, t_flat = th_grid.ravel(), t_grid.ravel()
-        # p-slices of res^2 lines are too small to be worth a thread pool
-        keys, n_lines, threads = mid * window.p_max, res**3, 1
+            raise ValueError(f"grid resolution must be at least 2, got {res}")
+        blocks = [(r, max(1, res**3 // _SHIFTS)) for r in range(_SHIFTS)]
+        # the shifts randomise the grid; it takes no strata
+        stratify = False
+        shifts = uniforms(seed, 0, _SHIFTS, 3)
 
-        def draw(p):
-            return p, th_flat.size
-
-        def lines(p, part):
-            return np.full(part.stop - part.start, p), th_flat[part], t_flat[part], None
+        def draw(r, size):
+            u = np.arange(size) * _R3 + shifts[:, r, None]
+            return u - np.floor(u)
 
     else:
-        keys, n_lines = [(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)], n
+        blocks = [(lo, min(BLOCK, n - lo)) for lo in range(0, n, BLOCK)]
+        draw = functools.partial(uniforms, seed, streams=streams)
 
-        def draw(block):
-            lo, hi = block
-            return (lo, uniforms(seed, lo, hi - lo, streams)), hi - lo
+    def block_sums(block):
+        lo, size = block
+        u = draw(lo, size)
 
-        def lines(drawn, part):
-            lo, u = drawn
-            u = u[:, part]
+        def sums(part):
+            v = u[:, part]
             if stratify:
                 # sample i draws theta from stratum i mod K, so every
                 # contiguous index range covers the circle nearly uniformly
                 index = np.arange(lo + part.start, lo + part.stop, dtype=np.float64)
-                theta = (np.mod(index, float(_STRATA)) + u[0]) * (TWO_PI / _STRATA)
+                theta = (np.mod(index, float(_STRATA)) + v[0]) * (TWO_PI / _STRATA)
             else:
-                theta = u[0] * TWO_PI
-            t = window.t_lo + u[2] * (window.t_hi - window.t_lo)
-            return u[1] * window.p_max, theta, t, u
-
-    def block_sums(key):
-        drawn, size = draw(key)
-
-        def sums(part):
-            p, theta, t, u = lines(drawn, part)
+                theta = v[0] * TWO_PI
+            p = v[1] * window.p_max
+            t = window.t_lo + v[2] * (window.t_hi - window.t_lo)
             chords = [body.chord_batch(p, theta, t) for body in bodies]
-            return np.array([np.sum(a) for a in integrand(chords, u)], dtype=float)
+            return np.array([np.sum(a) for a in integrand(chords, v)], dtype=float)
 
         return _split_sum(sums, 0, size)
 
-    if threads == 1:
-        rows = map(block_sums, keys)
+    n_lines = sum(size for _, size in blocks)
+    # a worker per BLOCK lines at most: on smaller shares threads trade the
+    # GIL between short numpy calls (a 32^3 grid ran 2x slower on two)
+    workers = min(threads, -(-n_lines // BLOCK))
+    if workers == 1:
+        rows = list(map(block_sums, blocks))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(block_sums, keys))
-    return sum(rows), n_lines
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(block_sums, blocks))
+    return np.array(rows), n_lines
 
 
 def _split_sum(sums, lo, n):
@@ -362,23 +369,27 @@ def _sigma(chord):
     return np.where(hit, np.maximum(s_hi - s_lo, 0.0), 0.0), hit
 
 
-def _mean_se(s1, s2, n, w, method):
-    """Window-scaled mean of an integrand and its standard error, from its
-    sum and sum of squares over n lines; the grid has no error bar."""
+def _mean_se(rows, k, n, w, method):
+    """Window-scaled mean of term k over n lines, from the block sums
+    ``rows``, and its standard error: by the sum of squares (term k + 1)
+    for Monte Carlo, by the spread of the per-shift means for the grid."""
+    s1 = sum(rows[:, k])
     if method == "grid":
-        return w * s1 / n, 0.0
-    var = max(s2 - s1 * s1 / n, 0.0) / max(n - 1, 1)
-    return w * (s1 / n), w * math.sqrt(var / n)
+        se = float(np.std(rows[:, k], ddof=1)) * math.sqrt(_SHIFTS) / n
+    else:
+        var = max(sum(rows[:, k + 1]) - s1 * s1 / n, 0.0) / max(n - 1, 1)
+        se = math.sqrt(var / n)
+    return w * (s1 / n), w * se
 
 
 def _ratio_terms(x, y):
     yield from (x, y, x * x, y * y, x * y)
 
 
-def _ratio(sums, n):
-    """Ratio of two integrals on common samples, from the sums of
+def _ratio(rows, n):
+    """Ratio of two integrals on common samples, from the block sums of
     ``_ratio_terms``, with a delta-method standard error."""
-    sx, sy, sxx, syy, sxy = sums[:5]
+    sx, sy, sxx, syy, sxy = sum(rows)[:5]
     if sy <= 0.0:
         raise ValueError("no hits in the sample; enlarge n or check the window")
     mx, my = sx / n, sy / n
@@ -446,7 +457,7 @@ def _line_pass(body, ells, window, n, seed, stratify, threads, method, grid_res)
             yield f
             yield f * f
 
-    sums, n_lines = _pass(
+    rows, n_lines = _pass(
         (body,), window, n, seed, stratify, threads, method, grid_res, integrand
     )
     vol, pa = _measures(body)
@@ -456,10 +467,9 @@ def _line_pass(body, ells, window, n, seed, stratify, threads, method, grid_res)
     ] + [lambda ell=ell: _hit_reference(vol, pa, ell) for ell in ells]
 
     def finish(k, reference):
-        value, se = _mean_se(
-            sums[2 * k], sums[2 * k + 1], n_lines, window.measure, method
-        )
-        return _result(value, se, n_lines, sums[0], seed, method, reference, refs[k])
+        value, se = _mean_se(rows, 2 * k, n_lines, window.measure, method)
+        hits = sum(rows[:, 0])
+        return _result(value, se, n_lines, hits, seed, method, reference, refs[k])
 
     return finish
 
@@ -578,15 +588,15 @@ def estimate_segment_hit_measure(
         yield f
         yield f * f
 
-    sums, _ = _pass(
+    rows, _ = _pass(
         (body,), window, n, seed, stratify, threads, "mc", None, integrand, streams=4
     )
-    value, se = _mean_se(sums[0], sums[1], n, window.measure * h_len, "mc")
+    value, se = _mean_se(rows, 0, n, window.measure * h_len, "mc")
 
     def auto():
         return _hit_reference(*_measures(body), ell)
 
-    return _result(value, se, n, sums[0], seed, "mc-4d", reference, auto)
+    return _result(value, se, n, sum(rows[:, 0]), seed, "mc-4d", reference, auto)
 
 
 def estimate_segment_containment_measure(
@@ -619,14 +629,12 @@ def estimate_segment_containment_measure(
         f = np.maximum(sigma - ell, 0.0)
         yield from (f, f * f, hit, hit & (f == 0.0))
 
-    sums, n_lines = _pass(
+    rows, n_lines = _pass(
         (body,), window, n, seed, stratify, threads, method, grid_resolution, integrand
     )
-    value, se = _mean_se(sums[0], sums[1], n_lines, window.measure, method)
-    hits, clamped = sums[2], sums[3]
-    clamp_fraction = None
-    if method == "mc":
-        clamp_fraction = clamped / hits if hits > 0 else 0.0
+    value, se = _mean_se(rows, 0, n_lines, window.measure, method)
+    _, _, hits, clamped = sum(rows)
+    clamp_fraction = clamped / hits if hits > 0 else 0.0
 
     def auto():
         if ell == 0.0:
@@ -657,14 +665,14 @@ def estimate_mean_chord(
         sigma, hit = _sigma(chords[0])
         yield from _ratio_terms(sigma, hit.astype(float))
 
-    sums, _ = _pass((body,), window, n, seed, stratify, threads, "mc", None, integrand)
-    value, se = _ratio(sums, n)
+    rows, _ = _pass((body,), window, n, seed, stratify, threads, "mc", None, integrand)
+    value, se = _ratio(rows, n)
 
     def auto():
         ref = math.pi * volume(body).value / p_area(body).value
         return ref, "pi * measures.volume / measures.p_area"
 
-    return _result(value, se, n, sums[1], seed, "mc", reference, auto)
+    return _result(value, se, n, sum(rows[:, 1]), seed, "mc", reference, auto)
 
 
 def _ellipsoid_reach_sq(inner: Ellipsoid, outer: Ellipsoid) -> float:
@@ -759,17 +767,17 @@ def containment_probability(
         yield from _ratio_terms((sig_in + ell) * hit_in, (sig_out + ell) * hit_out)
         yield hit_out
 
-    sums, _ = _pass(
+    rows, _ = _pass(
         (inner, outer), window, n, seed, stratify, threads, "mc", None, integrand
     )
-    value, se = _ratio(sums, n)
+    value, se = _ratio(rows, n)
 
     def auto():
         num = _hit_reference(*_measures(inner), ell)[0]
         den = _hit_reference(*_measures(outer), ell)[0]
         return num / den, "(2*pi*V + 2*ell*pA) inner over outer [measures]"
 
-    return _result(value, se, n, sums[5], seed, "mc", reference, auto)
+    return _result(value, se, n, sum(rows[:, 5]), seed, "mc", reference, auto)
 
 
 # invariant quantities and their estimate in a one-length line pass
@@ -808,11 +816,7 @@ def invariance_check(
     rows = []
     for name in quantities:
         est_a, est_b = (finish(_INVARIANTS[name], None) for finish in passes)
-        pooled = math.hypot(est_a.std_error, est_b.std_error)
-        if pooled == 0.0:
-            z = 0.0 if est_a.value == est_b.value else math.inf
-        else:
-            z = (est_a.value - est_b.value) / pooled
+        z = _z(est_a.value, est_b.value, math.hypot(est_a.std_error, est_b.std_error))
         rows.append(
             InvarianceRow(
                 quantity=name,

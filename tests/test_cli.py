@@ -384,6 +384,19 @@ def test_config_errors(capsys, tmp_path, ball_file):
     assert exc.value.code == 2
 
 
+def test_resolution_zero_is_rejected(capsys, ball_file):
+    # 0 is a resolution, not "not given": it must not fall back to the
+    # default grid or the 128-cell oracles
+    for argv in (
+        ["crofton", "--body", ball_file, "--method", "grid"],
+        ["volume", "--body", ball_file, "--method", "voxel"],
+        ["p-area", "--body", ball_file, "--oracle"],
+    ):
+        for res in ("0", "1"):
+            code, out, err = run_cli(capsys, argv + ["--resolution", res])
+            assert code == 2 and out == "" and "resolution" in err
+
+
 def test_capability_exit_code(capsys, ball_file, monkeypatch):
     def boom(*args, **kwargs):
         raise CapabilityError("unsupported body for this operation")
@@ -443,14 +456,31 @@ def _reject_constant(name):
 
 
 def test_reports_are_strict_json(capsys, ball_file, monkeypatch):
-    # a 4^3 grid has no error bar and misses 2 pA by 14%, so its z score
-    # is infinite: null in JSON, an empty cell in CSV
-    argv = ["crofton", "--body", ball_file, "--method", "grid", "--resolution", "4"]
+    # an estimate without an error bar that misses its reference has an
+    # infinite z score: null in JSON, an empty cell in CSV, and a failed
+    # gate
+    def exact_but_off(body, n, **kwargs):
+        return EstimateResult(
+            value=21.0,
+            std_error=0.0,
+            ci95=(21.0, 21.0),
+            n_samples=n,
+            n_hits=n // 2,
+            seed=kwargs["seed"],
+            method="grid",
+            reference=20.0,
+            reference_source="2 * measures.p_area(body)",
+        )
+
+    monkeypatch.setattr(cli, "estimate_line_measure", exact_but_off)
+    argv = ["crofton", "--body", ball_file, "--method", "grid"]
     code, out, _ = run_cli(capsys, argv)
-    assert code == 0
+    assert code == 4
     report = json.loads(out, parse_constant=_reject_constant)
     assert report["diagnostics"]["z_score"] is None
+    assert "tolerance_failure" in report
     code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 4
     header, row = csv.reader(io.StringIO(out))
     assert dict(zip(header, row))["z_score"] == ""
 

@@ -316,7 +316,7 @@ def test_stratification_reduces_error():
     assert abs(est.z_score()) < 4.0
 
 
-def test_grid_estimators():
+def test_grid_estimators(acceptance_bodies, acceptance_references):
     est = estimate_line_measure(BALL, 1, method="grid", grid_resolution=64)
     assert est.method == "grid"
     assert abs(est.value - est.reference) < 0.02 * est.reference
@@ -324,6 +324,47 @@ def test_grid_estimators():
     assert est2.value == est.value
     est = estimate_chord_integral(BALL, 1, method="grid", grid_resolution=64)
     assert abs(est.value - est.reference) < 0.02 * est.reference
+
+    # 16 shifts of res^3 // 16 points; the default res is round(n^(1/3)),
+    # at least 8
+    cases = ((1, 2, 16), (1, 5, 112), (1, None, 512), (10**5, None, 97328))
+    for n, res, lines in cases:
+        est = estimate_line_measure(BOX, n, method="grid", grid_resolution=res)
+        assert est.n_samples == lines
+    with pytest.raises(ValueError):
+        estimate_line_measure(BALL, 1, method="grid", grid_resolution=1)
+
+    # the shifts are the blocks of the pass: bitwise the same at any
+    # thread count, stratified or not (51^3 lines: three pool workers)
+    kw = dict(method="grid", grid_resolution=51, reference=None)
+    for estimate in (
+        lambda **k: estimate_line_measure(BOX, 1, **k),
+        lambda **k: estimate_chord_integral(BOX, 1, **k),
+        lambda **k: estimate_segment_hit_measure(BOX, 0.5, 1, **k),
+        lambda **k: estimate_segment_containment_measure(BOX, 0.5, 1, **k),
+    ):
+        runs = [
+            estimate(seed=7, threads=t, stratify=t == 3, **kw) for t in (1, 2, 3)
+        ]
+        assert len({(*_bits(e), e.clamp_fraction) for e in runs}) == 1
+        assert runs[0].std_error > 0.0 and runs[0].n_samples == 132640
+    assert 0.0 < runs[0].clamp_fraction < 1.0
+
+    # coverage: the spread of the 16 shift estimates is an honest error
+    # bar; z follows Student's t with 15 degrees of freedom (sd 1.07)
+    for name, body in acceptance_bodies.items():
+        vol, pa = acceptance_references[name]
+        z = {"line": [], "chord": []}
+        for seed in range(50):
+            kw = dict(method="grid", grid_resolution=16)
+            line = estimate_line_measure(body, 1, seed, reference=2.0 * pa, **kw)
+            chord = estimate_chord_integral(body, 1, seed, reference=TWO_PI * vol, **kw)
+            for key, est in (("line", line), ("chord", chord)):
+                assert est.std_error > 0.0
+                z[key].append(est.z_score())
+        for key, scores in z.items():
+            rms = math.sqrt(np.mean(np.square(scores)))
+            assert 0.75 <= rms <= 1.4, (name, key, rms)
 
 
 def test_direct_h_sampling_agrees_with_marginalized():
