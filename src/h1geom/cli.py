@@ -54,6 +54,7 @@ from .estimators import (
     estimate_mean_chord,
     estimate_segment_hit_measure,
     estimate_segment_hit_sweep,
+    grid_axis_resolution,
     invariance_check,
 )
 from .measures import (
@@ -302,13 +303,18 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _common_params(args) -> dict:
-    return {
+    """The sampling flags of a report's ``params``; a grid run adds the
+    per-axis resolution it used."""
+    params = {
         "n": args.n,
         "seed": args.seed,
         "stratify": args.stratify,
         "threads": args.threads,
         "method": getattr(args, "method", "mc"),
     }
+    if params["method"] == "grid":
+        params["resolution"] = grid_axis_resolution(args.n, args.resolution)
+    return params
 
 
 def _sampling(args) -> dict:
@@ -474,19 +480,36 @@ def _cmd_sweep(args):
     return _estimate_report(args, "sweep", {"body": spec}, estimates, fit)
 
 
-def _add_common(parser: argparse.ArgumentParser, body: bool = True) -> None:
+def _positive_int(text: str) -> int:
+    """The argparse type of --n and --threads."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _add_output(parser: argparse.ArgumentParser, body: bool = True) -> None:
     if body:
         parser.add_argument("--body", required=True, help="path to a body JSON file")
-    parser.add_argument("--n", type=int, default=100_000, help="sample count")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
     parser.add_argument(
         "--format", choices=("json", "csv"), default="json", dest="format"
     )
     parser.add_argument("--out", default=None, help="write the report to this path")
+
+
+def _add_sampling(parser: argparse.ArgumentParser) -> None:
+    """The sampling flags, which only the estimate commands take."""
+    parser.add_argument("--n", type=_positive_int, default=100_000, help="sample count")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
     parser.add_argument(
         "--stratify", action="store_true", help="stratify the angle coordinate"
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
+    parser.add_argument(
+        "--threads", type=_positive_int, default=1, help="worker threads"
+    )
 
 
 def _add_method(parser: argparse.ArgumentParser) -> None:
@@ -513,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("volume", help="Lebesgue volume")
-    _add_common(p)
+    _add_output(p)
     p.add_argument(
         "--method",
         choices=("auto", "exact", "quadrature", "voxel"),
@@ -523,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_volume)
 
     p = sub.add_parser("p-area", help="sub-Riemannian perimeter")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--tol", type=float, default=1e-6, help="relative tolerance")
     p.add_argument(
         "--oracle",
@@ -536,21 +559,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_p_area)
 
     p = sub.add_parser("crofton", help="line measure vs 2 * p-Area")
-    _add_common(p)
+    _add_output(p)
+    _add_sampling(p)
     _add_method(p)
     p.set_defaults(func=_cmd_crofton)
 
     p = sub.add_parser("chord-integral", help="chord integral vs 2*pi*V")
-    _add_common(p)
+    _add_output(p)
+    _add_sampling(p)
     _add_method(p)
     p.set_defaults(func=_cmd_chord_integral)
 
     p = sub.add_parser("mean-chord", help="mean chord vs pi*V/pA")
-    _add_common(p)
+    _add_output(p)
+    _add_sampling(p)
     p.set_defaults(func=_cmd_mean_chord)
 
     p = sub.add_parser("kinematic", help="segment hit measure vs 2*pi*V + 2*ell*pA")
-    _add_common(p)
+    _add_output(p)
+    _add_sampling(p)
     _add_method(p)
     p.add_argument("--ell", type=float, default=1.0, help="segment length")
     p.set_defaults(func=_cmd_kinematic)
@@ -558,14 +585,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "containment", help="P(segment hitting outer also hits inner)"
     )
-    _add_common(p, body=False)
+    _add_output(p, body=False)
+    _add_sampling(p)
     p.add_argument("--inner", required=True, help="inner body JSON file")
     p.add_argument("--outer", required=True, help="outer body JSON file")
     p.add_argument("--ell", type=float, default=1.0, help="segment length")
     p.set_defaults(func=_cmd_containment)
 
     p = sub.add_parser("invariance", help="estimates before/after a rigid motion")
-    _add_common(p)
+    _add_output(p)
+    _add_sampling(p)
     p.add_argument(
         "--motion",
         default="0.5,-0.25,0.3,0.9",
@@ -574,7 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_invariance)
 
     p = sub.add_parser("sweep", help="kinematic measure over several ell values")
-    _add_common(p)
+    _add_output(p)
+    _add_sampling(p)
     p.add_argument(
         "--ell-list",
         default="0,0.5,1",
@@ -596,10 +626,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.n < 1:
-        parser.error("--n must be positive")
-    if args.threads < 1:
-        parser.error("--threads must be positive")
     started = time.perf_counter()
     try:
         report, csv_rows, code = args.func(args)

@@ -340,14 +340,7 @@ def line_from_frame(pose: FramePose) -> tuple[HorizontalLine, float]:
     canonicalization flips the sheet, the returned line runs through the
     same points with reversed orientation (h changes sign, phi gains pi).
     """
-    th = normalize_angle(pose.phi - 0.5 * math.pi)
-    ct, st = math.cos(th), math.sin(th)
-    p = pose.q.x * ct + pose.q.y * st
-    h = pose.q.x * st - pose.q.y * ct
-    t = pose.q.t - h * p
-    if p < 0.0:
-        p, th, h = -p, normalize_angle(th + math.pi), -h
-    return HorizontalLine(p, th, t), h
+    return line_through(pose.q, pose.phi - 0.5 * math.pi)
 
 
 def frame_from_line(line: HorizontalLine, h: float) -> FramePose:
@@ -370,33 +363,23 @@ def levi_length(line: HorizontalLine, s0: float, s1: float) -> float:
     return float(s1 - s0)
 
 
-def levi_length_fixed_plane(
-    line: HorizontalLine, s0: float, s1: float, samples: int = 16
-) -> float:
+def levi_length_fixed_plane(line: HorizontalLine, s0: float, s1: float) -> float:
     """Length of gamma([s0, s1]) measured in the single contact plane at
     the segment's start point A = gamma(s0).
 
-    The velocity of a horizontal line lies in the contact plane of A at
-    every parameter, not only at A itself, so the single plane's metric
-    can measure the whole segment.  Decomposes the velocity at midpoint
-    samples in the frame {X1(A), X2(A), T}, checks the T-component
-    vanishes, and integrates the norm of the horizontal part.  Agrees
-    with ``levi_length``.
+    The velocity of a horizontal line is one constant vector, and it lies
+    in the contact plane of A as it does at every point of the line, so
+    the single plane's metric can measure the whole segment.  Decomposes
+    the velocity in the frame {X1(A), X2(A), T}, checks the T-component
+    vanishes, and scales the norm of the horizontal part by s1 - s0.
+    Agrees with ``levi_length``.
     """
     if s1 < s0:
         raise ValueError(f"levi_length_fixed_plane needs s0 <= s1, got [{s0}, {s1}]")
-    if samples < 1:
-        raise ValueError("levi_length_fixed_plane needs samples >= 1")
     A = line_point_at(line, s0)
-    width = (s1 - s0) / samples
-    total = 0.0
-    for k in range(samples):
-        v = line_direction(line)
-        # v = vx X1(A) + vy X2(A) + tau T with tau = vt - (vx*A.y - vy*A.x)
-        tau = v[2] - (v[0] * A.y - v[1] * A.x)
-        if abs(tau) > 1e-9 * (1.0 + abs(v[2])):
-            raise ValueError(
-                "segment velocity leaves the contact plane of its start point"
-            )
-        total += math.hypot(v[0], v[1]) * width
-    return total
+    v = line_direction(line)
+    # v = vx X1(A) + vy X2(A) + tau T with tau = vt - (vx*A.y - vy*A.x)
+    tau = v[2] - (v[0] * A.y - v[1] * A.x)
+    if abs(tau) > 1e-9 * (1.0 + abs(v[2])):
+        raise ValueError("segment velocity leaves the contact plane of its start point")
+    return math.hypot(v[0], v[1]) * (s1 - s0)

@@ -23,13 +23,14 @@ chord [a, b] meets the body for h in an interval of length sigma + l and
 lies inside it for max(sigma - l, 0).
 
 Every estimator is one pass of ``_pass``: per fixed block it draws
-lines, evaluates their chords and sums each array an integrand yields,
-sub-block by sub-block in the order of numpy's pairwise summation.
-A mean/std-error or a ratio (delta-method) finisher turns the sums into
-an :class:`EstimateResult` with its reference, so a new identity = one
-integrand + one reference.  Line measure, chord integral and the hit
-measures at any number of lengths share one pass
-(:func:`estimate_segment_hit_sweep`).
+lines, evaluates their chords, and an integrand yields per-line values
+f; the pass sums each value and each product of two, sub-block by
+sub-block in the order of numpy's pairwise summation.  An estimate is a
+coefficient vector c (the mean of c.f, its error from c^T G c with G
+the product sums) or a ratio of two, so a new identity = one integrand
++ one reference.  Every line estimate reads one (hit, sigma) pass:
+(1, 0) is the line measure, (0, 1) the chord integral, (ell, 1) the hit
+measure at ell, and the mean chord is (0, 1) over (1, 0).
 
 The grid method's blocks are randomly shifted copies of one Kronecker
 point set (randomised QMC): each copy is an unbiased estimate, and
@@ -41,6 +42,7 @@ bit-identical for a given (seed, n) regardless of thread count.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -63,6 +65,7 @@ __all__ = [
     "InvarianceReport",
     "SegmentHitSweep",
     "line_window",
+    "grid_axis_resolution",
     "estimate_line_measure",
     "estimate_chord_integral",
     "estimate_segment_hit_measure",
@@ -90,6 +93,7 @@ _STRATA = 64
 # x^4 = x + 1 (the "R3" set)
 _SHIFTS = 16
 _R3 = 1.2207440846057596 ** -np.arange(1.0, 4.0)[:, None]
+_T15 = 2.131449545559776  # 97.5% quantile of Student's t, 15 degrees of freedom
 
 
 class ContainmentError(Exception):
@@ -187,9 +191,11 @@ class Segment:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """A Monte Carlo or grid estimate with its standard error (a grid z
-    score follows Student's t with _SHIFTS - 1 = 15 degrees of freedom)
-    and, when a closed form or quadrature value exists, a reference.
+    """A Monte Carlo or grid estimate with its standard error and, when a
+    closed form or quadrature value exists, a reference.  A grid z score
+    follows Student's t with _SHIFTS - 1 = 15 degrees of freedom, so
+    ``ci95`` is value +/- 2.1314 std_error for the grid and +/- 1.96 for
+    Monte Carlo.
 
     ``clamp_fraction`` is populated by the containment estimator: the
     fraction of hitting lines whose chord is shorter than the segment,
@@ -289,6 +295,15 @@ def _check_ell(ell) -> float:
     return ell
 
 
+def grid_axis_resolution(n: int, resolution: int | None = None) -> int:
+    """The per-axis resolution a grid pass uses: ``resolution``, or
+    max(8, round(n^(1/3))) when it is None; below 2 raises ValueError."""
+    res = max(8, int(round(n ** (1.0 / 3.0)))) if resolution is None else resolution
+    if res < 2:
+        raise ValueError(f"grid resolution must be at least 2, got {res}")
+    return res
+
+
 def _pass(
     bodies, window, n, seed, stratify, threads, method, grid_res, integrand, streams=3
 ):
@@ -299,13 +314,12 @@ def _pass(
     points, point i of shift r being frac(i alpha + U_r) with U_r drawn
     at counter r.  Per sub-block (see ``_split_sum``), ``integrand`` gets
     each body's ``chord_batch`` triple and the uniforms of its lines and
-    yields arrays, each summed as soon as it is made.  Returns the sums,
-    one row per block in block order, and the line count.
+    yields m per-line value arrays f.  Returns the sums of each f_i and
+    then of each product f_i f_j (i <= j, in combinations_with_replacement
+    order), one row per block in block order, and the line count.
     """
     if method == "grid":
-        res = max(8, int(round(n ** (1.0 / 3.0)))) if grid_res is None else grid_res
-        if res < 2:
-            raise ValueError(f"grid resolution must be at least 2, got {res}")
+        res = grid_axis_resolution(n, grid_res)
         blocks = [(r, max(1, res**3 // _SHIFTS)) for r in range(_SHIFTS)]
         # the shifts randomise the grid; it takes no strata
         stratify = False
@@ -335,7 +349,9 @@ def _pass(
             p = v[1] * window.p_max
             t = window.t_lo + v[2] * (window.t_hi - window.t_lo)
             chords = [body.chord_batch(p, theta, t) for body in bodies]
-            return np.array([np.sum(a) for a in integrand(chords, v)], dtype=float)
+            f = [np.asarray(a, dtype=float) for a in integrand(chords, v)]
+            pairs = itertools.combinations_with_replacement(f, 2)
+            return np.array([np.sum(a) for a in f] + [np.sum(a * b) for a, b in pairs])
 
         return _split_sum(sums, 0, size)
 
@@ -369,37 +385,36 @@ def _sigma(chord):
     return np.where(hit, np.maximum(s_hi - s_lo, 0.0), 0.0), hit
 
 
-def _mean_se(rows, k, n, w, method):
-    """Window-scaled mean of term k over n lines, from the block sums
-    ``rows``, and its standard error: by the sum of squares (term k + 1)
-    for Monte Carlo, by the spread of the per-shift means for the grid."""
-    s1 = sum(rows[:, k])
+def _linear(rows, c, n, w, method):
+    """Window-scaled mean of c.f over n lines, from the block sums
+    ``rows``, and its standard error: by c^T G c for Monte Carlo, by the
+    spread of the per-shift c.S for the grid."""
+    c = np.asarray(c, dtype=float)
+    m = len(c)
+    total = sum(rows)
+    s1 = c @ total[:m]
     if method == "grid":
-        se = float(np.std(rows[:, k], ddof=1)) * math.sqrt(_SHIFTS) / n
+        se = float(np.std(rows[:, :m] @ c, ddof=1)) * math.sqrt(_SHIFTS) / n
     else:
-        var = max(sum(rows[:, k + 1]) - s1 * s1 / n, 0.0) / max(n - 1, 1)
+        g = np.empty((m, m))
+        i, j = np.triu_indices(m)
+        g[i, j] = g[j, i] = total[m:]
+        var = max(c @ g @ c - s1 * s1 / n, 0.0) / max(n - 1, 1)
         se = math.sqrt(var / n)
     return w * (s1 / n), w * se
 
 
-def _ratio_terms(x, y):
-    yield from (x, y, x * x, y * y, x * y)
-
-
-def _ratio(rows, n):
-    """Ratio of two integrals on common samples, from the block sums of
-    ``_ratio_terms``, with a delta-method standard error."""
-    sx, sy, sxx, syy, sxy = sum(rows)[:5]
-    if sy <= 0.0:
+def _ratio(rows, a, b, n):
+    """Ratio of the means of a.f and b.f on common samples, with the
+    delta-method standard error: that of the mean of (a - r b).f over
+    the mean of b.f."""
+    s = sum(rows)[: len(a)]
+    mx, my = np.dot(a, s) / n, np.dot(b, s) / n
+    if my <= 0.0:
         raise ValueError("no hits in the sample; enlarge n or check the window")
-    mx, my = sx / n, sy / n
     r = mx / my
-    denom = max(n - 1, 1)
-    var_x = max(sxx - sx * sx / n, 0.0) / denom
-    var_y = max(syy - sy * sy / n, 0.0) / denom
-    cov = (sxy - sx * sy / n) / denom
-    var_r = max(var_x - 2.0 * r * cov + r * r * var_y, 0.0) / (n * my * my)
-    return r, math.sqrt(var_r)
+    _, se = _linear(rows, np.subtract(a, np.multiply(r, b)), n, 1.0, "mc")
+    return r, se / my
 
 
 def _result(value, se, n, hits, seed, method, reference, auto, clamp_fraction=None):
@@ -412,10 +427,11 @@ def _result(value, se, n, hits, seed, method, reference, auto, clamp_fraction=No
         ref_value, ref_source = None, None
     else:
         ref_value, ref_source = float(reference), "caller"
+    half = (_T15 if method == "grid" else 1.96) * se
     return EstimateResult(
         value=value,
         std_error=se,
-        ci95=(value - 1.96 * se, value + 1.96 * se),
+        ci95=(value - half, value + half),
         n_samples=n,
         n_hits=int(hits),
         seed=seed,
@@ -434,6 +450,14 @@ def _measures(body):
     )
 
 
+def _line_reference(vol, pa):
+    return 2.0 * pa(), "2 * measures.p_area(body)"
+
+
+def _chord_reference(vol, pa):
+    return TWO_PI * vol(), "2*pi * measures.volume(body)"
+
+
 def _hit_reference(vol, pa, ell):
     return (
         TWO_PI * vol() + 2.0 * ell * pa(),
@@ -441,35 +465,37 @@ def _hit_reference(vol, pa, ell):
     )
 
 
-def _line_pass(body, ells, window, n, seed, stratify, threads, method, grid_res):
-    """Line measure, chord integral and segment hit measure at each ell,
-    from one pass over the same lines.  Returns ``finish(k, reference)``,
-    which builds estimate k: 0 the line measure, 1 the chord integral,
-    2 + i the hit measure at ``ells[i]``."""
+def _mean_chord_reference(vol, pa):
+    return math.pi * vol() / pa(), "pi * measures.volume / measures.p_area"
+
+
+def _line_pass(body, window, n, seed, stratify, threads, method, grid_res):
+    """Every line estimate from one pass whose integrand yields (hit,
+    sigma) per line.  Returns ``finish(c, reference, auto, over=None)``,
+    which builds the mean of c.(hit, sigma) ((1, 0) the line measure,
+    (0, 1) the chord integral, (ell, 1) the hit measure at ell) or, given
+    ``over``, its ratio to the mean of over.(hit, sigma).  ``auto(vol,
+    pa)`` gives the reference from the body's measures."""
     window = _setup(body, window, n, seed, threads, method)
 
     def integrand(chords, u):
         sigma, hit = _sigma(chords[0])
-        # (f, f^2) per estimate; the indicator is its own square
-        yield from (hit, hit, sigma, sigma * sigma)
-        for ell in ells:
-            f = (sigma + ell) * hit
-            yield f
-            yield f * f
+        yield from (hit, sigma)
 
     rows, n_lines = _pass(
         (body,), window, n, seed, stratify, threads, method, grid_res, integrand
     )
     vol, pa = _measures(body)
-    refs = [
-        lambda: (2.0 * pa(), "2 * measures.p_area(body)"),
-        lambda: (TWO_PI * vol(), "2*pi * measures.volume(body)"),
-    ] + [lambda ell=ell: _hit_reference(vol, pa, ell) for ell in ells]
 
-    def finish(k, reference):
-        value, se = _mean_se(rows, 2 * k, n_lines, window.measure, method)
+    def finish(c, reference, auto, over=None):
+        if over is None:
+            value, se = _linear(rows, c, n_lines, window.measure, method)
+        else:
+            value, se = _ratio(rows, c, over, n_lines)
         hits = sum(rows[:, 0])
-        return _result(value, se, n_lines, hits, seed, method, reference, refs[k])
+        return _result(
+            value, se, n_lines, hits, seed, method, reference, lambda: auto(vol, pa)
+        )
 
     return finish
 
@@ -492,10 +518,8 @@ def estimate_line_measure(
     computes it by quadrature; pass a float to supply your own or None
     to skip.
     """
-    finish = _line_pass(
-        body, (), window, n, seed, stratify, threads, method, grid_resolution
-    )
-    return finish(0, reference)
+    args = body, window, n, seed, stratify, threads, method, grid_resolution
+    return _line_pass(*args)((1.0, 0.0), reference, _line_reference)
 
 
 def estimate_chord_integral(
@@ -512,10 +536,8 @@ def estimate_chord_integral(
 ) -> EstimateResult:
     """Integral of the chord length over oriented lines; equals
     2 pi V(body)."""
-    finish = _line_pass(
-        body, (), window, n, seed, stratify, threads, method, grid_resolution
-    )
-    return finish(1, reference)
+    args = body, window, n, seed, stratify, threads, method, grid_resolution
+    return _line_pass(*args)((0.0, 1.0), reference, _chord_reference)
 
 
 def estimate_segment_hit_sweep(
@@ -532,12 +554,15 @@ def estimate_segment_hit_sweep(
     one Monte Carlo sample pass.  Every estimate carries its reference,
     from one volume and one p-Area computation."""
     ells = [_check_ell(ell) for ell in ells]
-    finish = _line_pass(body, ells, None, n, seed, stratify, threads, "mc", None)
+    finish = _line_pass(body, None, n, seed, stratify, threads, "mc", None)
     return SegmentHitSweep(
         ells=ells,
-        rows=[finish(2 + i, "auto") for i in range(len(ells))],
-        slope=finish(0, "auto"),
-        intercept=finish(1, "auto"),
+        rows=[
+            finish((ell, 1.0), "auto", functools.partial(_hit_reference, ell=ell))
+            for ell in ells
+        ],
+        slope=finish((1.0, 0.0), "auto", _line_reference),
+        intercept=finish((0.0, 1.0), "auto", _chord_reference),
     )
 
 
@@ -567,10 +592,9 @@ def estimate_segment_hit_measure(
     """
     ell = _check_ell(ell)
     if marginalize_h:
-        finish = _line_pass(
-            body, (ell,), window, n, seed, stratify, threads, method, grid_resolution
-        )
-        return finish(2, reference)
+        args = body, window, n, seed, stratify, threads, method, grid_resolution
+        auto = functools.partial(_hit_reference, ell=ell)
+        return _line_pass(*args)((ell, 1.0), reference, auto)
 
     # direct 4D sampling over (p, theta, t, h); any chord parameter
     # satisfies p^2 + s^2 <= r_xy^2, so h in [-(r + ell), r] covers every
@@ -584,18 +608,13 @@ def estimate_segment_hit_measure(
     def integrand(chords, u):
         s_lo, s_hi, hit = chords[0]
         h = h_lo + u[3] * h_len
-        f = (hit & (h <= s_hi) & (h + ell >= s_lo)).astype(float)
-        yield f
-        yield f * f
+        yield hit & (h <= s_hi) & (h + ell >= s_lo)
 
     rows, _ = _pass(
         (body,), window, n, seed, stratify, threads, "mc", None, integrand, streams=4
     )
-    value, se = _mean_se(rows, 0, n, window.measure * h_len, "mc")
-
-    def auto():
-        return _hit_reference(*_measures(body), ell)
-
+    value, se = _linear(rows, (1.0,), n, window.measure * h_len, "mc")
+    auto = functools.partial(_hit_reference, *_measures(body), ell)
     return _result(value, se, n, sum(rows[:, 0]), seed, "mc-4d", reference, auto)
 
 
@@ -627,19 +646,17 @@ def estimate_segment_containment_measure(
     def integrand(chords, u):
         sigma, hit = _sigma(chords[0])
         f = np.maximum(sigma - ell, 0.0)
-        yield from (f, f * f, hit, hit & (f == 0.0))
+        yield from (f, hit, hit & (f == 0.0))
 
     rows, n_lines = _pass(
         (body,), window, n, seed, stratify, threads, method, grid_resolution, integrand
     )
-    value, se = _mean_se(rows, 0, n_lines, window.measure, method)
-    _, _, hits, clamped = sum(rows)
+    value, se = _linear(rows, (1.0, 0.0, 0.0), n_lines, window.measure, method)
+    _, hits, clamped = sum(rows)[:3]
     clamp_fraction = clamped / hits if hits > 0 else 0.0
 
     def auto():
-        if ell == 0.0:
-            return TWO_PI * volume(body).value, "2*pi * measures.volume(body)"
-        return None, None
+        return _chord_reference(*_measures(body)) if ell == 0.0 else (None, None)
 
     return _result(
         value, se, n_lines, hits, seed, method, reference, auto, clamp_fraction
@@ -659,20 +676,8 @@ def estimate_mean_chord(
     """Mean chord length over lines meeting the body: the ratio of the
     chord integral to the line measure, estimated on common samples with
     a delta-method standard error.  Reference: pi V / pA."""
-    window = _setup(body, window, n, seed, threads)
-
-    def integrand(chords, u):
-        sigma, hit = _sigma(chords[0])
-        yield from _ratio_terms(sigma, hit.astype(float))
-
-    rows, _ = _pass((body,), window, n, seed, stratify, threads, "mc", None, integrand)
-    value, se = _ratio(rows, n)
-
-    def auto():
-        ref = math.pi * volume(body).value / p_area(body).value
-        return ref, "pi * measures.volume / measures.p_area"
-
-    return _result(value, se, n, sum(rows[:, 1]), seed, "mc", reference, auto)
+    finish = _line_pass(body, window, n, seed, stratify, threads, "mc", None)
+    return finish((0.0, 1.0), reference, _mean_chord_reference, over=(1.0, 0.0))
 
 
 def _ellipsoid_reach_sq(inner: Ellipsoid, outer: Ellipsoid) -> float:
@@ -764,24 +769,27 @@ def containment_probability(
 
     def integrand(chords, u):
         (sig_in, hit_in), (sig_out, hit_out) = map(_sigma, chords)
-        yield from _ratio_terms((sig_in + ell) * hit_in, (sig_out + ell) * hit_out)
-        yield hit_out
+        yield from ((sig_in + ell) * hit_in, (sig_out + ell) * hit_out, hit_out)
 
     rows, _ = _pass(
         (inner, outer), window, n, seed, stratify, threads, "mc", None, integrand
     )
-    value, se = _ratio(rows, n)
+    value, se = _ratio(rows, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), n)
 
     def auto():
         num = _hit_reference(*_measures(inner), ell)[0]
         den = _hit_reference(*_measures(outer), ell)[0]
         return num / den, "(2*pi*V + 2*ell*pA) inner over outer [measures]"
 
-    return _result(value, se, n, sum(rows[:, 5]), seed, "mc", reference, auto)
+    return _result(value, se, n, sum(rows)[2], seed, "mc", reference, auto)
 
 
-# invariant quantities and their estimate in a one-length line pass
-_INVARIANTS = {"line_measure": 0, "chord_integral": 1, "segment_hit_measure_ell1": 2}
+# invariant quantities as coefficients over a line pass's (hit, sigma)
+_INVARIANTS = {
+    "line_measure": (1.0, 0.0),
+    "chord_integral": (0.0, 1.0),
+    "segment_hit_measure_ell1": (1.0, 1.0),
+}
 
 
 def invariance_check(
@@ -810,23 +818,14 @@ def invariance_check(
     if unknown:
         raise ValueError(f"unknown invariance quantities {unknown}")
     passes = [
-        _line_pass(b, (1.0,), None, n, s, stratify, threads, "mc", None)
+        _line_pass(b, None, n, s, stratify, threads, "mc", None)
         for b, s in ((body, seed), (transform_body(motion, body), seed + 1))
     ]
     rows = []
     for name in quantities:
-        est_a, est_b = (finish(_INVARIANTS[name], None) for finish in passes)
-        z = _z(est_a.value, est_b.value, math.hypot(est_a.std_error, est_b.std_error))
-        rows.append(
-            InvarianceRow(
-                quantity=name,
-                value_original=est_a.value,
-                se_original=est_a.std_error,
-                value_transformed=est_b.value,
-                se_transformed=est_b.std_error,
-                z=z,
-            )
-        )
+        a, b = (finish(_INVARIANTS[name], None, None) for finish in passes)
+        z = _z(a.value, b.value, math.hypot(a.std_error, b.std_error))
+        rows.append(InvarianceRow(name, a.value, a.std_error, b.value, b.std_error, z))
     return InvarianceReport(
         motion=motion, n_samples=n, seed=seed, threshold=threshold, rows=rows
     )

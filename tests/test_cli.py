@@ -193,6 +193,14 @@ def test_kinematic_and_grid_method(capsys, ball_file):
     report = json.loads(out)
     assert report["result"]["method"] == "grid"
     assert abs(report["diagnostics"]["rel_error"]) < 0.05
+    assert report["params"]["resolution"] == 48
+    # the default resolution, round(n^(1/3)), is reported as used
+    code, out, _ = run_cli(
+        capsys, ["crofton", "--body", ball_file, "--method", "grid", "--n", "5000"]
+    )
+    assert code == 0 and json.loads(out)["params"]["resolution"] == 17
+    code, out, _ = run_cli(capsys, ["crofton", "--body", ball_file, "--n", "5000"])
+    assert code == 0 and "resolution" not in json.loads(out)["params"]
 
 
 def test_mean_chord_command(capsys, ball_file):
@@ -381,6 +389,10 @@ def test_config_errors(capsys, tmp_path, ball_file):
 
     with pytest.raises(SystemExit) as exc:
         main(["crofton", "--body", ball_file, "--n", "0"])
+    assert exc.value.code == 2
+    # the measure commands take no sampling flags
+    with pytest.raises(SystemExit) as exc:
+        main(["volume", "--body", ball_file, "--n", "5"])
     assert exc.value.code == 2
 
 

@@ -337,9 +337,7 @@ def test_levi_length_fixed_plane_agrees():
         s0 = rng.uniform(-2.0, 2.0)
         s1 = s0 + rng.uniform(0.0, 3.0)
         direct = levi_length(g, s0, s1)
-        fixed = levi_length_fixed_plane(g, s0, s1, samples=16)
+        fixed = levi_length_fixed_plane(g, s0, s1)
         assert abs(direct - fixed) <= 1e-12 * (1.0 + direct)
     with pytest.raises(ValueError):
         levi_length_fixed_plane(HorizontalLine(1.0, 0.0, 0.0), 1.0, 0.0)
-    with pytest.raises(ValueError):
-        levi_length_fixed_plane(HorizontalLine(1.0, 0.0, 0.0), 0.0, 1.0, samples=0)

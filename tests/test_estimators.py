@@ -31,6 +31,7 @@ from h1geom import (
     transform_body,
     volume,
 )
+from h1geom.rng import uniforms
 
 BALL = Ball((0.0, 0.0, 0.0), 1.0)
 BOX = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
@@ -409,6 +410,32 @@ def _bits(est):
     return (est.value, est.std_error, est.n_hits)
 
 
+@pytest.mark.parametrize("name", ["ball", "polytope"])
+def test_pass_moments_match_line_by_line_formulas(name):
+    # rebuild the lines as the pass maps its uniforms, then compute the
+    # textbook estimates line by line: the sample mean and variance of
+    # the hit measure's integrand, and the delta method for the mean chord
+    body = make_acceptance_bodies()[name]
+    n, seed, ell = BLOCK + 4321, 29, 0.7
+    window = line_window(body)
+    u = uniforms(seed, 0, n, 3)
+    p, t = u[1] * window.p_max, window.t_lo + u[2] * (window.t_hi - window.t_lo)
+    s_lo, s_hi, hit = body.chord_batch(p, u[0] * TWO_PI, t)
+    sigma = np.where(hit, np.maximum(s_hi - s_lo, 0.0), 0.0)
+
+    f = window.measure * (sigma + ell) * hit
+    est = estimate_segment_hit_measure(body, ell, n, seed)
+    assert est.value == pytest.approx(f.mean(), rel=1e-12)
+    assert est.std_error == pytest.approx(f.std(ddof=1) / math.sqrt(n), rel=1e-12)
+
+    r = sigma.mean() / hit.mean()
+    cov = np.cov(sigma, hit.astype(float))
+    var_r = (cov[0, 0] - 2.0 * r * cov[0, 1] + r * r * cov[1, 1]) / n
+    est = estimate_mean_chord(body, n, seed)
+    assert est.value == pytest.approx(r, rel=1e-12)
+    assert est.std_error == pytest.approx(math.sqrt(var_r) / hit.mean(), rel=1e-12)
+
+
 def test_sweep_rows_match_standalone_estimators():
     # one pass serves every length: each row, and the slope and intercept
     # of the linear law, equal the standalone estimators bitwise
@@ -424,6 +451,11 @@ def test_sweep_rows_match_standalone_estimators():
         assert _bits(sweep.slope) == _bits(estimate_line_measure(BOX, n, **kw))
         assert _bits(sweep.intercept) == _bits(estimate_chord_integral(BOX, n, **kw))
         runs[threads] = [_bits(e) for e in (*sweep.rows, sweep.slope, sweep.intercept)]
+        # the law is linear in ell line by line: each row is the chord
+        # integral plus ell times the line measure of the same lines
+        for ell, row in zip(ells, sweep.rows):
+            line = sweep.intercept.value + ell * sweep.slope.value
+            assert row.value == pytest.approx(line, rel=1e-14)
     assert runs[1] == runs[2]
 
     sweep = estimate_segment_hit_sweep(BALL, [0.0, 0.7], 2000, seed=seed)
@@ -480,6 +512,11 @@ def test_estimate_result_api():
     lo, hi = est.ci95
     assert abs(lo - (est.value - 1.96 * est.std_error)) < 1e-12
     assert abs(hi - (est.value + 1.96 * est.std_error)) < 1e-12
+    # a grid z follows Student's t with 15 degrees of freedom
+    grid = estimate_line_measure(BALL, 4096, seed=97, method="grid")
+    lo, hi = grid.ci95
+    assert hi - grid.value == pytest.approx(2.131449545559776 * grid.std_error)
+    assert grid.value - lo == pytest.approx(2.131449545559776 * grid.std_error)
     assert est.n_samples == 50_000
     assert 0 < est.n_hits < est.n_samples
     assert est.z_score(est.value) == 0.0
