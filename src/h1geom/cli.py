@@ -21,13 +21,15 @@ Unknown keys are rejected.  Commands::
     sweep           kinematic measure over --ell-list with a linear fit
 
 Reports are JSON (default) or CSV via --format, written to stdout or
---out.  Output is byte-identical across runs of the same configuration
-except for the wall_time_s field.
+--out; a non-finite number is null (an empty CSV cell).  Output is
+byte-identical across runs of the same configuration except for the
+wall_time_s field.
 
 Exit codes: 0 success; 2 configuration error (bad JSON/flags, violated
-nesting, no line of the sample hits the body); 3 unsupported
-body/operation; 4 tolerance failure (estimate beyond 4 standard errors
-of its reference, failed invariance, or non-convergent quadrature).
+nesting, no line of the sample hits the body, a grid too large to
+allocate); 3 unsupported body/operation; 4 tolerance failure (estimate
+beyond 4 standard errors of its reference, failed invariance, or
+non-convergent quadrature).
 """
 
 from __future__ import annotations
@@ -195,9 +197,18 @@ def _parse_ell_list(text: str) -> list[float]:
 
 
 def _finite(x):
-    """The number, or None (null in JSON, an empty CSV cell) when it is
-    not finite."""
-    return x if math.isfinite(x) else None
+    """``x`` with every non-finite float in it, at any depth of dicts and
+    lists, replaced by None: null in JSON, an empty CSV cell.  An estimate
+    that overflows (a huge --ell) or an inexact one without an error bar
+    (an infinite z score) thus leaves a valid report, which its gate
+    fails."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {key: _finite(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(value) for value in x]
+    return x
 
 
 def _estimate_payload(est) -> dict:
@@ -220,9 +231,7 @@ def _diagnostics(est) -> dict:
     rel = (
         (est.value - est.reference) / est.reference if est.reference != 0.0 else None
     )
-    # an inexact estimate without an error bar has an infinite z score,
-    # which the report leaves empty
-    return {"rel_error": rel, "z_score": _finite(est.z_score())}
+    return {"rel_error": rel, "z_score": est.z_score()}
 
 
 def _gate_estimate(est) -> str | None:
@@ -284,13 +293,13 @@ def _estimate_csv_row(command: str, ell, est) -> dict:
 
 def _render(report: dict, fmt: str, csv_rows: tuple[list[str], list[dict]]) -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = json.dumps(_finite(report), sort_keys=True, indent=2, allow_nan=False)
+        return text + "\n"
     fields, rows = csv_rows
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(_finite(rows))
     return buf.getvalue()
 
 
@@ -439,7 +448,7 @@ def _cmd_invariance(args):
                 "se_original": row.se_original,
                 "value_transformed": row.value_transformed,
                 "se_transformed": row.se_transformed,
-                "z": _finite(row.z),
+                "z": row.z,
             }
         )
     report = {
@@ -508,7 +517,11 @@ def _add_sampling(parser: argparse.ArgumentParser) -> None:
         "--stratify", action="store_true", help="stratify the angle coordinate"
     )
     parser.add_argument(
-        "--threads", type=_positive_int, default=1, help="worker threads"
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="accepted and reported in params, but starts no threads: every "
+        "pass runs on the calling thread",
     )
 
 
@@ -629,8 +642,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, csv_rows, code = args.func(args)
-    except (ConfigError, ContainmentError, ValueError) as exc:
-        # invalid numeric arguments surface from the library layer as ValueError
+    except (ConfigError, ContainmentError, ValueError, MemoryError) as exc:
+        # invalid numeric arguments surface from the library layer as
+        # ValueError, and a grid too large to allocate as MemoryError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:

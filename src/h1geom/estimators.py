@@ -35,8 +35,13 @@ measure at ell, and the mean chord is (0, 1) over (1, 0).
 The grid method's blocks are randomly shifted copies of one Kronecker
 point set (randomised QMC): each copy is an unbiased estimate, and
 their spread is the standard error.  Randomness is counter-based (see
-:mod:`h1geom.rng`) and work is split into fixed blocks, so results are
-bit-identical for a given (seed, n) regardless of thread count.
+:mod:`h1geom.rng`) and work is split into fixed blocks whose sums are
+added in block order, so results are bit-identical for a given
+(seed, n).  Every pass runs its blocks one after another on the calling
+thread: the estimators' ``threads`` keyword is validated and kept for
+callers that pass it, but starts no threads, because on short numpy
+calls two threads spent their time handing the interpreter lock back
+and forth and ran slower than one.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,8 +81,8 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
-# fixed work-block size; sharding by blocks keeps sums independent of
-# the thread count
+# fixed work-block size: the counter draws of a block and the order in
+# which block sums are added depend on (seed, n) alone
 BLOCK = 1 << 16
 # lines per sub-block: a block's lines, kernels and integrands run on
 # sub-blocks of at most this many lines.  Their temporaries stay below
@@ -276,7 +280,9 @@ class SegmentHitSweep:
 
 def _setup(body, window, n, seed, threads, method="mc") -> LineWindow:
     """Validate the arguments every estimator shares; return the
-    caller's window or the body's own."""
+    caller's window or the body's own.  ``threads`` is checked to be a
+    positive integer and otherwise unused: passes run on the calling
+    thread."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not isinstance(seed, (int, np.integer)):
@@ -304,9 +310,7 @@ def grid_axis_resolution(n: int, resolution: int | None = None) -> int:
     return res
 
 
-def _pass(
-    bodies, window, n, seed, stratify, threads, method, grid_res, integrand, streams=3
-):
+def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, streams=3):
     """The one sample-and-sum pass behind every estimator.
 
     Lines come in fixed blocks of uniforms u: BLOCK consecutive Monte
@@ -316,7 +320,8 @@ def _pass(
     each body's ``chord_batch`` triple and the uniforms of its lines and
     yields m per-line value arrays f.  Returns the sums of each f_i and
     then of each product f_i f_j (i <= j, in combinations_with_replacement
-    order), one row per block in block order, and the line count.
+    order), one row per block in block order, and the line count.  The
+    blocks run one after another on the calling thread.
     """
     if method == "grid":
         res = grid_axis_resolution(n, grid_res)
@@ -355,16 +360,8 @@ def _pass(
 
         return _split_sum(sums, 0, size)
 
-    n_lines = sum(size for _, size in blocks)
-    # a worker per BLOCK lines at most: on smaller shares threads trade the
-    # GIL between short numpy calls (a 32^3 grid ran 2x slower on two)
-    workers = min(threads, -(-n_lines // BLOCK))
-    if workers == 1:
-        rows = list(map(block_sums, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(block_sums, blocks))
-    return np.array(rows), n_lines
+    rows = list(map(block_sums, blocks))
+    return np.array(rows), sum(size for _, size in blocks)
 
 
 def _split_sum(sums, lo, n):
@@ -392,16 +389,19 @@ def _linear(rows, c, n, w, method):
     c = np.asarray(c, dtype=float)
     m = len(c)
     total = sum(rows)
-    s1 = c @ total[:m]
-    if method == "grid":
-        se = float(np.std(rows[:, :m] @ c, ddof=1)) * math.sqrt(_SHIFTS) / n
-    else:
-        g = np.empty((m, m))
-        i, j = np.triu_indices(m)
-        g[i, j] = g[j, i] = total[m:]
-        var = max(c @ g @ c - s1 * s1 / n, 0.0) / max(n - 1, 1)
-        se = math.sqrt(var / n)
-    return w * (s1 / n), w * se
+    # coefficients near the float range (a huge ell) overflow to an
+    # infinite or nan estimate, which reports show as null and gates fail
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = c @ total[:m]
+        if method == "grid":
+            se = float(np.std(rows[:, :m] @ c, ddof=1)) * math.sqrt(_SHIFTS) / n
+        else:
+            g = np.empty((m, m))
+            i, j = np.triu_indices(m)
+            g[i, j] = g[j, i] = total[m:]
+            var = max(c @ g @ c - s1 * s1 / n, 0.0) / max(n - 1, 1)
+            se = math.sqrt(var / n)
+        return w * (s1 / n), w * se
 
 
 def _ratio(rows, a, b, n):
@@ -420,7 +420,10 @@ def _ratio(rows, a, b, n):
 def _result(value, se, n, hits, seed, method, reference, auto, clamp_fraction=None):
     """The one EstimateResult builder.  ``reference='auto'`` takes
     (value, source) from ``auto()``, None skips the reference, and any
-    other value is the caller's."""
+    other value is the caller's.  Value and error become Python floats,
+    so a non-finite estimate's z score and relative error are nan without
+    a numpy warning."""
+    value, se = float(value), float(se)
     if reference == "auto":
         ref_value, ref_source = auto()
     elif reference is None:
@@ -469,21 +472,21 @@ def _mean_chord_reference(vol, pa):
     return math.pi * vol() / pa(), "pi * measures.volume / measures.p_area"
 
 
-def _line_pass(body, window, n, seed, stratify, threads, method, grid_res):
-    """Every line estimate from one pass whose integrand yields (hit,
-    sigma) per line.  Returns ``finish(c, reference, auto, over=None)``,
-    which builds the mean of c.(hit, sigma) ((1, 0) the line measure,
-    (0, 1) the chord integral, (ell, 1) the hit measure at ell) or, given
-    ``over``, its ratio to the mean of over.(hit, sigma).  ``auto(vol,
-    pa)`` gives the reference from the body's measures."""
-    window = _setup(body, window, n, seed, threads, method)
+def _line_pass(body, window, n, seed, stratify, method, grid_res):
+    """Every line estimate from one pass over ``window`` (as ``_setup``
+    returns it) whose integrand yields (hit, sigma) per line.  Returns
+    ``finish(c, reference, auto, over=None)``, which builds the mean of
+    c.(hit, sigma) ((1, 0) the line measure, (0, 1) the chord integral,
+    (ell, 1) the hit measure at ell) or, given ``over``, its ratio to the
+    mean of over.(hit, sigma).  ``auto(vol, pa)`` gives the reference
+    from the body's measures."""
 
     def integrand(chords, u):
         sigma, hit = _sigma(chords[0])
         yield from (hit, sigma)
 
     rows, n_lines = _pass(
-        (body,), window, n, seed, stratify, threads, method, grid_res, integrand
+        (body,), window, n, seed, stratify, method, grid_res, integrand
     )
     vol, pa = _measures(body)
 
@@ -518,8 +521,9 @@ def estimate_line_measure(
     computes it by quadrature; pass a float to supply your own or None
     to skip.
     """
-    args = body, window, n, seed, stratify, threads, method, grid_resolution
-    return _line_pass(*args)((1.0, 0.0), reference, _line_reference)
+    window = _setup(body, window, n, seed, threads, method)
+    finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
+    return finish((1.0, 0.0), reference, _line_reference)
 
 
 def estimate_chord_integral(
@@ -536,8 +540,9 @@ def estimate_chord_integral(
 ) -> EstimateResult:
     """Integral of the chord length over oriented lines; equals
     2 pi V(body)."""
-    args = body, window, n, seed, stratify, threads, method, grid_resolution
-    return _line_pass(*args)((0.0, 1.0), reference, _chord_reference)
+    window = _setup(body, window, n, seed, threads, method)
+    finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
+    return finish((0.0, 1.0), reference, _chord_reference)
 
 
 def estimate_segment_hit_sweep(
@@ -554,7 +559,8 @@ def estimate_segment_hit_sweep(
     one Monte Carlo sample pass.  Every estimate carries its reference,
     from one volume and one p-Area computation."""
     ells = [_check_ell(ell) for ell in ells]
-    finish = _line_pass(body, None, n, seed, stratify, threads, "mc", None)
+    window = _setup(body, None, n, seed, threads)
+    finish = _line_pass(body, window, n, seed, stratify, "mc", None)
     return SegmentHitSweep(
         ells=ells,
         rows=[
@@ -591,15 +597,15 @@ def estimate_segment_hit_measure(
     dK = dG dh factorization.
     """
     ell = _check_ell(ell)
+    window = _setup(body, window, n, seed, threads, method)
     if marginalize_h:
-        args = body, window, n, seed, stratify, threads, method, grid_resolution
+        finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
         auto = functools.partial(_hit_reference, ell=ell)
-        return _line_pass(*args)((ell, 1.0), reference, auto)
+        return finish((ell, 1.0), reference, auto)
 
     # direct 4D sampling over (p, theta, t, h); any chord parameter
     # satisfies p^2 + s^2 <= r_xy^2, so h in [-(r + ell), r] covers every
     # hitting segment
-    window = _setup(body, window, n, seed, threads)
     if method != "mc":
         raise ValueError("direct h sampling is Monte Carlo only")
     h_lo, h_hi = -(window.p_max + ell), window.p_max
@@ -611,7 +617,7 @@ def estimate_segment_hit_measure(
         yield hit & (h <= s_hi) & (h + ell >= s_lo)
 
     rows, _ = _pass(
-        (body,), window, n, seed, stratify, threads, "mc", None, integrand, streams=4
+        (body,), window, n, seed, stratify, "mc", None, integrand, streams=4
     )
     value, se = _linear(rows, (1.0,), n, window.measure * h_len, "mc")
     auto = functools.partial(_hit_reference, *_measures(body), ell)
@@ -649,7 +655,7 @@ def estimate_segment_containment_measure(
         yield from (f, hit, hit & (f == 0.0))
 
     rows, n_lines = _pass(
-        (body,), window, n, seed, stratify, threads, method, grid_resolution, integrand
+        (body,), window, n, seed, stratify, method, grid_resolution, integrand
     )
     value, se = _linear(rows, (1.0, 0.0, 0.0), n_lines, window.measure, method)
     _, hits, clamped = sum(rows)[:3]
@@ -676,7 +682,8 @@ def estimate_mean_chord(
     """Mean chord length over lines meeting the body: the ratio of the
     chord integral to the line measure, estimated on common samples with
     a delta-method standard error.  Reference: pi V / pA."""
-    finish = _line_pass(body, window, n, seed, stratify, threads, "mc", None)
+    window = _setup(body, window, n, seed, threads)
+    finish = _line_pass(body, window, n, seed, stratify, "mc", None)
     return finish((0.0, 1.0), reference, _mean_chord_reference, over=(1.0, 0.0))
 
 
@@ -771,9 +778,7 @@ def containment_probability(
         (sig_in, hit_in), (sig_out, hit_out) = map(_sigma, chords)
         yield from ((sig_in + ell) * hit_in, (sig_out + ell) * hit_out, hit_out)
 
-    rows, _ = _pass(
-        (inner, outer), window, n, seed, stratify, threads, "mc", None, integrand
-    )
+    rows, _ = _pass((inner, outer), window, n, seed, stratify, "mc", None, integrand)
     value, se = _ratio(rows, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), n)
 
     def auto():
@@ -818,7 +823,7 @@ def invariance_check(
     if unknown:
         raise ValueError(f"unknown invariance quantities {unknown}")
     passes = [
-        _line_pass(b, None, n, s, stratify, threads, "mc", None)
+        _line_pass(b, _setup(b, None, n, s, threads), n, s, stratify, "mc", None)
         for b, s in ((body, seed), (transform_body(motion, body), seed + 1))
     ]
     rows = []

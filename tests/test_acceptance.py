@@ -370,8 +370,8 @@ def test_criterion_7_exact_identities(acceptance_bodies, capsys):
 
 
 def test_criterion_8_deterministic_across_thread_counts(acceptance_bodies, capsys):
-    # a fixed seed fixes every sample, so the partition into worker
-    # threads cannot change any estimate bit
+    # a fixed seed fixes every sample and the block sums are added in
+    # block order, so the thread count cannot change any estimate bit
     ball = acceptance_bodies["ball"]
     runs = [
         estimate_chord_integral(ball, 300_000, seed=SEED, threads=k)

@@ -505,3 +505,43 @@ def test_reports_are_strict_json(capsys, ball_file, monkeypatch):
     assert code == 4
     report = json.loads(out, parse_constant=_reject_constant)
     assert report["rows"][0]["z"] is None and report["passed"] is False
+
+
+def test_overflowing_estimates_leave_a_strict_report(capsys, ball_file):
+    # at ell = 1e300 the error term c^T G c overflows, at 1e308 the value
+    # and its reference do too: those fields are null in JSON and empty in
+    # CSV, and the gate fails
+    argv = ["kinematic", "--body", ball_file, "--n", "1000", "--ell"]
+    code, out, _ = run_cli(capsys, argv + ["1e300"])
+    assert code == 4 and "tolerance_failure" in out
+    report = json.loads(out, parse_constant=_reject_constant)
+    result = report["result"]
+    assert result["value"] > 0.0 and report["reference"]["value"] > 0.0
+    assert result["std_error"] is None and result["ci95"] == [None, None]
+    assert report["diagnostics"]["z_score"] is None
+
+    code, out, _ = run_cli(capsys, argv + ["1e308"])
+    assert code == 4
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["result"]["value"] is None and report["reference"]["value"] is None
+    assert report["diagnostics"] == {"rel_error": None, "z_score": None}
+    code, out, _ = run_cli(capsys, argv + ["1e308", "--format", "csv"])
+    assert code == 4
+    header, row = csv.reader(io.StringIO(out))
+    row = dict(zip(header, row))
+    assert row["value"] == row["std_error"] == row["ci_lo"] == row["reference"] == ""
+    assert row["n_hits"] != ""
+
+    sweep = ["sweep", "--body", ball_file, "--n", "1000", "--ell-list", "1,1e308"]
+    code, out, _ = run_cli(capsys, sweep)
+    assert code == 4
+    rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+    assert rows[0]["value"] > 0.0 and rows[1]["value"] is None
+    assert rows[1]["reference"] is None
+
+
+def test_oversized_grid_is_a_configuration_error(capsys, ball_file):
+    # 10^15 lines: numpy refuses the allocation at once, touching no memory
+    argv = ["crofton", "--body", ball_file, "--method", "grid"]
+    code, out, err = run_cli(capsys, argv + ["--resolution", "100000"])
+    assert code == 2 and out == "" and err.startswith("error: ")

@@ -1,6 +1,7 @@
 """Monte Carlo and grid estimators for the kinematic identities."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -301,6 +302,49 @@ def test_determinism_across_threads_and_repeats():
         assert again.value == strat.value
 
 
+def test_passes_run_on_the_calling_thread(monkeypatch):
+    # threads stays a validated keyword, but every pass runs its blocks on
+    # the caller's thread, whatever the count and the method
+    seen = set()
+
+    def recording(kernel):
+        def chord_batch(self, p, theta, t):
+            seen.add(threading.get_ident())
+            return kernel(self, p, theta, t)
+
+        return chord_batch
+
+    for cls in (Ball, Ellipsoid):
+        kernel = cls.__dict__["chord_batch"]
+        monkeypatch.setattr(cls, "chord_batch", recording(kernel))
+    kw = dict(seed=3, threads=2)
+    motion = PshMotion(0.1, 0.2, 0.3, 0.4)
+    inner = Ball((0.1, 0.0, 0.0), 0.5)
+    estimate_line_measure(BALL, 200_000, reference=None, **kw)
+    grid = estimate_line_measure(BALL, 100_000, method="grid", reference=None, **kw)
+    assert grid.n_samples > BLOCK
+    invariance_check(BALL, motion, 100_000, **kw)
+    containment_probability(inner, BALL, 0.5, 100_000, reference=None, **kw)
+    assert seen == {threading.get_ident()}
+
+    for call in (
+        lambda **k: estimate_line_measure(BALL, 10, **k),
+        lambda **k: estimate_chord_integral(BALL, 10, **k),
+        lambda **k: estimate_segment_hit_measure(BALL, 0.5, 10, **k),
+        lambda **k: estimate_segment_hit_measure(
+            BALL, 0.5, 10, marginalize_h=False, **k
+        ),
+        lambda **k: estimate_segment_hit_sweep(BALL, [0.0, 1.0], 10, **k),
+        lambda **k: estimate_segment_containment_measure(BALL, 0.5, 10, **k),
+        lambda **k: estimate_mean_chord(BALL, 10, **k),
+        lambda **k: containment_probability(inner, BALL, 0.5, 10, **k),
+        lambda **k: invariance_check(BALL, motion, 10, **k),
+    ):
+        for bad in (0, -1, 1.5, None):
+            with pytest.raises(ValueError, match="threads"):
+                call(threads=bad)
+
+
 def test_stratification_reduces_error():
     # the box chord depends on theta, so theta strata shrink the spread
     # of the estimator across seeds; the plug-in SE stays conservative
@@ -336,7 +380,7 @@ def test_grid_estimators(acceptance_bodies, acceptance_references):
         estimate_line_measure(BALL, 1, method="grid", grid_resolution=1)
 
     # the shifts are the blocks of the pass: bitwise the same at any
-    # thread count, stratified or not (51^3 lines: three pool workers)
+    # thread count, stratified or not
     kw = dict(method="grid", grid_resolution=51, reference=None)
     for estimate in (
         lambda **k: estimate_line_measure(BOX, 1, **k),
