@@ -644,7 +644,7 @@ def main(argv=None) -> int:
         report, csv_rows, code = args.func(args)
     except (ConfigError, ContainmentError, ValueError, MemoryError) as exc:
         # invalid numeric arguments surface from the library layer as
-        # ValueError, and a grid too large to allocate as MemoryError
+        # ValueError, and a request too large to allocate as MemoryError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:

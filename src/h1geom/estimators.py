@@ -91,6 +91,14 @@ BLOCK = 1 << 16
 # one sub-block to the next instead of page-faulting fresh pages for
 # multi-megabyte temporaries on every block
 _SUB_BLOCK = 1 << 13
+# lines per grid sub-block: a grid has no block array to raise those
+# thresholds, and at 4096 lines its (3, n) points stay below glibc's
+# default 128 KiB mmap threshold, so one sub-block's memory is reused by
+# the next instead of being returned to the system and faulted in again
+_GRID_SUB_BLOCK = 1 << 12
+# a grid's memory does not grow with its size, so nothing else stops a
+# resolution that would run for days: at most 2^32 lines (res 1625)
+_MAX_GRID_LINES = 1 << 32
 _STRATA = 64
 # the grid's shifted copies of the Kronecker set frac(i alpha), where
 # alpha = phi^-(1, 2, 3) and phi = 1.22074... is the real root of
@@ -303,10 +311,13 @@ def _check_ell(ell) -> float:
 
 def grid_axis_resolution(n: int, resolution: int | None = None) -> int:
     """The per-axis resolution a grid pass uses: ``resolution``, or
-    max(8, round(n^(1/3))) when it is None; below 2 raises ValueError."""
+    max(8, round(n^(1/3))) when it is None; below 2, or a grid of more
+    than 2^32 lines, raises ValueError."""
     res = max(8, int(round(n ** (1.0 / 3.0)))) if resolution is None else resolution
     if res < 2:
         raise ValueError(f"grid resolution must be at least 2, got {res}")
+    if res**3 > _MAX_GRID_LINES:
+        raise ValueError(f"grid resolution {res} asks for {res**3:.3g} lines, more than 2^32")
     return res
 
 
@@ -329,21 +340,35 @@ def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, stream
         # the shifts randomise the grid; it takes no strata
         stratify = False
         shifts = uniforms(seed, 0, _SHIFTS, 3)
+        leaf = _GRID_SUB_BLOCK
 
         def draw(r, size):
-            u = np.arange(size) * _R3 + shifts[:, r, None]
-            return u - np.floor(u)
+            # each sub-block makes its own points, so memory stays flat
+            # however large a shift is
+            def points(part):
+                u = np.arange(part.start, part.stop) * _R3
+                u += shifts[:, r, None]
+                u -= np.floor(u)
+                return u
+
+            return points
 
     else:
         blocks = [(lo, min(BLOCK, n - lo)) for lo in range(0, n, BLOCK)]
-        draw = functools.partial(uniforms, seed, streams=streams)
+        leaf = _SUB_BLOCK
+
+        def draw(lo, size):
+            # drawn whole: this array is what raises glibc's trim
+            # threshold (see _SUB_BLOCK)
+            u = uniforms(seed, lo, size, streams)
+            return lambda part: u[:, part]
 
     def block_sums(block):
         lo, size = block
-        u = draw(lo, size)
+        points = draw(lo, size)
 
         def sums(part):
-            v = u[:, part]
+            v = points(part)
             if stratify:
                 # sample i draws theta from stratum i mod K, so every
                 # contiguous index range covers the circle nearly uniformly
@@ -356,23 +381,26 @@ def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, stream
             chords = [body.chord_batch(p, theta, t) for body in bodies]
             f = [np.asarray(a, dtype=float) for a in integrand(chords, v)]
             pairs = itertools.combinations_with_replacement(f, 2)
-            return np.array([np.sum(a) for a in f] + [np.sum(a * b) for a, b in pairs])
+            # values near the float range (a huge ell) overflow to inf or
+            # nan sums, which _linear and the reports carry on
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.array([np.sum(a) for a in f] + [np.sum(a * b) for a, b in pairs])
 
-        return _split_sum(sums, 0, size)
+        return _split_sum(sums, 0, size, leaf)
 
     rows = list(map(block_sums, blocks))
     return np.array(rows), sum(size for _, size in blocks)
 
 
-def _split_sum(sums, lo, n):
+def _split_sum(sums, lo, n, leaf):
     """``sums`` of the lines [lo, lo + n) of a block, taken in sub-blocks
-    of at most _SUB_BLOCK lines.  The range is split where numpy's pairwise
-    summation splits an array of length n, so each total is bitwise the
-    sum over the whole range."""
-    if n <= _SUB_BLOCK:
+    of at most ``leaf`` (>= 128) lines.  The range is split where numpy's
+    pairwise summation splits an array of length n, so each total is
+    bitwise the sum over the whole range."""
+    if n <= leaf:
         return sums(slice(lo, lo + n))
     half = n // 2 - (n // 2) % 8
-    return _split_sum(sums, lo, half) + _split_sum(sums, lo + half, n - half)
+    return _split_sum(sums, lo, half, leaf) + _split_sum(sums, lo + half, n - half, leaf)
 
 
 def _sigma(chord):

@@ -1,5 +1,6 @@
 """Convex bodies: membership, exact chords, bounds, and rigid images."""
 
+import itertools
 import math
 
 import numpy as np
@@ -161,9 +162,47 @@ def test_polytope_unbounded_and_empty_raise():
     slab = np.vstack([np.eye(3)[:2], -np.eye(3)[:2]])
     with pytest.raises(ValueError):
         Polytope(slab, np.ones(4))
+    with pytest.raises(ValueError, match="unbounded"):
+        Polytope([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [1.0, 0.0])
     contradictory = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         Polytope(contradictory, np.array([-1.0, -1.0]))
+    cube = np.vstack([np.eye(3), -np.eye(3)])
+    # the unit square at z = 0: bounded, but no interior
+    with pytest.raises(ValueError, match="empty interior"):
+        Polytope(cube, np.array([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
+    # the cube cut off by x >= 2: full rank, no point at all
+    with pytest.raises(ValueError, match="empty interior"):
+        Polytope(np.vstack([cube, [-1.0, 0.0, 0.0]]), np.array([1, 1, 1, 0, 0, 0, -2.0]))
+    # the positive octant: full rank, edges running to infinity
+    with pytest.raises(ValueError, match="unbounded"):
+        Polytope(-np.eye(3), np.zeros(3))
+
+
+def test_polytope_vertices_on_more_than_three_planes():
+    # a square pyramid whose apex lies on its four side planes, and the
+    # octahedron |x| + |y| + |z| <= 1, whose six vertices lie on four
+    pyramid = Polytope(
+        [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1], [0, 0, -1]], [1, 1, 1, 1, 0]
+    )
+    octahedron = Polytope(list(itertools.product((-1.0, 1.0), repeat=3)), np.ones(8))
+    for body, corners, triangles in (
+        (pyramid, [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)], 6),
+        (octahedron, np.vstack([np.eye(3), -np.eye(3)]), 8),
+    ):
+        v = body.vertices
+        assert len(v) == len(corners)
+        assert np.abs(np.sort(v, axis=0) - np.sort(np.asarray(corners, float), axis=0)).max() < 1e-15
+        assert abs(body.volume_exact() - 4.0 / 3.0) <= 1e-15
+        assert np.array_equal(body.interior_point(), v.mean(axis=0))
+        patches = body.boundary_patches()
+        assert len(patches) == triangles
+        for patch in patches:
+            # each triangle lies in its facet plane, with that plane's normal
+            k = np.argmax(body.normals @ patch.normal)
+            assert np.allclose(body.normals[k], patch.normal, rtol=0.0, atol=1e-15)
+            for q in (patch.p0, patch.p1, patch.p2):
+                assert abs(body.normals[k] @ q - body.offsets[k]) <= 1e-15
 
 
 def test_polytope_cube_matches_box():
@@ -673,8 +712,7 @@ def test_box_is_a_polytope_built_without_qhull(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Box is built from its corners")
 
-    for name in ("linprog", "HalfspaceIntersection", "ConvexHull"):
-        monkeypatch.setattr(bodies_module, name, refuse)
+    monkeypatch.setattr(bodies_module, "_hull_edges", refuse)
     box = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     assert isinstance(box, Polytope) and type(box) is Box
     assert "chord_batch" in Box.__dict__ and "__init__" in Box.__dict__

@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -540,8 +543,46 @@ def test_overflowing_estimates_leave_a_strict_report(capsys, ball_file):
     assert rows[1]["reference"] is None
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_pass_sums_leave_a_strict_report(capsys, tmp_path, ball_file):
+    # at ell = 1e300 the pass's products of per-line values overflow; that
+    # gives an estimate without an error bar, not a numpy warning
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"kind": "ball", "center": [0, 0, 0], "radius": 0.3}))
+    argv = ["containment", "--inner", str(small), "--outer", ball_file]
+    code, out, err = run_cli(capsys, argv + ["--ell", "1e300", "--n", "1000"])
+    assert code == 4 and "tolerance_failure" in out and err == ""
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert 0.0 < report["result"]["value"] < 1.0
+    assert report["result"]["std_error"] is None
+    assert report["diagnostics"]["z_score"] is None
+
+
+def test_polytope_commands_load_no_scipy(tmp_path):
+    # the runtime needs numpy only: a fresh process that builds a polytope
+    # and runs two commands on it imports no scipy module
+    poly = tmp_path / "poly.json"
+    cube = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0]]
+    poly.write_text(json.dumps({"kind": "polytope", "halfspaces": cube + [[1, 1, 1, 2.5]]}))
+    script = (
+        "import sys\n"
+        "from h1geom.cli import main\n"
+        f"assert main(['crofton', '--body', {str(poly)!r}, '--n', '4000']) == 0\n"
+        f"assert main(['p-area', '--body', {str(poly)!r}]) == 0\n"
+        "loaded = [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"schema": "h1geom.report/1"') == 2
+
+
 def test_oversized_grid_is_a_configuration_error(capsys, ball_file):
-    # 10^15 lines: numpy refuses the allocation at once, touching no memory
+    # 10^15 lines: refused before any line is drawn
     argv = ["crofton", "--body", ball_file, "--method", "grid"]
     code, out, err = run_cli(capsys, argv + ["--resolution", "100000"])
     assert code == 2 and out == "" and err.startswith("error: ")

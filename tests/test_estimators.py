@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,12 +279,14 @@ def test_containment_nesting_tolerance_is_translation_invariant():
 
 def test_sub_block_sums_are_bitwise_whole_block_sums():
     # the pass sums a block in sub-blocks; split where numpy's pairwise
-    # summation splits, the total is bitwise one np.sum over the block
+    # summation splits, the total is bitwise one np.sum over the block,
+    # for the Monte Carlo and grid sub-block sizes and the smallest allowed
     rng = np.random.default_rng(71)
     for n in (1, 1000, 8192, 8193, 34464, 65535, BLOCK):
         a = rng.normal(size=n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
-        total = estimators._split_sum(lambda part: np.array([np.sum(a[part])]), 0, n)
-        assert total[0] == np.sum(a)
+        for leaf in (128, estimators._GRID_SUB_BLOCK, estimators._SUB_BLOCK):
+            total = estimators._split_sum(lambda part: np.array([np.sum(a[part])]), 0, n, leaf)
+            assert total[0] == np.sum(a)
 
 
 def test_determinism_across_threads_and_repeats():
@@ -300,6 +303,45 @@ def test_determinism_across_threads_and_repeats():
             BALL, 120_000, seed=61, stratify=True, threads=threads
         )
         assert again.value == strat.value
+
+
+def test_grid_sub_blocks_draw_the_whole_shift_bitwise(monkeypatch):
+    # a grid shift is drawn sub-block by sub-block; with one sub-block per
+    # shift (the whole shift drawn at once) every estimate is the same
+    bodies = make_acceptance_bodies()
+
+    def estimates(res):
+        kw = dict(seed=5, method="grid", grid_resolution=res, reference=None)
+        found = []
+        for name in ("ball", "polytope"):
+            body = bodies[name]
+            found += [
+                estimate_line_measure(body, 10, **kw),
+                estimate_chord_integral(body, 10, **kw),
+                estimate_segment_hit_measure(body, 0.7, 10, **kw),
+                estimate_segment_containment_measure(body, 0.3, 10, **kw),
+            ]
+        return [(r.value, r.std_error, r.n_hits, r.n_samples) for r in found]
+
+    # 8288 and 16384 lines per shift: three and four sub-blocks
+    assert 51**3 // 16 > 2 * estimators._GRID_SUB_BLOCK
+    split = {res: estimates(res) for res in (51, 64)}
+    monkeypatch.setattr(estimators, "_GRID_SUB_BLOCK", 1 << 20)
+    for res, found in split.items():
+        assert found == estimates(res), res
+
+
+def test_grid_memory_does_not_grow_with_resolution():
+    # 2048 lines per shift at resolution 32, 131072 at 128
+    peaks = {}
+    for res in (32, 128):
+        tracemalloc.start()
+        try:
+            estimate_line_measure(BALL, 10, method="grid", grid_resolution=res)
+            peaks[res] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[128] <= 2 * peaks[32], peaks
 
 
 def test_passes_run_on_the_calling_thread(monkeypatch):

@@ -2,6 +2,7 @@
 independent voxel/triangulation oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,14 +241,79 @@ def test_p_area_cube_closed_form():
 
 
 def test_cube_images_keep_volume_and_p_area_to_round_off():
-    # rigid images of the unit cube are polytopes whose vertices come
-    # straight from qhull, so their volume and closed-form p-Area are the
-    # cube's to round-off
+    # rigid images of the unit cube are polytopes whose vertices are
+    # computed, not rounded, so their volume and closed-form p-Area are
+    # the cube's to round-off
     rng = np.random.default_rng(2024)
     for _ in range(8):
         image = transform_body(random_motion(rng, 1.5), BODIES["box"])
         assert abs(volume(image).value - 1.0) <= 1e-13
         assert abs(p_area(image).value - CUBE_P_AREA) <= 1e-13 * CUBE_P_AREA
+
+
+def qhull_polytope(normals, offsets):
+    """Vertices, volume and a p_area-ready stand-in of {n.x <= d} built by
+    scipy's qhull from a Chebyshev centre, as an oracle for the vertex
+    enumeration of Polytope."""
+    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    scale = np.linalg.norm(normals, axis=1)
+    n, d = normals / scale[:, None], offsets / scale
+    centre = linprog(
+        [0.0, 0.0, 0.0, -1.0],
+        A_ub=np.hstack([n, np.ones((len(d), 1))]),
+        b_ub=d,
+        bounds=[(None, None)] * 3 + [(0.0, None)],
+        method="highs",
+    ).x[:3]
+    points = HalfspaceIntersection(np.hstack([n, -d[:, None]]), centre).intersections
+    _, first = np.unique(np.round(points, 9), axis=0, return_index=True)
+    hull = ConvexHull(points[first])
+    patches = [
+        TrianglePatch(*hull.points[simplex], eq[:3])
+        for simplex, eq in zip(hull.simplices, hull.equations)
+    ]
+    return hull.points, hull.volume, SimpleNamespace(boundary_patches=lambda: patches)
+
+
+def _qhull_cases():
+    rng = np.random.default_rng(808)
+    cases = {}
+    for h in (8, 20, 60):
+        for k in range(2):
+            # six perturbed axis halfspaces keep it bounded
+            normals = rng.normal(size=(h, 3))
+            normals[:6] = np.vstack([np.eye(3), -np.eye(3)]) + 0.2 * rng.normal(size=(6, 3))
+            cases[f"random-{h}-{k}"] = Polytope(normals, rng.uniform(0.5, 1.5, h))
+    for name in ("polytope", "box"):
+        for k in range(4):
+            cases[f"{name}-image{k}"] = transform_body(random_motion(rng, 1.5), BODIES[name])
+    return cases
+
+
+@pytest.mark.parametrize("name, body", list(_qhull_cases().items()))
+def test_polytope_matches_qhull(name, body):
+    points, vol, oracle = qhull_polytope(body.normals, body.offsets)
+    v = body.vertices
+    dist = np.linalg.norm(v[:, None, :] - points[None, :, :], axis=-1)
+    assert len(v) == len(points)
+    assert dist.min(axis=1).max() <= 1e-12 and dist.min(axis=0).max() <= 1e-12
+    assert abs(body.volume_exact() - vol) <= 1e-13 * vol
+    exact = p_area(oracle, method="exact").value
+    assert abs(p_area(body, method="exact").value - exact) <= 1e-13 * exact
+
+
+def test_duplicated_and_redundant_halfspaces_leave_the_cube():
+    # x <= 1 twice (once scaled), and x + y + z <= 3, which touches the
+    # cube at one corner only: the facets are the cube's six squares
+    normals = np.vstack([np.eye(3), -np.eye(3), [[2.0, 0.0, 0.0], [1.0, 1.0, 1.0]]])
+    cube = Polytope(normals, np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 2.0, 3.0]))
+    assert len(cube.vertices) == 8
+    assert len(cube.boundary_patches()) == 12
+    assert abs(cube.volume_exact() - 1.0) <= 1e-15
+    assert abs(p_area(cube).value - CUBE_P_AREA) <= 1e-14 * CUBE_P_AREA
+    assert np.allclose(cube.interior_point(), 0.5, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("name", list(PLANAR))
