@@ -97,25 +97,36 @@ class BoundingData:
     z_max: float
 
 
-def _combine(coeffs, arrays):
-    """The sum of c * a over the nonzero coefficients c, left to right,
-    or None when every c is zero: a face normal to an axis costs one
+def _combine(coeffs, arrays, out, scratch):
+    """Write the sum of c * a over the nonzero coefficients c, left to
+    right, into ``out`` (``scratch`` holds each later product) and return
+    it, or None when every c is zero: a face normal to an axis costs one
     product, not three, and a diagonal metric drops its cross terms."""
-    terms = [c * a for c, a in zip(coeffs, arrays) if c]
-    return sum(terms[1:], terms[0]) if terms else None
+    terms = [(c, a) for c, a in zip(coeffs, arrays) if c]
+    if not terms:
+        return None
+    (c, a), *rest = terms
+    np.multiply(c, a, out=out)
+    for c, a in rest:
+        out += np.multiply(c, a, out=scratch)
+    return out
 
 
-def _direction(theta):
-    """(cos theta, sin theta) from one half-angle tangent per angle:
-    with tau = tan(theta / 2) they are (1 - tau^2) / (1 + tau^2) and
+def _direction(theta, shape=None):
+    """(cos theta, sin theta), broadcast to ``shape`` (theta's own by
+    default), from one half-angle tangent per angle: with
+    tau = tan(theta / 2) they are (1 - tau^2) / (1 + tau^2) and
     2 tau / (1 + tau^2), within a few ulp of np.cos / np.sin and exactly
     (1, 0) at theta = 0.  numpy's float64 tan is SIMD-vectorised where
     its sin and cos are not (numpy 2.4 on AVX-512), so this is several
     times cheaper."""
-    # in place, so a batch holds three arrays where cos and sin hold two
-    tau = np.tan(0.5 * np.asarray(theta, dtype=float))
-    den = tau * tau
-    ct = 1.0 - den
+    # in place, so a batch holds three arrays where cos and sin hold two;
+    # tan runs on one contiguous array of the full shape, so an angle
+    # gives the same bits whatever it is broadcast against
+    tau = np.multiply(0.5, theta, out=np.empty(np.shape(theta) if shape is None else shape))
+    np.tan(tau, out=tau)
+    den = np.multiply(tau, tau)
+    ct = np.subtract(1.0, den)
     den += 1.0
     ct /= den
     tau += tau
@@ -130,15 +141,27 @@ def _solve_chord_quadratic(a, b, c):
     grazing lines are not dropped.  At tangency c is what is left of a
     sum near 1 after the - 1 cancels, so the scale counts that 1: a
     tangent line with b = 0 is a hit whichever way c rounds.  The clamp
-    at zero gives a miss the (meaningless) roots of disc = 0."""
-    bb = b * b
-    ac4 = 4.0 * a * c
-    disc = bb - ac4
-    hit = disc >= -1e-12 * (bb + np.abs(ac4) + 4.0 * a)
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    nb = -b
-    a2 = 2.0 * a
-    return (nb - sq) / a2, (nb + sq) / a2, hit
+    at zero gives a miss the (meaningless) roots of disc = 0.
+
+    The three coefficient arrays are overwritten: a becomes 2a, b becomes
+    -b and c the discriminant."""
+    bb = np.multiply(b, b)
+    ac4 = np.multiply(4.0, a)
+    ac4 *= c
+    disc = np.subtract(bb, ac4, out=c)
+    scale = np.abs(ac4, out=ac4)
+    scale += bb
+    scale += np.multiply(4.0, a, out=bb)
+    scale *= -1e-12
+    hit = disc >= scale
+    sq = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+    nb = np.negative(b, out=b)
+    a2 = np.multiply(2.0, a, out=a)
+    s_lo = np.subtract(nb, sq, out=scale)
+    s_lo /= a2
+    s_hi = np.add(nb, sq, out=bb)
+    s_hi /= a2
+    return s_lo, s_hi, hit
 
 
 class ConvexBody(abc.ABC):
@@ -230,25 +253,49 @@ class Ellipsoid(ConvexBody):
         # (w + s u)^T M (w + s u) = 1, written out in the six entries of M.
         # Zero entries of M and c drop out (the diagonal ones of M are
         # positive), and every remaining sum keeps the association of the
-        # full formula, so skipping a zero term never changes a bit
+        # full formula, so skipping a zero term never changes a bit.  Each
+        # product and sum is written into one of a few arrays of the
+        # broadcast shape, made afresh per call
         p = np.asarray(p, dtype=float)
-        ct, st = _direction(theta)
+        t = np.asarray(t, dtype=float)
+        shape = np.broadcast_shapes(p.shape, np.shape(theta), t.shape)
+        ct, st = _direction(theta, shape)
         (m00, m01, m02), (_, m11, m12), (_, _, m22) = self._metric.tolist()
-        base = (p * ct, p * st, np.asarray(t, dtype=float))
-        w0, w1, w2 = [x - c if c else x for x, c in zip(base, self.center.tolist())]
-        # p cos and p sin are freed before the quadric terms are made
-        del base
+        c0, c1, c2 = self.center.tolist()
+        w0 = np.multiply(p, ct)
+        if c0:
+            w0 -= c0
+        w1 = np.multiply(p, st)
+        if c1:
+            w1 -= c1
+        w2 = np.subtract(t, c2, out=np.empty(shape)) if c2 else t
         velocity = (st, ct, p)
-        mu0 = _combine((m00, -m01, m02), velocity)
-        mu1 = _combine((m01, -m11, m12), velocity)
-        mu2 = _combine((m02, -m12, m22), velocity)
-        a = st * mu0 - ct * mu1 + p * mu2
-        b = 2.0 * (w0 * mu0 + w1 * mu1 + w2 * mu2)
-        q0 = m00 * w0
-        cross = _combine((m01, m02), (w1, w2))
+        tmp = np.empty(shape)
+        mu0 = _combine((m00, -m01, m02), velocity, np.empty(shape), tmp)
+        mu1 = _combine((m01, -m11, m12), velocity, np.empty(shape), tmp)
+        mu2 = _combine((m02, -m12, m22), velocity, np.empty(shape), tmp)
+        # a = st mu0 - ct mu1 + p mu2, into st
+        a = np.multiply(st, mu0, out=st)
+        a -= np.multiply(ct, mu1, out=tmp)
+        a += np.multiply(p, mu2, out=tmp)
+        # b = 2 (w0 mu0 + w1 mu1 + w2 mu2), into mu0
+        b = np.multiply(w0, mu0, out=mu0)
+        b += np.multiply(w1, mu1, out=mu1)
+        b += np.multiply(w2, mu2, out=mu2)
+        b *= 2.0
+        # c = w0 q0 + w1 (m11 w1 + 2 m12 w2) + m22 w2^2 - 1 with
+        # q0 = m00 w0 + 2 (m01 w1 + m02 w2), into mu1
+        q0 = np.multiply(m00, w0, out=mu1)
+        cross = _combine((m01, m02), (w1, w2), mu2, ct)
         if cross is not None:
-            q0 = q0 + 2.0 * cross
-        c = w0 * q0 + w1 * _combine((m11, 2.0 * m12), (w1, w2)) + m22 * (w2 * w2) - 1.0
+            cross *= 2.0
+            q0 += cross
+        c = np.multiply(w0, q0, out=q0)
+        row = _combine((m11, 2.0 * m12), (w1, w2), w0, ct)
+        c += np.multiply(w1, row, out=row)
+        square = np.multiply(w2, w2, out=tmp)
+        c += np.multiply(m22, square, out=square)
+        c -= 1.0
         return _solve_chord_quadratic(a, b, c)
 
     def bounds(self):
@@ -424,22 +471,30 @@ class Polytope(ConvexBody):
         # infinite ratio empties the chord when the line lies outside the
         # halfspace and drops out when inside; the NaN of a line in the
         # face plane is passed on by minimum / maximum and skipped by
-        # fmax / fmin
+        # fmax / fmin.  Each halfspace writes into the same few arrays of
+        # the broadcast shape, made afresh per call
         p = np.asarray(p, dtype=float)
-        ct, st = _direction(theta)
+        t = np.asarray(t, dtype=float)
+        shape = np.broadcast_shapes(p.shape, np.shape(theta), t.shape)
+        ct, st = _direction(theta, shape)
         velocity = (st, ct, p)
-        base = (p * ct, p * st, t)
-        shape = np.broadcast_shapes(p.shape, np.shape(theta), np.shape(t))
+        base = (np.multiply(p, ct), np.multiply(p, st), t)
+        den, ratio, side, tmp = (np.empty(shape) for _ in range(4))
         s_lo = np.full(shape, -np.inf)
         s_hi = np.full(shape, np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             for (n0, n1, n2), d in zip(self.normals.tolist(), self.offsets.tolist()):
-                den = _combine((-n0, n1, -n2), velocity)
-                ratio = (_combine((n0, n1, n2), base) - d) / den
-                side = np.copysign(np.inf, den)
-                np.fmax(s_lo, np.minimum(ratio, side), out=s_lo)
-                np.fmin(s_hi, np.maximum(ratio, side), out=s_hi)
-        hit = (s_lo <= s_hi) & np.isfinite(s_lo) & np.isfinite(s_hi)
+                _combine((-n0, n1, -n2), velocity, den, tmp)
+                _combine((n0, n1, n2), base, ratio, tmp)
+                ratio -= d
+                ratio /= den
+                np.copysign(np.inf, den, out=side)
+                np.fmax(s_lo, np.minimum(ratio, side, out=tmp), out=s_lo)
+                np.fmin(s_hi, np.maximum(ratio, side, out=tmp), out=s_hi)
+        hit = s_lo <= s_hi
+        finite = np.isfinite(s_lo)
+        hit &= finite
+        hit &= np.isfinite(s_hi, out=finite)
         return s_lo, s_hi, hit
 
     def bounds(self):

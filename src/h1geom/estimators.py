@@ -24,11 +24,13 @@ lies inside it for max(sigma - l, 0).
 
 Every estimator is one pass of ``_pass``: per fixed block it draws
 lines, evaluates their chords, and an integrand yields per-line values
-f; the pass sums each value and each product of two, sub-block by
-sub-block in the order of numpy's pairwise summation.  An estimate is a
-coefficient vector c (the mean of c.f, its error from c^T G c with G
-the product sums) or a ratio of two, so a new identity = one integrand
-+ one reference.  Every line estimate reads one (hit, sigma) pass:
+f; the pass sums each value and each product of two that the estimate
+reads, sub-block by sub-block in the order of numpy's pairwise
+summation.  An estimate is a coefficient vector c (the mean of c.f, its
+error from c^T G c with G the product sums) or a ratio of two, so a new
+identity = one integrand + one reference.  Every line estimate reads
+one (hit, sigma) pass, which sums hit, sigma and sigma^2 only (hit^2 is
+hit and hit sigma is sigma):
 (1, 0) is the line measure, (0, 1) the chord integral, (ell, 1) the hit
 measure at ell, and the mean chord is (0, 1) over (1, 0).
 
@@ -321,7 +323,7 @@ def grid_axis_resolution(n: int, resolution: int | None = None) -> int:
     return res
 
 
-def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, streams=3):
+def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, gram, streams=3):
     """The one sample-and-sum pass behind every estimator.
 
     Lines come in fixed blocks of uniforms u: BLOCK consecutive Monte
@@ -329,10 +331,16 @@ def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, stream
     points, point i of shift r being frac(i alpha + U_r) with U_r drawn
     at counter r.  Per sub-block (see ``_split_sum``), ``integrand`` gets
     each body's ``chord_batch`` triple and the uniforms of its lines and
-    yields m per-line value arrays f.  Returns the sums of each f_i and
-    then of each product f_i f_j (i <= j, in combinations_with_replacement
-    order), one row per block in block order, and the line count.  The
-    blocks run one after another on the calling thread.
+    yields m per-line value arrays f, float or boolean.  Returns the sums
+    of each f_i and then of each product f_i f_j (i <= j, in
+    combinations_with_replacement order), one row per block in block
+    order, and the line count.  ``gram`` names the products an estimate
+    reads: it maps (i, j) to None where the pass sums f_i f_j, or to k
+    where f_i f_j is f_k itself (an indicator squared, or a value that
+    the indicator i zeroes off its hits), whose sum the row repeats; a
+    pair it leaves out is not read and sums to 0.  A boolean f_i is
+    summed by counting, bitwise its sum as floats.  The blocks run one
+    after another on the calling thread.
     """
     if method == "grid":
         res = grid_axis_resolution(n, grid_res)
@@ -377,19 +385,31 @@ def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, stream
             else:
                 theta = v[0] * TWO_PI
             p = v[1] * window.p_max
-            t = window.t_lo + v[2] * (window.t_hi - window.t_lo)
+            t = v[2] * (window.t_hi - window.t_lo)
+            t += window.t_lo
             chords = [body.chord_batch(p, theta, t) for body in bodies]
-            f = [np.asarray(a, dtype=float) for a in integrand(chords, v)]
-            pairs = itertools.combinations_with_replacement(f, 2)
-            # values near the float range (a huge ell) overflow to inf or
-            # nan sums, which _linear and the reports carry on
-            with np.errstate(over="ignore", invalid="ignore"):
-                return np.array([np.sum(a) for a in f] + [np.sum(a * b) for a, b in pairs])
+            return _row([np.asarray(a) for a in integrand(chords, v)], gram)
 
         return _split_sum(sums, 0, size, leaf)
 
     rows = list(map(block_sums, blocks))
     return np.array(rows), sum(size for _, size in blocks)
+
+
+def _row(f, gram):
+    """The sums of one sub-block's values f and of their products, as
+    ``_pass`` lays them out; ``gram=None`` forms every product."""
+    row = [np.count_nonzero(a) if a.dtype == bool else np.sum(a) for a in f]
+    # values near the float range (a huge ell) overflow to inf or nan
+    # sums, which _linear and the reports carry on
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j in itertools.combinations_with_replacement(range(len(f)), 2):
+            k = None if gram is None else gram.get((i, j), -1)
+            if k is None:
+                row.append(np.sum(f[i] * f[j]))
+            else:
+                row.append(row[k] if k >= 0 else 0.0)
+    return np.array(row, dtype=float)
 
 
 def _split_sum(sums, lo, n, leaf):
@@ -407,7 +427,8 @@ def _sigma(chord):
     """Chord lengths (zero off the body) and the hit mask of a
     ``chord_batch`` triple."""
     s_lo, s_hi, hit = chord
-    return np.where(hit, np.maximum(s_hi - s_lo, 0.0), 0.0), hit
+    length = np.subtract(s_hi, s_lo)
+    return np.where(hit, np.maximum(length, 0.0, out=length), 0.0), hit
 
 
 def _linear(rows, c, n, w, method):
@@ -500,6 +521,12 @@ def _mean_chord_reference(vol, pa):
     return math.pi * vol() / pa(), "pi * measures.volume / measures.p_area"
 
 
+# the line pass's (hit, sigma) reads every product, but hit^2 is hit and
+# hit sigma is sigma (``_sigma`` zeroes sigma off the hits): only sigma^2
+# is summed
+_LINE_GRAM = {(0, 0): 0, (0, 1): 1, (1, 1): None}
+
+
 def _line_pass(body, window, n, seed, stratify, method, grid_res):
     """Every line estimate from one pass over ``window`` (as ``_setup``
     returns it) whose integrand yields (hit, sigma) per line.  Returns
@@ -514,7 +541,7 @@ def _line_pass(body, window, n, seed, stratify, method, grid_res):
         yield from (hit, sigma)
 
     rows, n_lines = _pass(
-        (body,), window, n, seed, stratify, method, grid_res, integrand
+        (body,), window, n, seed, stratify, method, grid_res, integrand, _LINE_GRAM
     )
     vol, pa = _measures(body)
 
@@ -644,8 +671,9 @@ def estimate_segment_hit_measure(
         h = h_lo + u[3] * h_len
         yield hit & (h <= s_hi) & (h + ell >= s_lo)
 
+    # the indicator is its own square
     rows, _ = _pass(
-        (body,), window, n, seed, stratify, "mc", None, integrand, streams=4
+        (body,), window, n, seed, stratify, "mc", None, integrand, {(0, 0): 0}, streams=4
     )
     value, se = _linear(rows, (1.0,), n, window.measure * h_len, "mc")
     auto = functools.partial(_hit_reference, *_measures(body), ell)
@@ -682,8 +710,9 @@ def estimate_segment_containment_measure(
         f = np.maximum(sigma - ell, 0.0)
         yield from (f, hit, hit & (f == 0.0))
 
+    # the error of the mean of f reads only f^2
     rows, n_lines = _pass(
-        (body,), window, n, seed, stratify, method, grid_resolution, integrand
+        (body,), window, n, seed, stratify, method, grid_resolution, integrand, {(0, 0): None}
     )
     value, se = _linear(rows, (1.0, 0.0, 0.0), n_lines, window.measure, method)
     _, hits, clamped = sum(rows)[:3]
@@ -806,7 +835,9 @@ def containment_probability(
         (sig_in, hit_in), (sig_out, hit_out) = map(_sigma, chords)
         yield from ((sig_in + ell) * hit_in, (sig_out + ell) * hit_out, hit_out)
 
-    rows, _ = _pass((inner, outer), window, n, seed, stratify, "mc", None, integrand)
+    # the ratio's error reads the products of the two hit measures only
+    gram = {(0, 0): None, (0, 1): None, (1, 1): None}
+    rows, _ = _pass((inner, outer), window, n, seed, stratify, "mc", None, integrand, gram)
     value, se = _ratio(rows, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), n)
 
     def auto():

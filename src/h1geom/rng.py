@@ -6,6 +6,10 @@ value is a pure hash of (seed, sample index, stream), using the 64-bit
 finalizer from splitmix64: any partition of the index range reproduces
 exactly the same samples, which is what makes the estimators in this
 package bit-identical across thread counts.
+
+A draw is hashed in chunks of 8192 indices, all streams of a chunk at
+once, in place in two scratch arrays of 64-bit words: the values do not
+depend on the chunking, only the temporaries do.
 """
 
 from __future__ import annotations
@@ -22,11 +26,13 @@ _CHUNK = 1 << 13
 __all__ = ["uniforms"]
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer, in place on a uint64 array, with ``tmp`` (of
+    the same shape) as scratch."""
+    for shift, mult in ((30, _M1), (27, _M2)):
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+        z *= mult
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
 
 
 def _mix_int(z: int) -> int:
@@ -52,16 +58,25 @@ def uniforms(seed: int, start: int, count: int, streams: int) -> np.ndarray:
     # scramble the seed before the counter is added; a merely affine key
     # would make (seed, i) and (seed + 1, i - 1) collide exactly
     key = _mix_int((int(seed) & _MASK) * _GAMMA + 0x85EBCA6B)
-    offsets = [np.uint64(((k + 1) * _GAMMA) & _MASK) for k in range(streams)]
+    offsets = np.array([[((k + 1) * _GAMMA) & _MASK] for k in range(streams)], dtype=np.uint64)
     out = np.empty((streams, count), dtype=np.float64)
-    # hashed a chunk of indices at a time, so the uint64 temporaries stay
-    # small whatever the count
+    # hashed a chunk of indices at a time, every stream at once, in two
+    # scratch arrays of (streams, chunk) words, so the temporaries stay
+    # small whatever the count; uint64 arithmetic wraps modulo 2^64
+    width = min(count, _CHUNK)
+    z = np.empty((streams, width), dtype=np.uint64)
+    tmp = np.empty_like(z)
     for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
-        idx = np.arange(int(start) + lo, int(start) + hi, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            base = _mix(np.uint64(key) + idx * np.uint64(_GAMMA))
-            for k, offset in enumerate(offsets):
-                bits = _mix(base + offset)
-                out[k, lo:hi] = (bits >> np.uint64(11)).astype(np.float64) * _INV53
+        zc, tc = z[:, : hi - lo], tmp[:, : hi - lo]
+        base = np.arange(int(start) + lo, int(start) + hi, dtype=np.uint64)
+        base *= np.uint64(_GAMMA)
+        base += np.uint64(key)
+        _mix(base, tc[0])
+        np.add(base, offsets, out=zc)
+        _mix(zc, tc)
+        zc >>= np.uint64(11)
+        # below 2^53, so the int64 view is the same number, and it
+        # converts to float64 exactly and faster than uint64 does
+        np.multiply(zc.view(np.int64), _INV53, out=out[:, lo:hi])
     return out

@@ -726,3 +726,59 @@ def test_box_is_a_polytope_built_without_qhull(monkeypatch):
     assert np.array_equal(box.interior_point(), [0.5, 0.5, 0.5])
     assert p_area(box).value == 5.5303914329284245
     assert box.volume_exact() == 1.0
+
+
+def kernel_bodies() -> dict:
+    """One body of every class with a chord kernel, off-centre and with
+    tilted faces where the class allows them."""
+    return {
+        "ball": Ball((0.2, -0.1, 0.3), 0.9),
+        "ellipsoid": BODIES["ellipsoid"],
+        "box": Box((0.3, -0.2, 0.1), (1.4, 0.9, 0.8)),
+        "polytope": BODIES["polytope"],
+    }
+
+
+def assert_same_bits(got, want, name):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+
+
+def test_kernels_broadcast_bitwise():
+    # a kernel writes into arrays of the broadcast shape: a scalar angle or
+    # height, or a grid of (n, 1) against (1, m) inputs, gives bitwise the
+    # chords of the explicit full arrays
+    rng = np.random.default_rng(2731)
+    n, m = 257, 9
+    for name, body in kernel_bodies().items():
+        p = rng.uniform(-2.0, 2.0, n)
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        t = rng.uniform(-2.0, 2.0, n)
+        for k, scalar in ((1, 0.7), (1, 0.0), (2, -0.3)):
+            args = [p, theta, t]
+            args[k] = scalar
+            full = list(args)
+            full[k] = np.full(n, scalar)
+            assert_same_bits(body.chord_batch(*args), body.chord_batch(*full), name)
+        pc, tr = p[:, None], rng.uniform(-2.0, 2.0, (1, m))
+        th = rng.uniform(0.0, 2.0 * math.pi, (1, m))
+        flat = [a.ravel() for a in np.broadcast_arrays(pc, th, tr)]
+        grid = body.chord_batch(pc, th, tr)
+        assert_same_bits(grid, [a.reshape(n, m) for a in body.chord_batch(*flat)], name)
+
+
+def test_kernels_return_fresh_arrays():
+    # a kernel's buffers are made per call: no result shares memory with
+    # the inputs or with the results of the next call
+    rng = np.random.default_rng(2732)
+    for name, body in kernel_bodies().items():
+        args = [rng.uniform(-2.0, 2.0, 300) for _ in range(3)]
+        first = body.chord_batch(*args)
+        second = body.chord_batch(*args)
+        assert_same_bits(first, second, name)
+        for a in first:
+            for b in (*second, *args):
+                assert not np.shares_memory(a, b), name
+        for a, b in itertools.combinations(first, 2):
+            assert not np.shares_memory(a, b), name

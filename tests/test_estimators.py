@@ -522,6 +522,34 @@ def test_pass_moments_match_line_by_line_formulas(name):
     assert est.std_error == pytest.approx(math.sqrt(var_r) / hit.mean(), rel=1e-12)
 
 
+def test_passes_forming_only_read_products_match_all_products(monkeypatch):
+    # each estimator's pass sums only the products its error reads (and
+    # takes an indicator's square or hit * sigma from the value sums); a
+    # pass forming every product gives bitwise the same estimates
+    inner = Ball((0.1, 0.05, 0.1), 0.3)
+    n, seed = BLOCK + 999, 47
+    calls = [
+        lambda: containment_probability(inner, BALL, 0.8, n, seed, reference=None),
+        lambda: containment_probability(inner, BALL, 0.0, n, seed, reference=None),
+        lambda: estimate_segment_containment_measure(BOX, 0.9, n, seed, reference=None),
+        lambda: estimate_segment_containment_measure(BALL, 0.0, n, seed, reference=None),
+        lambda: estimate_mean_chord(BOX, n, seed, reference=None),
+        lambda: estimate_segment_hit_measure(BALL, 0.5, n, seed, reference=None),
+        lambda: estimate_segment_hit_measure(
+            BALL, 0.5, n, seed, reference=None, marginalize_h=False
+        ),
+    ]
+
+    def fields(est):
+        return (est.value, est.std_error, est.n_hits, est.clamp_fraction)
+
+    read_only = [fields(call()) for call in calls]
+    real = estimators._row
+    monkeypatch.setattr(estimators, "_row", lambda f, gram: real(f, None))
+    assert [fields(call()) for call in calls] == read_only
+    assert read_only[2][3] > 0.0
+
+
 def test_sweep_rows_match_standalone_estimators():
     # one pass serves every length: each row, and the slope and intercept
     # of the linear law, equal the standalone estimators bitwise

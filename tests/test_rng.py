@@ -1,9 +1,24 @@
 """Counter-based RNG: shape, range, determinism, and block splitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from h1geom.rng import uniforms
+from h1geom.rng import _GAMMA, _MASK, _mix_int, uniforms
+
+
+def reference_uniforms(seed, start, count, streams):
+    """splitmix64 in Python integers: entry (k, i) is the top 53 bits of
+    mix(mix(key + (start + i) gamma) + (k + 1) gamma) over 2^53, with
+    key = mix(seed gamma + 0x85EBCA6B), every sum modulo 2^64."""
+    key = _mix_int((seed & _MASK) * _GAMMA + 0x85EBCA6B)
+    out = np.empty((streams, count))
+    for i in range(count):
+        base = _mix_int(key + (start + i) * _GAMMA)
+        for k in range(streams):
+            out[k, i] = (_mix_int(base + (k + 1) * _GAMMA) >> 11) * 2.0**-53
+    return out
 
 
 def test_shape_dtype_range():
@@ -16,6 +31,28 @@ def test_shape_dtype_range():
 def test_zero_count():
     u = uniforms(seed=1, start=5, count=0, streams=2)
     assert u.shape == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "seed, start, count",
+    [
+        (-7, 0, 300),
+        (2**70 + 3, 123_456_789, 300),
+        # idx gamma and base + offset wrap modulo 2^64 near the top
+        (11, 2**64 - 2**14, 300),
+        # one draw across the boundary of the 8192-index hashing chunks
+        (-7, 2**64 - 2**14, 8200),
+    ],
+)
+@pytest.mark.parametrize("streams", [1, 4])
+def test_values_are_the_integer_splitmix64_reference(seed, start, count, streams):
+    with warnings.catch_warnings():
+        # the wrapping uint64 arithmetic must not warn
+        warnings.simplefilter("error")
+        got = uniforms(seed, start, count, streams)
+    want = reference_uniforms(seed, start, count, streams)
+    assert got.dtype == np.float64 and got.shape == (streams, count)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_deterministic():
