@@ -425,10 +425,11 @@ def _split_sum(sums, lo, n, leaf):
 
 def _sigma(chord):
     """Chord lengths (zero off the body) and the hit mask of a
-    ``chord_batch`` triple."""
+    ``chord_batch`` triple.  On a hit s_lo <= s_hi already: the polytope
+    kernel's hit test is that inequality, and the quadric's roots
+    (-b -+ sqrt(disc)) / 2a with a > 0 round in order."""
     s_lo, s_hi, hit = chord
-    length = np.subtract(s_hi, s_lo)
-    return np.where(hit, np.maximum(length, 0.0, out=length), 0.0), hit
+    return np.where(hit, np.subtract(s_hi, s_lo), 0.0), hit
 
 
 def _linear(rows, c, n, w, method):

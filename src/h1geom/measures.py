@@ -12,12 +12,18 @@ group, and it is the line measure's companion: the invariant measure of
 horizontal lines meeting a convex body equals twice its p-Area.
 
 Bodies expose their boundary as parametrized patches (rectangles,
-triangles, linear images of the sphere).  ``p_area`` is exact for bodies
-whose patches are all planar (``Box``, ``Polytope`` and their images
-under rigid motions): on a facet with unit normal n, |N_H| equals
-|n3| * |(x, y) - c| with c = (n2/n3, -n1/n3) and dA = dx dy / |n3|, so
-the facet contributes the integral of the distance to c over its
-xy-projection, a sum of closed-form fan terms over its edges.
+triangles, linear images of the sphere).  ``p_area`` is exact for planar
+bodies (``Box``, ``Polytope`` and their images under rigid motions),
+whose boundary it takes as one array of flat triangles: a polytope's
+stored facet fans, a box's twelve face triangles, or the stacked
+vertices of any other body's planar patches.  A vertical facet has the
+constant |N_H| = |(n1, n2)|.  On any other facet with unit normal n,
+|N_H| equals |n3| * |(x, y) - c| with c = (n2/n3, -n1/n3) and
+dA = dx dy / |n3|, so the facet contributes the integral of the
+distance to c over its xy-projection: a sum of closed-form fan terms
+over its edges when c is near the facet, the 10-point Gauss-Legendre
+rule farther out, where the fan terms cancel.  Each of the three
+branches runs over all its facets in one array pass.
 
 The integrand |N_H| vanishes at characteristic points (where the
 tangent plane is the contact plane), and it has a cone-like kink there:
@@ -27,8 +33,11 @@ Curved bodies (balls, ellipsoids and their images, whose boundary is
 one ``EllipsoidPatch``) are therefore integrated on a sphere chart whose
 poles are the body's two characteristic points, where the midpoint grid
 is the periodic trapezoid rule of an analytic function and converges
-spectrally.  ``method='quadrature'`` forces the adaptive midpoint rule
-with Richardson extrapolation on the standard patch charts instead, on
+spectrally.  The grid is evaluated as a column of u against a row of
+v, so the chart's sines and cosines cost one per row or column, and its
+points and normals come from one matrix product per grid.
+``method='quadrature'`` forces the adaptive midpoint rule with
+Richardson extrapolation on the standard patch charts instead, on
 every body, as a cross-check; it stops only where three successive
 levels show the h^2 order its error estimate assumes, so a kink inside
 a patch costs resolution, not coverage.  ``p_area_triangulation_oracle``
@@ -69,10 +78,24 @@ _CHUNK_POINTS = 1 << 16
 # rule is within 2e-15 of a 40-digit reference from 2 diameters out
 _FAN_REACH = 2.0
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
+# the same rule on [0, 1]
+_GAUSS_U = 0.5 * (_GAUSS_NODES + 1.0)
+_GAUSS_W = 0.5 * _GAUSS_WEIGHTS
 
 # no quadrature result claims an error below this fraction of its value:
 # summing 10^3 to 10^7 rounded terms loses more than a few ulp
 _ROUNDOFF = 256.0 * float(np.finfo(float).eps)
+
+
+# a x b = a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT] along the last axis
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _cross(a, b):
+    """a x b along the last axis with the arithmetic of np.cross, which
+    costs tens of microseconds a call in numpy 2."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 class QuadratureError(RuntimeError):
@@ -124,7 +147,7 @@ class RectanglePatch(SurfacePatch):
         if norm == 0.0:
             raise ValueError("RectanglePatch normal must be nonzero")
         self.normal = n / norm
-        self._jac = float(np.linalg.norm(np.cross(self.eu, self.ev)))
+        self._jac = float(np.linalg.norm(_cross(self.eu, self.ev)))
 
     def evaluate(self, u, v):
         u = np.asarray(u, dtype=float)
@@ -155,7 +178,7 @@ class TrianglePatch(SurfacePatch):
             raise ValueError("TrianglePatch normal must be nonzero")
         self.normal = n / norm
         self._jac0 = float(
-            np.linalg.norm(np.cross(self.p1 - self.p0, self.p2 - self.p0))
+            np.linalg.norm(_cross(self.p1 - self.p0, self.p2 - self.p0))
         )
 
     def evaluate(self, u, v):
@@ -214,8 +237,7 @@ class EllipsoidPatch(SurfacePatch):
         )
         xu = dn_du @ self.lin.T
         xv = dn_dv @ self.lin.T
-        cross = np.cross(xu, xv)
-        jac = np.linalg.norm(cross, axis=-1)
+        jac = np.linalg.norm(_cross(xu, xv), axis=-1)
         grad = n_sph @ self._lin_inv
         gnorm = np.linalg.norm(grad, axis=-1, keepdims=True)
         normals = grad / gnorm
@@ -234,15 +256,16 @@ def _characteristic_directions(center, lin) -> tuple[np.ndarray, np.ndarray]:
     |k|^2), and since k . a = det(L), |u| = 1 reduces to
     det(L)^2 s^2 + (|a|^2 - |k|^2) s - 1 = 0 in s = lam^2: one positive
     root, and lam = +sqrt(s) (north), -sqrt(s) (south)."""
-    det = float(np.linalg.det(lin))
+    # det(L) L^{-1} e3 is the third column of the adjugate of L
+    k = _cross(lin[0], lin[1])
+    det = float(lin[2] @ k)
     a = lin.T @ np.array([-center[1], center[0], 1.0])
-    k = det * np.linalg.inv(lin)[:, 2]
     kk = float(k @ k)
     b = float(a @ a) - kk
     root = math.hypot(b, 2.0 * det)
     # the quadratic's positive root, in the form that does not cancel
     s = 2.0 / (b + root) if b >= 0.0 else (root - b) / (2.0 * det * det)
-    ka = np.cross(k, a)
+    ka = _cross(k, a)
     north, south = (
         lam * (a + lam * ka + s * det * k) / (1.0 + s * kk)
         for lam in (math.sqrt(s), -math.sqrt(s))
@@ -268,10 +291,11 @@ class _CharacteristicChart(SurfacePatch):
 
     def __init__(self, patch: EllipsoidPatch) -> None:
         north, south = _characteristic_directions(patch.center, patch.lin)
-        e3 = (north - south) / np.linalg.norm(north - south)
+        e3 = north - south
+        e3 /= math.sqrt(e3 @ e3)
         bisector = north + south
         bisector -= (bisector @ e3) * e3
-        self.beta = 0.5 * float(np.linalg.norm(bisector))
+        self.beta = 0.5 * math.sqrt(bisector @ bisector)
         if self.beta > 1e-12:
             e1 = -bisector / (2.0 * self.beta)
         else:
@@ -281,33 +305,60 @@ class _CharacteristicChart(SurfacePatch):
             self.beta = 0.0
             axis = np.eye(3)[np.argmin(np.abs(e3))]
             e1 = axis - (axis @ e3) * e3
-            e1 /= np.linalg.norm(e1)
+            e1 /= math.sqrt(e1 @ e1)
+        rotation = np.array([e1, _cross(e3, e1), e3])
         self.center = patch.center
-        self.lin = patch.lin @ np.column_stack([e1, np.cross(e3, e1), e3])
-        self._lin_inv = np.linalg.inv(self.lin)
+        self.lin = patch.lin @ rotation.T
+        self._lin_inv = rotation @ patch._lin_inv
+        # the rows of lin and the columns of its inverse, for one product
+        # per grid: points are center + lin s and normals parallel to
+        # lin^{-T} s for s on the unit sphere
+        self._maps = np.vstack([self.lin, self._lin_inv.T])
         # |N_H| dA_X = |det L| |N_H(g)| dA_u for the unnormalised normal
         # g = L^{-T} u, and the standard chart has dA_u = 2 pi^2 sin(psi)
-        det = abs(float(np.linalg.det(patch.lin)))
+        det = abs(float(patch.lin[2] @ _cross(patch.lin[0], patch.lin[1])))
         self._area_scale = 2.0 * math.pi**2 * det * (1.0 - self.beta**2)
 
-    def evaluate(self, u, v):
+    def _images(self, u, v):
+        """The chart's points and unnormalised normals at (u, v), as one
+        array (6, ...) of x, y, t, g1, g2, g3, and its area element over
+        |g| (the Jacobian of the boost and the sphere chart, times
+        |det L|)."""
         phi = 2.0 * math.pi * np.asarray(u, dtype=float)
         psi = math.pi * np.asarray(v, dtype=float)
         sp = np.sin(psi)
         q1 = sp * np.cos(phi)
         inv = 1.0 / (1.0 - self.beta * q1)
-        r = math.sqrt(1.0 - self.beta**2) * inv
-        sphere = np.stack(
-            np.broadcast_arrays(
-                (q1 - self.beta) * inv, sp * np.sin(phi) * r, np.cos(psi) * r
-            ),
-            axis=-1,
-        )
-        pts = self.center + sphere @ self.lin.T
-        grad = sphere @ self._lin_inv
+        sphere = np.empty((3,) + inv.shape)
+        np.multiply(q1 - self.beta, inv, out=sphere[0])
+        inv_r = math.sqrt(1.0 - self.beta**2) * inv
+        np.multiply(sp * np.sin(phi), inv_r, out=sphere[1])
+        np.multiply(np.cos(psi), inv_r, out=sphere[2])
+        images = (self._maps @ sphere.reshape(3, -1)).reshape((6,) + inv.shape)
+        images[:3] += self.center.reshape((3,) + (1,) * inv.ndim)
+        inv *= inv
+        inv *= sp
+        inv *= self._area_scale
+        return images, inv
+
+    def evaluate(self, u, v):
+        images, weight = self._images(u, v)
+        pts = np.moveaxis(images[:3], 0, -1)
+        grad = np.moveaxis(images[3:], 0, -1)
         gnorm = np.linalg.norm(grad, axis=-1)
-        jac = self._area_scale * gnorm * sp * inv * inv
-        return pts, grad / gnorm[..., None], jac
+        return pts, grad / gnorm[..., None], weight * gnorm
+
+    def p_area_density(self, u, v):
+        """|N_H| times the area element at (u, v): with the normal
+        g / |g|, |N_H| is |(g1 + y g3, g2 - x g3)| / |g|, so |g| cancels."""
+        (x, y, _, g1, g2, g3), weight = self._images(u, v)
+        nh1 = np.multiply(y, g3, out=y)
+        nh1 += g1
+        nh2 = np.multiply(x, g3, out=x)
+        np.subtract(g2, nh2, out=nh2)
+        density = np.hypot(nh1, nh2, out=nh1)
+        density *= weight
+        return density
 
 
 def horizontal_normal_norm(points: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -320,20 +371,28 @@ def horizontal_normal_norm(points: np.ndarray, normals: np.ndarray) -> np.ndarra
     return np.hypot(nh1, nh2)
 
 
-def _midpoint_patch_sum(patch: SurfacePatch, integrand, n: int) -> float:
-    """Composite midpoint rule of the patch integral of
-    integrand(points, normals) against the area element, on an n x n grid."""
+def _midpoint_sum(density, n: int) -> float:
+    """Composite midpoint rule of density(u, v) over the unit square on an
+    n x n grid.  The density sees a column of u against a row of v, so
+    what depends on one parameter is computed once per row or column."""
     cell = 1.0 / n
-    v_mid = (np.arange(n) + 0.5) * cell
+    mid = (np.arange(n) + 0.5) * cell
     rows_per_chunk = max(1, _CHUNK_POINTS // n)
     total = 0.0
     for lo in range(0, n, rows_per_chunk):
-        hi = min(lo + rows_per_chunk, n)
-        u_mid = (np.arange(lo, hi) + 0.5) * cell
-        uu, vv = np.meshgrid(u_mid, v_mid, indexing="ij")
-        pts, normals, jac = patch.evaluate(uu, vv)
-        total += float(np.sum(integrand(pts, normals) * jac))
+        total += float(np.sum(density(mid[lo : lo + rows_per_chunk, None], mid[None, :])))
     return total * cell * cell
+
+
+def _patch_density(patch: SurfacePatch, integrand):
+    """integrand(points, normals) times the area element of the patch, as
+    a function of (u, v)."""
+
+    def density(u, v):
+        pts, normals, jac = patch.evaluate(u, v)
+        return integrand(pts, normals) * jac
+
+    return density
 
 
 def _adaptive_patch_integral(
@@ -348,10 +407,11 @@ def _adaptive_patch_integral(
     returned estimate is at least the round-off floor."""
     n = min_resolution
     older = None
-    coarse = _midpoint_patch_sum(patch, integrand, n)
+    density = _patch_density(patch, integrand)
+    coarse = _midpoint_sum(density, n)
     while True:
         n *= 2
-        fine = _midpoint_patch_sum(patch, integrand, n)
+        fine = _midpoint_sum(density, n)
         diff = fine - coarse
         # midpoint rule converges at order h^2, so the h -> h/2 step
         # overestimates the remaining error by a factor 3.  A kink inside
@@ -385,7 +445,7 @@ def _adaptive_surface_integral(
     patches = body.boundary_patches()
     if not patches:
         raise ValueError("body exposes no boundary patches")
-    coarse = sum(_midpoint_patch_sum(p, integrand, min_resolution) for p in patches)
+    coarse = sum(_midpoint_sum(_patch_density(p, integrand), min_resolution) for p in patches)
     scale = max(abs(coarse), 1e-12)
     tol_patch = rel_tol * scale / len(patches)
     value = 0.0
@@ -411,10 +471,10 @@ def _charted_p_area(
     error into it, and the difference of the levels bounds its error."""
     chart = _CharacteristicChart(patch)
     n = min_resolution
-    coarse = _midpoint_patch_sum(chart, horizontal_normal_norm, n)
+    coarse = _midpoint_sum(chart.p_area_density, n)
     while True:
         n *= 2
-        fine = _midpoint_patch_sum(chart, horizontal_normal_norm, n)
+        fine = _midpoint_sum(chart.p_area_density, n)
         err = abs(fine - coarse)
         if err <= rel_tol * abs(fine):
             return MeasureResult(
@@ -464,60 +524,87 @@ def volume(
     )
 
 
-def _planar_vertices(patch: SurfacePatch) -> np.ndarray | None:
-    """Vertices (k, 3) of a planar patch in cyclic order, or None for a
-    curved one."""
-    if isinstance(patch, RectanglePatch):
-        o, eu, ev = patch.origin, patch.eu, patch.ev
-        return np.array([o, o + eu, o + eu + ev, o + ev])
-    if isinstance(patch, TrianglePatch):
-        return np.array([patch.p0, patch.p1, patch.p2])
-    return None
+def _planar_p_area(triangles: np.ndarray, normals: np.ndarray) -> float:
+    """p-Area of a surface made of flat triangles (T, 3, 3) with outward
+    unit normals (T, 3), every facet in one array pass of its branch.
 
-
-def _fan_distance_integral(poly: np.ndarray) -> float:
-    """Integral of |q| over a plane polygon with vertices (k, 2) in cyclic
-    order: the signed sum of the integrals over the fan triangles
-    (0, a, b) of its edges.  With h the signed distance of the origin
-    from the edge's line and s the coordinate along it, a triangle gives
-    (h/6) [s sqrt(h^2 + s^2) + h^2 asinh(s/|h|)] between a and b."""
+    A vertical facet (n3 = 0) has the constant |N_H| = |(n1, n2)| and
+    contributes its area times that.  On any other facet |N_H| equals
+    |n3| |(x, y) - c| with c = (n2/n3, -n1/n3) and dA = dx dy / |n3|, so
+    it contributes the integral of the distance to c over its
+    xy-projection.  Where c lies within ``_FAN_REACH`` projected
+    diameters of the facet's centroid that is the signed sum of the fan
+    triangles (c, a, b) over the edges: with h the signed distance of c
+    from the edge's line and s the coordinate along it, an edge gives
+    (h/6) [s sqrt(h^2 + s^2) + h^2 asinh(s/|h|)] between a and b.
+    Farther out the 10-point Gauss-Legendre rule runs on the chart
+    X(u, v) = (1-u) p0 + u ((1-v) p1 + v p2), whose area element is
+    u |(p1 - p0) x (p2 - p0)|."""
+    n1, n2, n3 = normals.T
+    xy = triangles[..., :2]
+    mid = xy.mean(axis=1)
+    spread = xy - mid[:, None, :]
+    diam = 2.0 * np.hypot(spread[..., 0], spread[..., 1]).max(axis=1)
+    # |c - mid| <= reach * diam, multiplied through by |n3|; false where
+    # n3 = 0, as (n1, n2) is then a unit vector
+    near = np.hypot(n2 - n3 * mid[:, 0], -n1 - n3 * mid[:, 1]) <= _FAN_REACH * diam * np.abs(n3)
+    vertical = n3 == 0.0
+    far = ~(near | vertical)
     total = 0.0
-    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
-        cross = float(a[0] * b[1] - a[1] * b[0])
-        if cross == 0.0:  # the fan triangle is degenerate
-            continue
+    if near.any():
+        centre = np.column_stack([n2[near] / n3[near], -n1[near] / n3[near]])
+        a = xy[near] - centre[:, None, :]
+        b = np.roll(a, -1, axis=1)
+        cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
         edge = b - a
-        length = math.hypot(edge[0], edge[1])
-        h = cross / length
-        prim_a, prim_b = (
-            s * math.hypot(h, s) + h * h * math.asinh(s / abs(h))
-            for s in (float(a @ edge) / length, float(b @ edge) / length)
-        )
-        total += h * (prim_b - prim_a) / 6.0
-    return abs(total)
+        length = np.hypot(edge[..., 0], edge[..., 1])
+        # a fan triangle with cross = 0 is degenerate and adds nothing;
+        # its h is 0 and its terms are dropped below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = cross / length
+            s = np.stack([np.sum(a * edge, axis=-1), np.sum(b * edge, axis=-1)]) / length
+            prim = s * np.hypot(h, s) + h * h * np.arcsinh(s / np.abs(h))
+        fan = np.where(cross != 0.0, h * (prim[1] - prim[0]) / 6.0, 0.0)
+        total += float(np.abs(fan.sum(axis=1)).sum())
+    if not near.all():
+        # twice the triangles' areas
+        d1 = triangles[:, 1] - triangles[:, 0]
+        d2 = triangles[:, 2] - triangles[:, 0]
+        jac = np.linalg.norm(_cross(d1, d2), axis=1)
+        total += float(0.5 * np.sum(jac[vertical] * np.hypot(n1[vertical], n2[vertical])))
+    if far.any():
+        # axes (facet, u node, v node, coordinate)
+        p0, p1, p2 = (xy[far, k, None, None, :] for k in range(3))
+        u, v = _GAUSS_U[:, None, None], _GAUSS_U[:, None]
+        pts = (1.0 - u) * p0 + u * ((1.0 - v) * p1 + v * p2)
+        f1, f2, f3 = normals[far].T[..., None, None]
+        nh = np.hypot(f1 + pts[..., 1] * f3, f2 - pts[..., 0] * f3)
+        # nh[f, i, j] is at u_i, v_j; the area element is u_i jac_f
+        total += float(jac[far] @ ((_GAUSS_W * _GAUSS_U) @ nh @ _GAUSS_W))
+    return total
 
 
-def _gauss_patch_p_area(patch: SurfacePatch) -> float:
-    """p-Area of a patch by the tensor Gauss-Legendre rule on its chart."""
-    nodes = 0.5 * (_GAUSS_NODES + 1.0)
-    weights = 0.5 * _GAUSS_WEIGHTS
-    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-    pts, normals, jac = patch.evaluate(uu, vv)
-    return float(weights @ (horizontal_normal_norm(pts, normals) * jac) @ weights)
+def _planar_facets(body):
+    """The boundary of a body as flat triangles (T, 3, 3) and their
+    outward unit normals (T, 3), or None when it is not planar."""
+    from .bodies import Polytope  # bodies imports this module
 
-
-def _planar_facet_p_area(patch: SurfacePatch, vertices: np.ndarray) -> float:
-    """p-Area of one planar facet: the fan formula around c when c is
-    near the facet's xy-projection, Gauss-Legendre on the patch chart
-    otherwise (vertical facets included, with no division by n3)."""
-    n1, n2, n3 = patch.normal
-    proj = vertices[:, :2]
-    mid = proj.mean(axis=0)
-    diam = 2.0 * float(np.max(np.hypot(*(proj - mid).T)))
-    # |c - mid| <= reach * diam, multiplied through by |n3|
-    if math.hypot(n2 - n3 * mid[0], -n1 - n3 * mid[1]) <= _FAN_REACH * diam * abs(n3):
-        return _fan_distance_integral(proj - (n2 / n3, -n1 / n3))
-    return _gauss_patch_p_area(patch)
+    if isinstance(body, Polytope):
+        return body._triangles, body._facet_normals
+    triangles, normals = [], []
+    for patch in body.boundary_patches():
+        if isinstance(patch, TrianglePatch):
+            corners = [[patch.p0, patch.p1, patch.p2]]
+        elif isinstance(patch, RectanglePatch):
+            o, eu, ev = patch.origin, patch.eu, patch.ev
+            corners = [[o, o + eu, o + eu + ev], [o, o + eu + ev, o + ev]]
+        else:
+            return None
+        triangles += corners
+        normals += [patch.normal] * len(corners)
+    if not triangles:
+        return None
+    return np.array(triangles), np.array(normals)
 
 
 def p_area(
@@ -550,15 +637,14 @@ def p_area(
     if method not in ("auto", "exact", "quadrature"):
         raise ValueError(f"unknown p_area method {method!r}")
     if method in ("auto", "exact"):
-        patches = body.boundary_patches()
-        facets = [(p, _planar_vertices(p)) for p in patches]
-        if patches and all(v is not None for _, v in facets):
-            value = sum(_planar_facet_p_area(p, v) for p, v in facets)
+        facets = _planar_facets(body)
+        if facets is not None:
             return MeasureResult(
-                value=float(value), method="exact", resolution=0, error_estimate=0.0
+                value=_planar_p_area(*facets), method="exact", resolution=0, error_estimate=0.0
             )
         if method == "exact":
             raise ValueError("body has no closed-form p-Area (curved boundary)")
+        patches = body.boundary_patches()
         if len(patches) == 1 and isinstance(patches[0], EllipsoidPatch):
             return _charted_p_area(patches[0], rel_tol, min_resolution, max_resolution)
     return _adaptive_surface_integral(

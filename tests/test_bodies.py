@@ -18,6 +18,7 @@ from h1geom import (
     Polytope,
     PshMotion,
     line_point_at,
+    line_window,
     motion_affine,
     p_area,
     psh_apply_line,
@@ -724,7 +725,7 @@ def test_box_is_a_polytope_built_without_qhull(monkeypatch):
         (x, y, z) for x in (0.3, 1.4) for y in (-0.2, 0.9) for z in (0.1, 0.8)
     }
     assert np.array_equal(box.interior_point(), [0.5, 0.5, 0.5])
-    assert p_area(box).value == 5.5303914329284245
+    assert p_area(box).value == 5.530391432928425
     assert box.volume_exact() == 1.0
 
 
@@ -782,3 +783,101 @@ def test_kernels_return_fresh_arrays():
                 assert not np.shares_memory(a, b), name
         for a, b in itertools.combinations(first, 2):
             assert not np.shares_memory(a, b), name
+
+
+def facet_build_bodies() -> dict:
+    """The acceptance polytope, four seeded motion images of it, the cube
+    with a duplicated and a redundant halfspace, the unit cube as a Box,
+    and random polytopes of 8 to 200 halfspaces."""
+    rng = np.random.default_rng(4471)
+    found = {"polytope": BODIES["polytope"], "box": BODIES["box"]}
+    for k in range(4):
+        found[f"polytope-image{k}"] = transform_body(random_motion(rng, 1.5), BODIES["polytope"])
+    normals = np.vstack([np.eye(3), -np.eye(3), [[2.0, 0.0, 0.0], [1.0, 1.0, 1.0]]])
+    found["redundant cube"] = Polytope(normals, np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 2.0, 3.0]))
+    for h in (8, 20, 60, 200):
+        normals = rng.normal(size=(h, 3))
+        # six perturbed axis halfspaces keep it bounded
+        normals[:6] = np.vstack([np.eye(3), -np.eye(3)]) + 0.2 * rng.normal(size=(6, 3))
+        found[f"random-{h}"] = Polytope(normals, rng.uniform(0.5, 1.5, h))
+    return found
+
+
+@pytest.mark.parametrize("name, body", list(facet_build_bodies().items()))
+def test_facet_fans_are_outward_and_tile_each_facet(name, body):
+    from scipy.spatial import ConvexHull
+
+    tris, normals = body._triangles, body._facet_normals
+    centroid = body.interior_point()
+    a, b, c = (tris - centroid).transpose(1, 0, 2)
+    # every fan tetrahedron on the centroid has a positive volume, and
+    # each triangle turns counterclockwise about its outward normal
+    assert np.all(np.sum(a * np.cross(b, c), axis=1) > 0.0), name
+    area_vec = 0.5 * np.cross(b - a, c - a)
+    assert np.all(np.sum(area_vec * normals, axis=1) > 0.0), name
+    # every facet normal is a halfspace's, whose plane holds the triangle,
+    # and points away from the centroid
+    scale = max(1.0, float(np.abs(body.offsets).max()))
+    for tri, n in zip(tris, normals):
+        k = np.flatnonzero(np.all(body.normals == n, axis=1))
+        assert len(k), name
+        assert np.all(np.abs(tri @ n - body.offsets[k[0]]) <= 1e-9 * scale), name
+        assert n @ (tri.mean(axis=0) - centroid) > 0.0, name
+    # each plane's triangles sum to the area of its facet polygon: the 2-D
+    # hull of the vertices on that plane, by qhull
+    vertices = body.vertices
+    seen = set()
+    for n in np.unique(normals, axis=0):
+        d = body.offsets[np.flatnonzero(np.all(body.normals == n, axis=1))[0]]
+        on = vertices[np.abs(vertices @ n - d) <= 1e-9 * scale]
+        key = tuple(sorted(map(tuple, on.round(12))))
+        assert key not in seen, name  # one set of triangles per facet
+        seen.add(key)
+        e1 = on[1] - on[0]
+        e1 /= np.linalg.norm(e1)
+        frame = np.array([e1, np.cross(n, e1)])
+        polygon = ConvexHull((on - on[0]) @ frame.T).volume
+        mine = np.linalg.norm(area_vec[np.all(normals == n, axis=1)], axis=1).sum()
+        assert abs(mine - polygon) <= 1e-12 * polygon, name
+
+
+def test_chord_ends_are_ordered_on_every_hit():
+    # s_lo <= s_hi on a hit with no clamp: the estimators take s_hi - s_lo
+    # as the chord length as it is
+    rng = np.random.default_rng(4472)
+    bodies = dict(kernel_bodies())
+    for name, body in kernel_bodies().items():
+        for k in range(4):
+            bodies[f"{name}-image{k}"] = transform_body(random_motion(rng, 1.5), body)
+    assert {type(b).__name__ for b in bodies.values()} == {"Ball", "Ellipsoid", "Box", "Polytope"}
+    for name, body in bodies.items():
+        # the estimators' line window, over p of both signs
+        w = line_window(body)
+        n = 1 << 17
+        p = rng.uniform(-w.p_max, w.p_max, n)
+        theta = rng.uniform(0.0, 2.0 * math.pi, n)
+        t = rng.uniform(w.t_lo, w.t_hi, n)
+        s_lo, s_hi, hit = body.chord_batch(p, theta, t)
+        assert hit.sum() > 1000, name
+        assert np.all(s_lo[hit] <= s_hi[hit]), name
+    # the tangent lines of test_ball_tangent_line_is_degenerate_hit
+    theta = np.linspace(0.0, 2.0 * math.pi, 10_000, endpoint=False)
+    tangent = [(Ball((0.0, 0.0, 0.0), r), r) for r in (1.0, 0.65, 3.0)]
+    tangent.append((Ellipsoid((0.0, 0.0, 0.0), (2.0, 2.0, 1.0)), 2.0))
+    for body, radius in tangent:
+        s_lo, s_hi, hit = body.chord_batch(np.full_like(theta, radius), theta, 0.0 * theta)
+        assert hit.any()
+        assert np.all(s_lo[hit] <= s_hi[hit]), radius
+
+
+def test_distinct_rows_keep_the_order_of_np_unique():
+    # Polytope's vertices come out in np.unique's order of their packed
+    # plane incidences, as they did when np.unique found them
+    from h1geom.bodies import _distinct_rows
+
+    rng = np.random.default_rng(4473)
+    for rows, cols in ((1, 3), (12, 8), (40, 9), (300, 17), (64, 200)):
+        base = rng.random((rows, cols)) < 0.3
+        mask = base[rng.integers(0, rows, 2 * rows)]  # with repeated rows
+        want = np.unique(np.packbits(mask, axis=1), axis=0, return_index=True)[1]
+        assert np.array_equal(_distinct_rows(mask), want), (rows, cols)

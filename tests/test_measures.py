@@ -336,10 +336,94 @@ def test_p_area_planar_bodies_skip_quadrature(monkeypatch):
         assert p_area(body).method == "exact"
 
 
-def test_p_area_fan_and_gauss_agree_where_they_meet():
+# the scalar planar closed form that the whole-array
+# measures._planar_p_area replaced, kept as its reference: one patch at a
+# time, the fan sum in Python floats, the Gauss rule on the patch's chart
+
+
+def reference_planar_vertices(patch):
+    """Vertices (k, 3) of a planar patch in cyclic order, or None."""
+    if isinstance(patch, RectanglePatch):
+        o, eu, ev = patch.origin, patch.eu, patch.ev
+        return np.array([o, o + eu, o + eu + ev, o + ev])
+    if isinstance(patch, TrianglePatch):
+        return np.array([patch.p0, patch.p1, patch.p2])
+    return None
+
+
+def reference_fan_distance_integral(poly):
+    """Integral of |q| over a plane polygon (k, 2) in cyclic order, as the
+    signed sum of its edges' fan triangles on the origin."""
+    total = 0.0
+    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
+        cross = float(a[0] * b[1] - a[1] * b[0])
+        if cross == 0.0:
+            continue
+        edge = b - a
+        length = math.hypot(edge[0], edge[1])
+        h = cross / length
+        prim_a, prim_b = (
+            s * math.hypot(h, s) + h * h * math.asinh(s / abs(h))
+            for s in (float(a @ edge) / length, float(b @ edge) / length)
+        )
+        total += h * (prim_b - prim_a) / 6.0
+    return abs(total)
+
+
+def reference_gauss_patch_p_area(patch):
+    """p-Area of a patch by the 10-point tensor Gauss-Legendre rule."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
+    pts, normals, jac = patch.evaluate(uu, vv)
+    return float(weights @ (horizontal_normal_norm(pts, normals) * jac) @ weights)
+
+
+def reference_planar_p_area(patches):
+    """Sum over planar patches: the fan formula where c lies within
+    measures._FAN_REACH projected diameters of the facet's centroid,
+    Gauss-Legendre otherwise (vertical facets included)."""
+    total = 0.0
+    for patch in patches:
+        vertices = reference_planar_vertices(patch)
+        n1, n2, n3 = patch.normal
+        proj = vertices[:, :2]
+        mid = proj.mean(axis=0)
+        diam = 2.0 * float(np.max(np.hypot(*(proj - mid).T)))
+        reach = measures._FAN_REACH * diam * abs(n3)
+        if math.hypot(n2 - n3 * mid[0], -n1 - n3 * mid[1]) <= reach:
+            total += reference_fan_distance_integral(proj - (n2 / n3, -n1 / n3))
+        else:
+            total += reference_gauss_patch_p_area(patch)
+    return total
+
+
+def _reference_cases() -> dict:
+    cases = dict(PLANAR)
+    cases.update(_qhull_cases())
+    cases["cube-triangles"] = Polytope(
+        np.vstack([np.eye(3), -np.eye(3)]), np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    )
+    return cases
+
+
+@pytest.mark.parametrize("name, body", list(_reference_cases().items()))
+def test_planar_p_area_matches_scalar_reference(name, body):
+    # the same closed form, facet by facet in Python; a Box's reference
+    # runs on its six rectangles, the array pass on its twelve triangles
+    ref = reference_planar_p_area(body.boundary_patches())
+    got = measures._planar_p_area(body._triangles, body._facet_normals)
+    assert abs(got - ref) <= 1e-14 * ref
+    assert p_area(body).value == got
+
+
+def test_p_area_fan_and_gauss_agree_where_they_meet(monkeypatch):
     # facets whose centre c lies one to four projected diameters from
-    # the centroid, where the two branches of the closed form hand over
+    # the centroid, where the two branches of the closed form hand over;
+    # the reach forces one branch on every facet: infinite for the fan,
+    # zero for Gauss-Legendre
     rng = np.random.default_rng(27)
+    triangles, normals = [], []
     for _ in range(40):
         # |n3| > 0.5 keeps c, and so the facet, near the origin, where
         # rounding of the vertices does not blur the facet's geometry
@@ -355,11 +439,27 @@ def test_p_area_fan_and_gauss_agree_where_they_meet():
         target = centre + rng.uniform(1.0, 4.0) * diam * np.array([1.0, 0.0])
         ab = np.linalg.solve(np.column_stack([e1[:2], e2[:2]]), target)
         origin = ab[0] * e1 + ab[1] * e2 - 0.5 * (e1 + e2)
-        patch = RectanglePatch(origin, e1, e2, n)
-        proj = measures._planar_vertices(patch)[:, :2]
-        fan = measures._fan_distance_integral(proj - centre)
-        gauss = measures._gauss_patch_p_area(patch)
+        a, b, c, d = origin, origin + e1, origin + e1 + e2, origin + e2
+        triangles.append([[a, b, c], [a, c, d]])
+        normals.append([n, n])
+    values = {}
+    for reach in (math.inf, 0.0):
+        monkeypatch.setattr(measures, "_FAN_REACH", reach)
+        values[reach] = [measures._planar_p_area(np.array(t), np.array(n))
+                         for t, n in zip(triangles, normals)]
+    for fan, gauss in zip(values[math.inf], values[0.0]):
         assert abs(fan - gauss) <= 1e-13 * gauss
+
+
+def test_p_area_of_planar_bodies_builds_no_patch(monkeypatch):
+    # a Polytope or a Box hands its stored triangles to the array pass
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("p_area built a SurfacePatch")
+
+    monkeypatch.setattr(TrianglePatch, "__init__", refuse)
+    monkeypatch.setattr(RectanglePatch, "__init__", refuse)
+    for body in PLANAR.values():
+        assert p_area(body).method == "exact"
 
 
 def test_p_area_method_validation():
