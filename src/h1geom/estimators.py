@@ -23,16 +23,22 @@ chord [a, b] meets the body for h in an interval of length sigma + l and
 lies inside it for max(sigma - l, 0).
 
 Every estimator is one pass of ``_pass``: per fixed block it draws
-lines, evaluates their chords, and an integrand yields per-line values
-f; the pass sums each value and each product of two that the estimate
-reads, sub-block by sub-block in the order of numpy's pairwise
-summation.  An estimate is a coefficient vector c (the mean of c.f, its
-error from c^T G c with G the product sums) or a ratio of two, so a new
-identity = one integrand + one reference.  Every line estimate reads
-one (hit, sigma) pass, which sums hit, sigma and sigma^2 only (hit^2 is
-hit and hit sigma is sigma):
-(1, 0) is the line measure, (0, 1) the chord integral, (ell, 1) the hit
-measure at ell, and the mean chord is (0, 1) over (1, 0).
+lines and evaluates their chords, and an integrand yields every
+per-line array whose sum the estimate reads, its values f and the
+products of them that their error needs.  The pass only sums these
+arrays, sub-block by sub-block in the order of numpy's pairwise
+summation.  An estimate is a coefficient vector c over the leading
+values (the mean of c.f, its error from c^T G c) or a ratio of two, and
+``gram``, a small matrix of column indices, picks G out of the sums.
+Every line estimate reads one pass yielding (hit, sigma, sigma^2), with
+gram [[0, 1], [1, 2]] (hit^2 is hit and hit sigma is sigma): (1, 0) is
+the line measure, (0, 1) the chord integral, (ell, 1) the hit measure
+at ell, and the mean chord is (0, 1) over (1, 0).
+
+Adding an identity takes its integrand (or coefficients over the line
+pass), its reference, a zero-argument callable returning (value,
+source), and, for a single-body estimate, a row of the CLI's
+``_ESTIMATES`` table.
 
 The grid method's blocks are randomly shifted copies of one Kronecker
 point set (randomised QMC): each copy is an unbiased estimate, and
@@ -49,7 +55,6 @@ and forth and ran slower than one.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -108,6 +113,9 @@ _STRATA = 64
 _SHIFTS = 16
 _R3 = 1.2207440846057596 ** -np.arange(1.0, 4.0)[:, None]
 _T15 = 2.131449545559776  # 97.5% quantile of Student's t, 15 degrees of freedom
+# |z| at which an estimate fails against its reference, or an invariant
+# quantity against its image under a motion
+Z_GATE = 4.0
 
 
 class ContainmentError(Exception):
@@ -323,7 +331,7 @@ def grid_axis_resolution(n: int, resolution: int | None = None) -> int:
     return res
 
 
-def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, gram, streams=3):
+def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, streams=3):
     """The one sample-and-sum pass behind every estimator.
 
     Lines come in fixed blocks of uniforms u: BLOCK consecutive Monte
@@ -331,16 +339,10 @@ def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, gram, 
     points, point i of shift r being frac(i alpha + U_r) with U_r drawn
     at counter r.  Per sub-block (see ``_split_sum``), ``integrand`` gets
     each body's ``chord_batch`` triple and the uniforms of its lines and
-    yields m per-line value arrays f, float or boolean.  Returns the sums
-    of each f_i and then of each product f_i f_j (i <= j, in
-    combinations_with_replacement order), one row per block in block
-    order, and the line count.  ``gram`` names the products an estimate
-    reads: it maps (i, j) to None where the pass sums f_i f_j, or to k
-    where f_i f_j is f_k itself (an indicator squared, or a value that
-    the indicator i zeroes off its hits), whose sum the row repeats; a
-    pair it leaves out is not read and sums to 0.  A boolean f_i is
-    summed by counting, bitwise its sum as floats.  The blocks run one
-    after another on the calling thread.
+    yields the per-line arrays, float or boolean, whose sums the estimate
+    reads; a boolean one is summed by counting, bitwise its sum as
+    floats.  Returns the sums, one row per block in block order, and the
+    line count.  The blocks run one after another on the calling thread.
     """
     if method == "grid":
         res = grid_axis_resolution(n, grid_res)
@@ -388,28 +390,19 @@ def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, gram, 
             t = v[2] * (window.t_hi - window.t_lo)
             t += window.t_lo
             chords = [body.chord_batch(p, theta, t) for body in bodies]
-            return _row([np.asarray(a) for a in integrand(chords, v)], gram)
+            # values near the float range (a huge ell) overflow to inf or
+            # nan sums, which _linear and the reports carry on
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = [
+                    np.count_nonzero(a) if a.dtype == bool else np.sum(a)
+                    for a in integrand(chords, v)
+                ]
+            return np.array(f, dtype=float)
 
         return _split_sum(sums, 0, size, leaf)
 
     rows = list(map(block_sums, blocks))
     return np.array(rows), sum(size for _, size in blocks)
-
-
-def _row(f, gram):
-    """The sums of one sub-block's values f and of their products, as
-    ``_pass`` lays them out; ``gram=None`` forms every product."""
-    row = [np.count_nonzero(a) if a.dtype == bool else np.sum(a) for a in f]
-    # values near the float range (a huge ell) overflow to inf or nan
-    # sums, which _linear and the reports carry on
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, j in itertools.combinations_with_replacement(range(len(f)), 2):
-            k = None if gram is None else gram.get((i, j), -1)
-            if k is None:
-                row.append(np.sum(f[i] * f[j]))
-            else:
-                row.append(row[k] if k >= 0 else 0.0)
-    return np.array(row, dtype=float)
 
 
 def _split_sum(sums, lo, n, leaf):
@@ -432,9 +425,10 @@ def _sigma(chord):
     return np.where(hit, np.subtract(s_hi, s_lo), 0.0), hit
 
 
-def _linear(rows, c, n, w, method):
-    """Window-scaled mean of c.f over n lines, from the block sums
-    ``rows``, and its standard error: by c^T G c for Monte Carlo, by the
+def _linear(rows, c, gram, n, w, method):
+    """Window-scaled mean of c.f over n lines, f the first len(c) columns
+    of the block sums ``rows``, and its standard error: by c^T G c for
+    Monte Carlo, G = total[gram] the sums of the products f_i f_j, by the
     spread of the per-shift c.S for the grid."""
     c = np.asarray(c, dtype=float)
     m = len(c)
@@ -446,15 +440,12 @@ def _linear(rows, c, n, w, method):
         if method == "grid":
             se = float(np.std(rows[:, :m] @ c, ddof=1)) * math.sqrt(_SHIFTS) / n
         else:
-            g = np.empty((m, m))
-            i, j = np.triu_indices(m)
-            g[i, j] = g[j, i] = total[m:]
-            var = max(c @ g @ c - s1 * s1 / n, 0.0) / max(n - 1, 1)
+            var = max(c @ total[gram] @ c - s1 * s1 / n, 0.0) / max(n - 1, 1)
             se = math.sqrt(var / n)
         return w * (s1 / n), w * se
 
 
-def _ratio(rows, a, b, n):
+def _ratio(rows, a, b, gram, n):
     """Ratio of the means of a.f and b.f on common samples, with the
     delta-method standard error: that of the mean of (a - r b).f over
     the mean of b.f."""
@@ -463,7 +454,7 @@ def _ratio(rows, a, b, n):
     if my <= 0.0:
         raise ValueError("no hits in the sample; enlarge n or check the window")
     r = mx / my
-    _, se = _linear(rows, np.subtract(a, np.multiply(r, b)), n, 1.0, "mc")
+    _, se = _linear(rows, np.subtract(a, np.multiply(r, b)), gram, n, 1.0, "mc")
     return r, se / my
 
 
@@ -496,7 +487,9 @@ def _result(value, se, n, hits, seed, method, reference, auto, clamp_fraction=No
 
 
 def _measures(body):
-    """Volume and p-Area of the body, each computed on first use."""
+    """Volume and p-Area of the body, each computed on first use.  The
+    references below take these two; bound to them by functools.partial,
+    each becomes the zero-argument ``auto`` that ``_result`` calls."""
     return (
         functools.cache(lambda: volume(body).value),
         functools.cache(lambda: p_area(body).value),
@@ -522,39 +515,32 @@ def _mean_chord_reference(vol, pa):
     return math.pi * vol() / pa(), "pi * measures.volume / measures.p_area"
 
 
-# the line pass's (hit, sigma) reads every product, but hit^2 is hit and
-# hit sigma is sigma (``_sigma`` zeroes sigma off the hits): only sigma^2
-# is summed
-_LINE_GRAM = {(0, 0): 0, (0, 1): 1, (1, 1): None}
+# the products of the line pass's (hit, sigma) among its sums (hit,
+# sigma, sigma^2): hit^2 is hit and hit sigma is sigma (``_sigma`` zeroes
+# sigma off the hits)
+_LINE_GRAM = [[0, 1], [1, 2]]
 
 
 def _line_pass(body, window, n, seed, stratify, method, grid_res):
     """Every line estimate from one pass over ``window`` (as ``_setup``
-    returns it) whose integrand yields (hit, sigma) per line.  Returns
-    ``finish(c, reference, auto, over=None)``, which builds the mean of
-    c.(hit, sigma) ((1, 0) the line measure, (0, 1) the chord integral,
-    (ell, 1) the hit measure at ell) or, given ``over``, its ratio to the
-    mean of over.(hit, sigma).  ``auto(vol, pa)`` gives the reference
-    from the body's measures."""
+    returns it) whose integrand yields (hit, sigma, sigma^2) per line.
+    Returns ``finish(c, reference, auto, over=None)``, which builds the
+    mean of c.(hit, sigma) ((1, 0) the line measure, (0, 1) the chord
+    integral, (ell, 1) the hit measure at ell) or, given ``over``, its
+    ratio to the mean of over.(hit, sigma)."""
 
     def integrand(chords, u):
         sigma, hit = _sigma(chords[0])
-        yield from (hit, sigma)
+        yield from (hit, sigma, sigma * sigma)
 
-    rows, n_lines = _pass(
-        (body,), window, n, seed, stratify, method, grid_res, integrand, _LINE_GRAM
-    )
-    vol, pa = _measures(body)
+    rows, n_lines = _pass((body,), window, n, seed, stratify, method, grid_res, integrand)
 
     def finish(c, reference, auto, over=None):
         if over is None:
-            value, se = _linear(rows, c, n_lines, window.measure, method)
+            value, se = _linear(rows, c, _LINE_GRAM, n_lines, window.measure, method)
         else:
-            value, se = _ratio(rows, c, over, n_lines)
-        hits = sum(rows[:, 0])
-        return _result(
-            value, se, n_lines, hits, seed, method, reference, lambda: auto(vol, pa)
-        )
+            value, se = _ratio(rows, c, over, _LINE_GRAM, n_lines)
+        return _result(value, se, n_lines, sum(rows[:, 0]), seed, method, reference, auto)
 
     return finish
 
@@ -579,7 +565,7 @@ def estimate_line_measure(
     """
     window = _setup(body, window, n, seed, threads, method)
     finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
-    return finish((1.0, 0.0), reference, _line_reference)
+    return finish((1.0, 0.0), reference, functools.partial(_line_reference, *_measures(body)))
 
 
 def estimate_chord_integral(
@@ -598,7 +584,7 @@ def estimate_chord_integral(
     2 pi V(body)."""
     window = _setup(body, window, n, seed, threads, method)
     finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
-    return finish((0.0, 1.0), reference, _chord_reference)
+    return finish((0.0, 1.0), reference, functools.partial(_chord_reference, *_measures(body)))
 
 
 def estimate_segment_hit_sweep(
@@ -617,14 +603,15 @@ def estimate_segment_hit_sweep(
     ells = [_check_ell(ell) for ell in ells]
     window = _setup(body, None, n, seed, threads)
     finish = _line_pass(body, window, n, seed, stratify, "mc", None)
+    measures = _measures(body)
     return SegmentHitSweep(
         ells=ells,
         rows=[
-            finish((ell, 1.0), "auto", functools.partial(_hit_reference, ell=ell))
+            finish((ell, 1.0), "auto", functools.partial(_hit_reference, *measures, ell))
             for ell in ells
         ],
-        slope=finish((1.0, 0.0), "auto", _line_reference),
-        intercept=finish((0.0, 1.0), "auto", _chord_reference),
+        slope=finish((1.0, 0.0), "auto", functools.partial(_line_reference, *measures)),
+        intercept=finish((0.0, 1.0), "auto", functools.partial(_chord_reference, *measures)),
     )
 
 
@@ -654,9 +641,9 @@ def estimate_segment_hit_measure(
     """
     ell = _check_ell(ell)
     window = _setup(body, window, n, seed, threads, method)
+    auto = functools.partial(_hit_reference, *_measures(body), ell)
     if marginalize_h:
         finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
-        auto = functools.partial(_hit_reference, ell=ell)
         return finish((ell, 1.0), reference, auto)
 
     # direct 4D sampling over (p, theta, t, h); any chord parameter
@@ -672,12 +659,9 @@ def estimate_segment_hit_measure(
         h = h_lo + u[3] * h_len
         yield hit & (h <= s_hi) & (h + ell >= s_lo)
 
+    rows, _ = _pass((body,), window, n, seed, stratify, "mc", None, integrand, streams=4)
     # the indicator is its own square
-    rows, _ = _pass(
-        (body,), window, n, seed, stratify, "mc", None, integrand, {(0, 0): 0}, streams=4
-    )
-    value, se = _linear(rows, (1.0,), n, window.measure * h_len, "mc")
-    auto = functools.partial(_hit_reference, *_measures(body), ell)
+    value, se = _linear(rows, (1.0,), [[0]], n, window.measure * h_len, "mc")
     return _result(value, se, n, sum(rows[:, 0]), seed, "mc-4d", reference, auto)
 
 
@@ -709,14 +693,11 @@ def estimate_segment_containment_measure(
     def integrand(chords, u):
         sigma, hit = _sigma(chords[0])
         f = np.maximum(sigma - ell, 0.0)
-        yield from (f, hit, hit & (f == 0.0))
+        yield from (f, f * f, hit, hit & (f == 0.0))
 
-    # the error of the mean of f reads only f^2
-    rows, n_lines = _pass(
-        (body,), window, n, seed, stratify, method, grid_resolution, integrand, {(0, 0): None}
-    )
-    value, se = _linear(rows, (1.0, 0.0, 0.0), n_lines, window.measure, method)
-    _, hits, clamped = sum(rows)[:3]
+    rows, n_lines = _pass((body,), window, n, seed, stratify, method, grid_resolution, integrand)
+    value, se = _linear(rows, (1.0,), [[1]], n_lines, window.measure, method)
+    _, _, hits, clamped = sum(rows)
     clamp_fraction = clamped / hits if hits > 0 else 0.0
 
     def auto():
@@ -742,7 +723,8 @@ def estimate_mean_chord(
     a delta-method standard error.  Reference: pi V / pA."""
     window = _setup(body, window, n, seed, threads)
     finish = _line_pass(body, window, n, seed, stratify, "mc", None)
-    return finish((0.0, 1.0), reference, _mean_chord_reference, over=(1.0, 0.0))
+    auto = functools.partial(_mean_chord_reference, *_measures(body))
+    return finish((0.0, 1.0), reference, auto, over=(1.0, 0.0))
 
 
 def _ellipsoid_reach_sq(inner: Ellipsoid, outer: Ellipsoid) -> float:
@@ -834,12 +816,11 @@ def containment_probability(
 
     def integrand(chords, u):
         (sig_in, hit_in), (sig_out, hit_out) = map(_sigma, chords)
-        yield from ((sig_in + ell) * hit_in, (sig_out + ell) * hit_out, hit_out)
+        a, b = (sig_in + ell) * hit_in, (sig_out + ell) * hit_out
+        yield from (a, b, hit_out, a * a, a * b, b * b)
 
-    # the ratio's error reads the products of the two hit measures only
-    gram = {(0, 0): None, (0, 1): None, (1, 1): None}
-    rows, _ = _pass((inner, outer), window, n, seed, stratify, "mc", None, integrand, gram)
-    value, se = _ratio(rows, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), n)
+    rows, _ = _pass((inner, outer), window, n, seed, stratify, "mc", None, integrand)
+    value, se = _ratio(rows, (1.0, 0.0), (0.0, 1.0), [[3, 4], [4, 5]], n)
 
     def auto():
         num = _hit_reference(*_measures(inner), ell)[0]
@@ -865,7 +846,7 @@ def invariance_check(
     *,
     stratify: bool = False,
     threads: int = 1,
-    threshold: float = 4.0,
+    threshold: float = Z_GATE,
     quantities: tuple[str, ...] = (
         "line_measure",
         "chord_integral",

@@ -491,6 +491,13 @@ def _charted_p_area(
         coarse = fine
 
 
+def _check_rel_tol(rel_tol) -> None:
+    """Reject a tolerance no quadrature can meet or test (nan, infinite,
+    zero or negative) before any work is done."""
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
+
+
 def volume(
     body,
     method: str = "auto",
@@ -503,10 +510,12 @@ def volume(
     ``method='auto'`` uses the body's closed form when it has one and
     falls back to boundary quadrature of the divergence identity
     V = (1/3) * integral of (X . n) dA; ``'exact'`` and ``'quadrature'``
-    force one path.
+    force one path.  Raises ValueError unless ``rel_tol`` is finite and
+    positive.
     """
     if method not in ("auto", "exact", "quadrature"):
         raise ValueError(f"unknown volume method {method!r}")
+    _check_rel_tol(rel_tol)
     exact = body.volume_exact()
     if method in ("auto", "exact"):
         if exact is not None:
@@ -585,26 +594,14 @@ def _planar_p_area(triangles: np.ndarray, normals: np.ndarray) -> float:
 
 
 def _planar_facets(body):
-    """The boundary of a body as flat triangles (T, 3, 3) and their
-    outward unit normals (T, 3), or None when it is not planar."""
+    """The boundary of a planar body as flat triangles (T, 3, 3) and their
+    outward unit normals (T, 3), or None when it is curved.  Every planar
+    body is a Polytope: a Box is one, and so is every rigid image of one."""
     from .bodies import Polytope  # bodies imports this module
 
     if isinstance(body, Polytope):
         return body._triangles, body._facet_normals
-    triangles, normals = [], []
-    for patch in body.boundary_patches():
-        if isinstance(patch, TrianglePatch):
-            corners = [[patch.p0, patch.p1, patch.p2]]
-        elif isinstance(patch, RectanglePatch):
-            o, eu, ev = patch.origin, patch.eu, patch.ev
-            corners = [[o, o + eu, o + eu + ev], [o, o + eu + ev, o + ev]]
-        else:
-            return None
-        triangles += corners
-        normals += [patch.normal] * len(corners)
-    if not triangles:
-        return None
-    return np.array(triangles), np.array(normals)
+    return None
 
 
 def p_area(
@@ -631,11 +628,13 @@ def p_area(
     one path; ``'quadrature'`` is the Richardson rule on the standard
     patch charts, kept as an independent cross-check.
 
-    Raises QuadratureError if the quadrature cannot meet the tolerance
-    within ``max_resolution`` cells per patch axis.
+    Raises ValueError unless ``rel_tol`` is finite and positive, and
+    QuadratureError if the quadrature cannot meet the tolerance within
+    ``max_resolution`` cells per patch axis.
     """
     if method not in ("auto", "exact", "quadrature"):
         raise ValueError(f"unknown p_area method {method!r}")
+    _check_rel_tol(rel_tol)
     if method in ("auto", "exact"):
         facets = _planar_facets(body)
         if facets is not None:

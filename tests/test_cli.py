@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import h1geom.cli as cli
+import h1geom.measures as measures
 from h1geom import (
     DEFAULT_SEED,
     CapabilityError,
@@ -168,6 +169,114 @@ def test_csv_format(capsys, ball_file):
     assert record["command"] == "chord-integral"
     assert float(record["value"]) > 0.0
     assert int(record["n_samples"]) == 20000
+
+
+def _key_tree(report):
+    """The keys of a report at every depth: a dict maps each key to the
+    tree of its value, a list of dicts becomes the list of their trees,
+    and any other value is a leaf, None."""
+    if isinstance(report, dict):
+        return {key: _key_tree(value) for key, value in report.items()}
+    if isinstance(report, list) and report and all(isinstance(v, dict) for v in report):
+        return [_key_tree(value) for value in report]
+    return None
+
+
+_BALL_KEYS = dict.fromkeys(["kind", "center", "radius"])
+_SAMPLING_KEYS = dict.fromkeys(["n", "seed", "stratify", "threads", "method"])
+_RESULT_KEYS = dict.fromkeys(["value", "std_error", "ci95", "n_samples", "n_hits", "method"])
+_SINGLE_KEYS = {
+    "schema": None,
+    "command": None,
+    "body": _BALL_KEYS,
+    "result": _RESULT_KEYS,
+    "reference": dict.fromkeys(["value", "source"]),
+    "diagnostics": dict.fromkeys(["rel_error", "z_score"]),
+    "params": _SAMPLING_KEYS,
+    "wall_time_s": None,
+}
+_ESTIMATE_HEADER = (
+    "command,ell,value,std_error,ci_lo,ci_hi,n_samples,n_hits,seed,method,"
+    "reference,rel_error,z_score"
+)
+# every estimate command's JSON key tree and CSV header, in full
+_REPORT_SCHEMAS = {
+    "crofton": ([], _SINGLE_KEYS, _ESTIMATE_HEADER),
+    "crofton-grid": (
+        ["--method", "grid"],
+        {**_SINGLE_KEYS, "params": {**_SAMPLING_KEYS, "resolution": None}},
+        _ESTIMATE_HEADER,
+    ),
+    "chord-integral": ([], _SINGLE_KEYS, _ESTIMATE_HEADER),
+    "kinematic": ([], {**_SINGLE_KEYS, "params": {**_SAMPLING_KEYS, "ell": None}}, _ESTIMATE_HEADER),
+    "mean-chord": ([], _SINGLE_KEYS, _ESTIMATE_HEADER),
+    "containment": (
+        [],
+        {
+            **{k: v for k, v in _SINGLE_KEYS.items() if k != "body"},
+            "inner": _BALL_KEYS,
+            "outer": _BALL_KEYS,
+            "params": {**_SAMPLING_KEYS, "ell": None},
+        },
+        _ESTIMATE_HEADER,
+    ),
+    "sweep": (
+        ["--ell-list", "0,0.5"],
+        {
+            "schema": None,
+            "command": None,
+            "body": _BALL_KEYS,
+            "rows": [{**_RESULT_KEYS, "ell": None, "reference": None}] * 2,
+            "fit": dict.fromkeys(["slope", "intercept", "slope_reference", "intercept_reference"]),
+            "params": {**_SAMPLING_KEYS, "ell_list": None},
+            "wall_time_s": None,
+        },
+        _ESTIMATE_HEADER,
+    ),
+    "invariance": (
+        [],
+        {
+            "schema": None,
+            "command": None,
+            "body": _BALL_KEYS,
+            "rows": [
+                dict.fromkeys(
+                    [
+                        "quantity",
+                        "value_original",
+                        "se_original",
+                        "value_transformed",
+                        "se_transformed",
+                        "z",
+                    ]
+                )
+            ]
+            * 3,
+            "passed": None,
+            "params": {**_SAMPLING_KEYS, "motion": None, "threshold": None},
+            "wall_time_s": None,
+        },
+        "quantity,value_original,se_original,value_transformed,se_transformed,z",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_REPORT_SCHEMAS))
+def test_estimate_report_schemas(capsys, tmp_path, ball_file, name):
+    # no estimate command drops or adds a report field or a CSV column
+    flags, keys, header = _REPORT_SCHEMAS[name]
+    if name == "containment":
+        inner = tmp_path / "inner.json"
+        inner.write_text(json.dumps({"kind": "ball", "center": [0, 0, 0], "radius": 0.5}))
+        argv = ["containment", "--inner", str(inner), "--outer", ball_file]
+    else:
+        argv = ["crofton" if name == "crofton-grid" else name, "--body", ball_file]
+    argv += [*flags, "--n", "4000"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert _key_tree(json.loads(out)) == keys
+    code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 0 and out.splitlines()[0] == header
 
 
 def test_kinematic_and_grid_method(capsys, ball_file):
@@ -397,6 +506,18 @@ def test_config_errors(capsys, tmp_path, ball_file):
     with pytest.raises(SystemExit) as exc:
         main(["volume", "--body", ball_file, "--n", "5"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_bad_tolerance_is_a_configuration_error(capsys, ball_file, monkeypatch, tol):
+    # rejected before any quadrature runs, not reported as a tolerance
+    # failure after it
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a bad --tol reached the quadrature")
+
+    monkeypatch.setattr(measures, "_charted_p_area", no_quadrature)
+    code, out, err = run_cli(capsys, ["p-area", "--body", ball_file, "--tol", tol])
+    assert code == 2 and out == "" and "rel_tol" in err
 
 
 def test_resolution_zero_is_rejected(capsys, ball_file):

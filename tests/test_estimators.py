@@ -499,55 +499,59 @@ def _bits(est):
 @pytest.mark.parametrize("name", ["ball", "polytope"])
 def test_pass_moments_match_line_by_line_formulas(name):
     # rebuild the lines as the pass maps its uniforms, then compute the
-    # textbook estimates line by line: the sample mean and variance of
-    # the hit measure's integrand, and the delta method for the mean chord
+    # textbook estimates line by line with numpy's mean, std and cov: the
+    # sample mean and variance of each linear estimate's integrand, and
+    # the delta method for each ratio
     body = make_acceptance_bodies()[name]
     n, seed, ell = BLOCK + 4321, 29, 0.7
     window = line_window(body)
-    u = uniforms(seed, 0, n, 3)
+    u = uniforms(seed, 0, n, 4)
     p, t = u[1] * window.p_max, window.t_lo + u[2] * (window.t_hi - window.t_lo)
-    s_lo, s_hi, hit = body.chord_batch(p, u[0] * TWO_PI, t)
-    sigma = np.where(hit, np.maximum(s_hi - s_lo, 0.0), 0.0)
+    theta = u[0] * TWO_PI
 
-    f = window.measure * (sigma + ell) * hit
-    est = estimate_segment_hit_measure(body, ell, n, seed)
-    assert est.value == pytest.approx(f.mean(), rel=1e-12)
-    assert est.std_error == pytest.approx(f.std(ddof=1) / math.sqrt(n), rel=1e-12)
+    def chords(b):
+        s_lo, s_hi, hit = b.chord_batch(p, theta, t)
+        return s_lo, s_hi, hit, np.where(hit, np.maximum(s_hi - s_lo, 0.0), 0.0)
 
-    r = sigma.mean() / hit.mean()
-    cov = np.cov(sigma, hit.astype(float))
-    var_r = (cov[0, 0] - 2.0 * r * cov[0, 1] + r * r * cov[1, 1]) / n
-    est = estimate_mean_chord(body, n, seed)
-    assert est.value == pytest.approx(r, rel=1e-12)
-    assert est.std_error == pytest.approx(math.sqrt(var_r) / hit.mean(), rel=1e-12)
+    def check_mean(est, f):
+        assert est.value == pytest.approx(f.mean(), rel=1e-12)
+        assert est.std_error == pytest.approx(f.std(ddof=1) / math.sqrt(n), rel=1e-12)
 
+    def check_ratio(est, a, b):
+        r = a.mean() / b.mean()
+        cov = np.cov(a, b)
+        var_r = (cov[0, 0] - 2.0 * r * cov[0, 1] + r * r * cov[1, 1]) / n
+        assert est.value == pytest.approx(r, rel=1e-12)
+        assert est.std_error == pytest.approx(math.sqrt(var_r) / b.mean(), rel=1e-12)
 
-def test_passes_forming_only_read_products_match_all_products(monkeypatch):
-    # each estimator's pass sums only the products its error reads (and
-    # takes an indicator's square or hit * sigma from the value sums); a
-    # pass forming every product gives bitwise the same estimates
+    s_lo, s_hi, hit, sigma = chords(body)
+    check_mean(
+        estimate_segment_hit_measure(body, ell, n, seed),
+        window.measure * (sigma + ell) * hit,
+    )
+    check_ratio(estimate_mean_chord(body, n, seed), sigma, hit.astype(float))
+
+    # the segment lies in the body for an h range of length max(sigma - ell, 0)
+    inside = np.maximum(sigma - ell, 0.0)
+    est = estimate_segment_containment_measure(body, ell, n, seed, reference=None)
+    check_mean(est, window.measure * inside)
+    clamped = np.count_nonzero(hit & (inside == 0.0))
+    assert est.clamp_fraction == clamped / np.count_nonzero(hit) and clamped > 0
+
+    # direct 4D sampling: h is the fourth uniform over [-(p_max + ell), p_max]
+    h_len = 2.0 * window.p_max + ell
+    h = -(window.p_max + ell) + u[3] * h_len
+    meets = hit & (h <= s_hi) & (h + ell >= s_lo)
+    est = estimate_segment_hit_measure(body, ell, n, seed, marginalize_h=False)
+    check_mean(est, window.measure * h_len * meets)
+    assert est.n_hits == np.count_nonzero(meets)
+
+    # the outer body's window and lines serve both bodies
     inner = Ball((0.1, 0.05, 0.1), 0.3)
-    n, seed = BLOCK + 999, 47
-    calls = [
-        lambda: containment_probability(inner, BALL, 0.8, n, seed, reference=None),
-        lambda: containment_probability(inner, BALL, 0.0, n, seed, reference=None),
-        lambda: estimate_segment_containment_measure(BOX, 0.9, n, seed, reference=None),
-        lambda: estimate_segment_containment_measure(BALL, 0.0, n, seed, reference=None),
-        lambda: estimate_mean_chord(BOX, n, seed, reference=None),
-        lambda: estimate_segment_hit_measure(BALL, 0.5, n, seed, reference=None),
-        lambda: estimate_segment_hit_measure(
-            BALL, 0.5, n, seed, reference=None, marginalize_h=False
-        ),
-    ]
-
-    def fields(est):
-        return (est.value, est.std_error, est.n_hits, est.clamp_fraction)
-
-    read_only = [fields(call()) for call in calls]
-    real = estimators._row
-    monkeypatch.setattr(estimators, "_row", lambda f, gram: real(f, None))
-    assert [fields(call()) for call in calls] == read_only
-    assert read_only[2][3] > 0.0
+    *_, hit_in, sigma_in = chords(inner)
+    est = containment_probability(inner, body, ell, n, seed, reference=None)
+    check_ratio(est, (sigma_in + ell) * hit_in, (sigma + ell) * hit)
+    assert est.n_hits == np.count_nonzero(hit)
 
 
 def test_sweep_rows_match_standalone_estimators():

@@ -2,7 +2,6 @@
 independent voxel/triangulation oracles."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,9 +251,11 @@ def test_cube_images_keep_volume_and_p_area_to_round_off():
 
 
 def qhull_polytope(normals, offsets):
-    """Vertices, volume and a p_area-ready stand-in of {n.x <= d} built by
+    """Vertices, volume and closed-form p-Area of {n.x <= d} built by
     scipy's qhull from a Chebyshev centre, as an oracle for the vertex
-    enumeration of Polytope."""
+    enumeration of Polytope.  The p-Area sums qhull's triangles in
+    measures._planar_p_area: the fan sum takes |.| per facet, so their
+    orientation does not matter."""
     from scipy.optimize import linprog
     from scipy.spatial import ConvexHull, HalfspaceIntersection
 
@@ -270,11 +271,8 @@ def qhull_polytope(normals, offsets):
     points = HalfspaceIntersection(np.hstack([n, -d[:, None]]), centre).intersections
     _, first = np.unique(np.round(points, 9), axis=0, return_index=True)
     hull = ConvexHull(points[first])
-    patches = [
-        TrianglePatch(*hull.points[simplex], eq[:3])
-        for simplex, eq in zip(hull.simplices, hull.equations)
-    ]
-    return hull.points, hull.volume, SimpleNamespace(boundary_patches=lambda: patches)
+    pa = measures._planar_p_area(hull.points[hull.simplices], hull.equations[:, :3])
+    return hull.points, hull.volume, pa
 
 
 def _qhull_cases():
@@ -294,13 +292,12 @@ def _qhull_cases():
 
 @pytest.mark.parametrize("name, body", list(_qhull_cases().items()))
 def test_polytope_matches_qhull(name, body):
-    points, vol, oracle = qhull_polytope(body.normals, body.offsets)
+    points, vol, exact = qhull_polytope(body.normals, body.offsets)
     v = body.vertices
     dist = np.linalg.norm(v[:, None, :] - points[None, :, :], axis=-1)
     assert len(v) == len(points)
     assert dist.min(axis=1).max() <= 1e-12 and dist.min(axis=0).max() <= 1e-12
     assert abs(body.volume_exact() - vol) <= 1e-13 * vol
-    exact = p_area(oracle, method="exact").value
     assert abs(p_area(body, method="exact").value - exact) <= 1e-13 * exact
 
 
@@ -325,6 +322,23 @@ def test_p_area_closed_form_within_quadrature_error_bar(name):
     quad = p_area(body, method="quadrature")
     assert exact.method == "exact" and quad.method == "quadrature"
     assert abs(exact.value - quad.value) <= quad.error_estimate
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0, 0.0])
+def test_bad_rel_tol_is_rejected_before_any_quadrature(monkeypatch, rel_tol):
+    # a tolerance that no quadrature can meet (or test) raises at once,
+    # for planar bodies and closed forms too, instead of running to
+    # max_resolution and failing as a quadrature error
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a bad rel_tol reached the quadrature")
+
+    monkeypatch.setattr(measures, "_adaptive_surface_integral", no_quadrature)
+    monkeypatch.setattr(measures, "_charted_p_area", no_quadrature)
+    for body in BODIES.values():
+        for method in ("auto", "exact", "quadrature"):
+            for measure in (p_area, volume):
+                with pytest.raises(ValueError, match="rel_tol"):
+                    measure(body, method=method, rel_tol=rel_tol)
 
 
 def test_p_area_planar_bodies_skip_quadrature(monkeypatch):
