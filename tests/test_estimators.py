@@ -554,6 +554,63 @@ def test_pass_moments_match_line_by_line_formulas(name):
     assert est.n_hits == np.count_nonzero(hit)
 
 
+def test_passes_forming_only_read_products_match_all_products(monkeypatch):
+    # each estimator's integrand yields only the products its error reads
+    # (and its gram takes an indicator's square or hit * sigma from the
+    # value sums); a pass forming every product of the yielded arrays,
+    # with G read from those products, gives bitwise the same estimates
+    inner = Ball((0.1, 0.05, 0.1), 0.3)
+    n, seed = BLOCK + 999, 47
+    calls = [
+        lambda: containment_probability(inner, BALL, 0.8, n, seed, reference=None),
+        lambda: containment_probability(inner, BALL, 0.0, n, seed, reference=None),
+        lambda: estimate_segment_containment_measure(BOX, 0.9, n, seed, reference=None),
+        lambda: estimate_segment_containment_measure(BALL, 0.0, n, seed, reference=None),
+        lambda: estimate_mean_chord(BOX, n, seed, reference=None),
+        lambda: estimate_segment_hit_measure(BALL, 0.5, n, seed, reference=None),
+        lambda: estimate_segment_hit_measure(
+            BALL, 0.5, n, seed, reference=None, marginalize_h=False
+        ),
+    ]
+
+    def fields(est):
+        return (est.value, est.std_error, est.n_hits, est.clamp_fraction)
+
+    read_only = [fields(call()) for call in calls]
+
+    real_pass, real_linear = estimators._pass, estimators._linear
+    full = {}
+
+    def pairs(k):
+        return [(i, j) for i in range(k) for j in range(i, k)]
+
+    def all_products_pass(*args, **kwargs):
+        *head, integrand = args
+        width = []
+
+        def every_product(chords, u):
+            f = list(integrand(chords, u))
+            width[:] = [len(f)]
+            return f + [f[i] * f[j] for i, j in pairs(len(f))]
+
+        rows, n_lines = real_pass(*head, every_product, **kwargs)
+        values = rows[:, : width[0]]
+        full[id(values)] = (values, rows)
+        return values, n_lines
+
+    def all_products_linear(rows, c, gram, n, w, method):
+        k = rows.shape[1]
+        column = {p: k + m for m, p in enumerate(pairs(k))}
+        m = range(len(c))
+        gram = [[column[min(i, j), max(i, j)] for j in m] for i in m]
+        return real_linear(full[id(rows)][1], c, gram, n, w, method)
+
+    monkeypatch.setattr(estimators, "_pass", all_products_pass)
+    monkeypatch.setattr(estimators, "_linear", all_products_linear)
+    assert [fields(call()) for call in calls] == read_only
+    assert read_only[2][3] > 0.0
+
+
 def test_sweep_rows_match_standalone_estimators():
     # one pass serves every length: each row, and the slope and intercept
     # of the linear law, equal the standalone estimators bitwise
