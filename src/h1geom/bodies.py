@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HorizontalLine, Point, PshMotion, motion_affine
-from .measures import EllipsoidPatch, RectanglePatch, SurfacePatch, TrianglePatch, _cross
+from .measures import EllipsoidPatch, SurfacePatch, TrianglePatch, _cross
 
 __all__ = [
     "CapabilityError",
@@ -166,7 +166,7 @@ def _solve_chord_quadratic(a, b, c):
 
 class ConvexBody(abc.ABC):
     """Interface shared by all bodies: membership, chords, bounds,
-    boundary patches, and (when available) closed-form volume."""
+    boundary patches and closed-form volume."""
 
     @abc.abstractmethod
     def contains_batch(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -184,8 +184,8 @@ class ConvexBody(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def volume_exact(self) -> float | None:
-        """Closed-form Lebesgue volume, or None if the body has none."""
+    def volume_exact(self) -> float:
+        """Closed-form Lebesgue volume."""
 
     @abc.abstractmethod
     def boundary_patches(self) -> list[SurfacePatch]:
@@ -552,8 +552,9 @@ _BOX_FANS = np.array(
 class Box(Polytope):
     """Axis-aligned box [lo, hi] componentwise: the polytope of the
     halfspaces x_i <= hi_i and -x_i <= -lo_i, built from its exact
-    corners without ``_hull_edges``.  Its volume is the product of its sides and
-    its boundary is six rectangles."""
+    corners without ``_hull_edges``.  Its volume is the product of its
+    sides, and its boundary patches are the twelve face triangles it
+    stores, two per face."""
 
     def __init__(self, lo, hi) -> None:
         self.lo = np.asarray(lo, dtype=float).reshape(3)
@@ -575,24 +576,6 @@ class Box(Polytope):
 
     def volume_exact(self):
         return float(np.prod(self.hi - self.lo))
-
-    def boundary_patches(self):
-        lo, hi = self.lo, self.hi
-        size = hi - lo
-        patches = []
-        for ax in range(3):
-            au, av = (ax + 1) % 3, (ax + 2) % 3
-            eu = np.zeros(3)
-            ev = np.zeros(3)
-            eu[au] = size[au]
-            ev[av] = size[av]
-            for coord, sign in ((lo[ax], -1.0), (hi[ax], 1.0)):
-                origin = lo.copy()
-                origin[ax] = coord
-                normal = np.zeros(3)
-                normal[ax] = sign
-                patches.append(RectanglePatch(origin, eu, ev, normal))
-        return patches
 
 
 def _transform_halfspaces(m: PshMotion, normals, offsets):

@@ -164,20 +164,20 @@ class LineWindow:
         )
 
 
-def line_window(body: ConvexBody, margin: float = 1e-9) -> LineWindow:
+def line_window(body: ConvexBody) -> LineWindow:
     """A window guaranteed to contain every line meeting the body.
 
     If a line meets the body at a point with cylinder coordinates
     |xy| <= r and height z, then p <= r (p is the distance of the
     projected line from the origin) and, since p^2 + s^2 <= r^2 at the
     meeting parameter s, the base height t = z - s p lies within r^2 of
-    z.  The box is inflated by a relative margin so boundary cases stay
-    strictly inside.
+    z.  The box is inflated by 1e-9 of the body's scale so boundary cases
+    stay strictly inside.
     """
     b = body.bounds()
     r = b.r_xy
     scale = max(1.0, r, r * r, abs(b.z_min), abs(b.z_max))
-    pad = margin * scale
+    pad = 1e-9 * scale
     return LineWindow(
         p_max=r + pad, t_lo=b.z_min - r * r - pad, t_hi=b.z_max + r * r + pad
     )
@@ -266,7 +266,7 @@ class InvarianceRow:
 class InvarianceReport:
     """Estimates of invariant quantities before and after a rigid motion,
     with two-sample z statistics.  ``passed`` requires every |z| below
-    ``threshold``."""
+    ``threshold``, which is ``Z_GATE``."""
 
     motion: PshMotion
     n_samples: int
@@ -461,10 +461,12 @@ def _ratio(rows, a, b, gram, n):
 def _result(value, se, n, hits, seed, method, reference, auto, clamp_fraction=None):
     """The one EstimateResult builder.  ``reference='auto'`` takes
     (value, source) from ``auto()``, None skips the reference, and any
-    other value is the caller's.  Value and error become Python floats,
-    so a non-finite estimate's z score and relative error are nan without
-    a numpy warning."""
+    other value is the caller's.  Value, error and clamp fraction become
+    Python floats, so a non-finite estimate's z score and relative error
+    are nan without a numpy warning."""
     value, se = float(value), float(se)
+    if clamp_fraction is not None:
+        clamp_fraction = float(clamp_fraction)
     if reference == "auto":
         ref_value, ref_source = auto()
     elif reference is None:
@@ -846,32 +848,23 @@ def invariance_check(
     *,
     stratify: bool = False,
     threads: int = 1,
-    threshold: float = Z_GATE,
-    quantities: tuple[str, ...] = (
-        "line_measure",
-        "chord_integral",
-        "segment_hit_measure_ell1",
-    ),
 ) -> InvarianceReport:
     """Estimate invariant quantities for the body and its image under a
     rigid motion, each in its own window, and compare with two-sample
     z statistics.  The quantities (line measure, chord integral, segment
-    hit measure at ell = 1) are exactly invariant, so |z| beyond the
-    threshold signals an implementation defect rather than noise.  One
-    sample pass per body (seed for the body, seed + 1 for its image)
-    serves every quantity."""
-    unknown = [q for q in quantities if q not in _INVARIANTS]
-    if unknown:
-        raise ValueError(f"unknown invariance quantities {unknown}")
+    hit measure at ell = 1, one row each in that order) are exactly
+    invariant, so |z| at or beyond ``Z_GATE`` signals an implementation
+    defect rather than noise.  One sample pass per body (seed for the
+    body, seed + 1 for its image) serves every quantity."""
     passes = [
         _line_pass(b, _setup(b, None, n, s, threads), n, s, stratify, "mc", None)
         for b, s in ((body, seed), (transform_body(motion, body), seed + 1))
     ]
     rows = []
-    for name in quantities:
-        a, b = (finish(_INVARIANTS[name], None, None) for finish in passes)
+    for name, coeffs in _INVARIANTS.items():
+        a, b = (finish(coeffs, None, None) for finish in passes)
         z = _z(a.value, b.value, math.hypot(a.std_error, b.std_error))
         rows.append(InvarianceRow(name, a.value, a.std_error, b.value, b.std_error, z))
     return InvarianceReport(
-        motion=motion, n_samples=n, seed=seed, threshold=threshold, rows=rows
+        motion=motion, n_samples=n, seed=seed, threshold=Z_GATE, rows=rows
     )

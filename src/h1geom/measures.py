@@ -11,13 +11,13 @@ element.  It is invariant under the rigid motions of the Heisenberg
 group, and it is the line measure's companion: the invariant measure of
 horizontal lines meeting a convex body equals twice its p-Area.
 
-Bodies expose their boundary as parametrized patches (rectangles,
-triangles, linear images of the sphere).  ``p_area`` is exact for planar
-bodies (``Box``, ``Polytope`` and their images under rigid motions),
-whose boundary it takes as one array of flat triangles: a polytope's
-stored facet fans, a box's twelve face triangles, or the stacked
-vertices of any other body's planar patches.  A vertical facet has the
-constant |N_H| = |(n1, n2)|.  On any other facet with unit normal n,
+Bodies expose their boundary as parametrized patches: flat triangles
+(``Box``, ``Polytope`` and their images under rigid motions) or one
+linear image of the sphere (balls, ellipsoids and their images).
+``p_area`` is exact for planar bodies, whose boundary it takes as one
+array of flat triangles: a polytope's stored facet fans, of which a box
+has twelve.  A vertical facet has the constant |N_H| = |(n1, n2)|.
+On any other facet with unit normal n,
 |N_H| equals |n3| * |(x, y) - c| with c = (n2/n3, -n1/n3) and
 dA = dx dy / |n3|, so the facet contributes the integral of the
 distance to c over its xy-projection: a sum of closed-form fan terms
@@ -55,7 +55,6 @@ import numpy as np
 
 __all__ = [
     "SurfacePatch",
-    "RectanglePatch",
     "TrianglePatch",
     "EllipsoidPatch",
     "MeasureResult",
@@ -81,6 +80,11 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 # the same rule on [0, 1]
 _GAUSS_U = 0.5 * (_GAUSS_NODES + 1.0)
 _GAUSS_W = 0.5 * _GAUSS_WEIGHTS
+
+# the adaptive rules start at this many cells per patch axis and double
+# it until they meet their tolerance or reach the maximum
+_MIN_RESOLUTION = 16
+_MAX_RESOLUTION = 4096
 
 # no quadrature result claims an error below this fraction of its value:
 # summing 10^3 to 10^7 rounded terms loses more than a few ulp
@@ -132,35 +136,6 @@ class SurfacePatch(abc.ABC):
         self, u: np.ndarray, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
-
-
-class RectanglePatch(SurfacePatch):
-    """A planar parallelogram patch X(u, v) = origin + u*eu + v*ev with a
-    fixed outward unit normal."""
-
-    def __init__(self, origin, eu, ev, normal) -> None:
-        self.origin = np.asarray(origin, dtype=float)
-        self.eu = np.asarray(eu, dtype=float)
-        self.ev = np.asarray(ev, dtype=float)
-        n = np.asarray(normal, dtype=float)
-        norm = np.linalg.norm(n)
-        if norm == 0.0:
-            raise ValueError("RectanglePatch normal must be nonzero")
-        self.normal = n / norm
-        self._jac = float(np.linalg.norm(_cross(self.eu, self.ev)))
-
-    def evaluate(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        pts = (
-            self.origin
-            + u[..., None] * self.eu
-            + v[..., None] * self.ev
-        )
-        shape = np.broadcast_shapes(u.shape, v.shape)
-        normals = np.broadcast_to(self.normal, shape + (3,))
-        jac = np.full(shape, self._jac)
-        return pts, normals, jac
 
 
 class TrianglePatch(SurfacePatch):
@@ -396,16 +371,12 @@ def _patch_density(patch: SurfacePatch, integrand):
 
 
 def _adaptive_patch_integral(
-    patch: SurfacePatch,
-    integrand,
-    tol_abs: float,
-    min_resolution: int,
-    max_resolution: int,
+    patch: SurfacePatch, integrand, tol_abs: float
 ) -> tuple[float, float, int]:
     """Refine the midpoint rule until the Richardson error estimate meets
     tol_abs; return (extrapolated value, error estimate, resolution).  The
     returned estimate is at least the round-off floor."""
-    n = min_resolution
+    n = _MIN_RESOLUTION
     older = None
     density = _patch_density(patch, integrand)
     coarse = _midpoint_sum(density, n)
@@ -426,7 +397,7 @@ def _adaptive_patch_integral(
         if err <= tol_abs and settled:
             value = fine + diff / 3.0
             return value, max(err, _ROUNDOFF * abs(value)), n
-        if n >= max_resolution:
+        if n >= _MAX_RESOLUTION:
             raise QuadratureError(
                 f"patch integral did not reach tolerance {tol_abs:.3e} at "
                 f"resolution {n} (error estimate {err:.3e})"
@@ -434,43 +405,32 @@ def _adaptive_patch_integral(
         older, coarse = coarse, fine
 
 
-def _adaptive_surface_integral(
-    body,
-    integrand,
-    rel_tol: float,
-    min_resolution: int,
-    max_resolution: int,
-    method: str,
-) -> MeasureResult:
+def _adaptive_surface_integral(body, integrand, rel_tol: float) -> MeasureResult:
+    """integrand(points, normals) over the body's boundary patches, each
+    refined by ``_adaptive_patch_integral`` to its share of rel_tol."""
     patches = body.boundary_patches()
-    if not patches:
-        raise ValueError("body exposes no boundary patches")
-    coarse = sum(_midpoint_sum(_patch_density(p, integrand), min_resolution) for p in patches)
+    coarse = sum(_midpoint_sum(_patch_density(p, integrand), _MIN_RESOLUTION) for p in patches)
     scale = max(abs(coarse), 1e-12)
     tol_patch = rel_tol * scale / len(patches)
     value = 0.0
     err = 0.0
-    res = min_resolution
+    res = _MIN_RESOLUTION
     for patch in patches:
-        v, e, n = _adaptive_patch_integral(
-            patch, integrand, tol_patch, min_resolution, max_resolution
-        )
+        v, e, n = _adaptive_patch_integral(patch, integrand, tol_patch)
         value += v
         err += e
         res = max(res, n)
-    return MeasureResult(value=value, method=method, resolution=res, error_estimate=err)
+    return MeasureResult(value=value, method="quadrature", resolution=res, error_estimate=err)
 
 
-def _charted_p_area(
-    patch: EllipsoidPatch, rel_tol: float, min_resolution: int, max_resolution: int
-) -> MeasureResult:
+def _charted_p_area(patch: EllipsoidPatch, rel_tol: float) -> MeasureResult:
     """p-Area of one ellipsoid patch by the midpoint rule on its
     characteristic-point chart, doubled until two levels agree to
     rel_tol.  The finer level is returned as it is: it converges
     spectrally, so a Richardson step would only move the coarse level's
     error into it, and the difference of the levels bounds its error."""
     chart = _CharacteristicChart(patch)
-    n = min_resolution
+    n = _MIN_RESOLUTION
     coarse = _midpoint_sum(chart.p_area_density, n)
     while True:
         n *= 2
@@ -483,7 +443,7 @@ def _charted_p_area(
                 resolution=n,
                 error_estimate=max(err, _ROUNDOFF * abs(fine)),
             )
-        if n >= max_resolution:
+        if n >= _MAX_RESOLUTION:
             raise QuadratureError(
                 f"p-Area did not reach relative tolerance {rel_tol:.3e} at "
                 f"resolution {n} (levels differ by {err:.3e})"
@@ -498,39 +458,29 @@ def _check_rel_tol(rel_tol) -> None:
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
 
 
-def volume(
-    body,
-    method: str = "auto",
-    rel_tol: float = 1e-6,
-    min_resolution: int = 16,
-    max_resolution: int = 4096,
-) -> MeasureResult:
+def volume(body, method: str = "auto", rel_tol: float = 1e-6) -> MeasureResult:
     """Lebesgue volume of a convex body.
 
-    ``method='auto'`` uses the body's closed form when it has one and
-    falls back to boundary quadrature of the divergence identity
-    V = (1/3) * integral of (X . n) dA; ``'exact'`` and ``'quadrature'``
-    force one path.  Raises ValueError unless ``rel_tol`` is finite and
-    positive.
+    ``method='auto'`` and ``'exact'`` return the body's closed form,
+    which every body has.  ``'quadrature'`` integrates the divergence
+    identity V = (1/3) * integral of (X . n) dA over the boundary patches
+    with the adaptive midpoint rule, as a cross-check.  Raises ValueError
+    unless ``rel_tol`` is finite and positive, and QuadratureError if the
+    quadrature cannot meet it within ``_MAX_RESOLUTION`` cells per patch
+    axis.
     """
     if method not in ("auto", "exact", "quadrature"):
         raise ValueError(f"unknown volume method {method!r}")
     _check_rel_tol(rel_tol)
-    exact = body.volume_exact()
-    if method in ("auto", "exact"):
-        if exact is not None:
-            return MeasureResult(
-                value=float(exact), method="exact", resolution=0, error_estimate=0.0
-            )
-        if method == "exact":
-            raise ValueError("body has no closed-form volume")
+    if method != "quadrature":
+        return MeasureResult(
+            value=body.volume_exact(), method="exact", resolution=0, error_estimate=0.0
+        )
 
     def flux(pts, normals):
         return np.sum(pts * normals, axis=-1) / 3.0
 
-    return _adaptive_surface_integral(
-        body, flux, rel_tol, min_resolution, max_resolution, "quadrature"
-    )
+    return _adaptive_surface_integral(body, flux, rel_tol)
 
 
 def _planar_p_area(triangles: np.ndarray, normals: np.ndarray) -> float:
@@ -604,56 +554,40 @@ def _planar_facets(body):
     return None
 
 
-def p_area(
-    body,
-    method: str = "auto",
-    rel_tol: float = 1e-6,
-    min_resolution: int = 16,
-    max_resolution: int = 4096,
-) -> MeasureResult:
+def p_area(body, method: str = "auto", rel_tol: float = 1e-6) -> MeasureResult:
     """Sub-Riemannian perimeter (p-Area) of a convex body: the integral of
     |N_H| over the boundary.
 
-    ``method='auto'`` is exact when every boundary patch is planar
-    (boxes, polytopes and their images under rigid motions).  A body
-    whose boundary is one ellipsoid patch (balls, ellipsoids and their
-    images) is integrated on a sphere chart whose poles are its two
+    ``method='auto'`` is exact on planar bodies (boxes, polytopes and
+    their images under rigid motions).  Every other body is an ellipsoid
+    (balls, ellipsoids and their images), whose boundary is one ellipsoid
+    patch; it is integrated on a sphere chart whose poles are its two
     characteristic points, the only kinks of |N_H|: the midpoint grid,
-    doubled from ``min_resolution`` until two levels agree to
-    ``rel_tol``, is then a spectrally convergent periodic trapezoid
-    rule, and the finer level is returned with the difference of the
-    levels as its error estimate.  Other bodies get the adaptive
-    midpoint rule with Richardson extrapolation on each boundary patch.
-    ``'exact'`` (ValueError on a curved body) and ``'quadrature'`` force
-    one path; ``'quadrature'`` is the Richardson rule on the standard
-    patch charts, kept as an independent cross-check.
+    doubled from ``_MIN_RESOLUTION`` cells per axis until two levels
+    agree to ``rel_tol``, is then a spectrally convergent periodic
+    trapezoid rule, and the finer level is returned with the difference
+    of the levels as its error estimate.  ``'exact'`` (ValueError on a
+    curved body) and ``'quadrature'`` force one path; ``'quadrature'`` is
+    the adaptive midpoint rule with Richardson extrapolation on the
+    standard patch charts, kept as an independent cross-check.
 
     Raises ValueError unless ``rel_tol`` is finite and positive, and
     QuadratureError if the quadrature cannot meet the tolerance within
-    ``max_resolution`` cells per patch axis.
+    ``_MAX_RESOLUTION`` cells per patch axis.
     """
     if method not in ("auto", "exact", "quadrature"):
         raise ValueError(f"unknown p_area method {method!r}")
     _check_rel_tol(rel_tol)
-    if method in ("auto", "exact"):
-        facets = _planar_facets(body)
-        if facets is not None:
-            return MeasureResult(
-                value=_planar_p_area(*facets), method="exact", resolution=0, error_estimate=0.0
-            )
-        if method == "exact":
-            raise ValueError("body has no closed-form p-Area (curved boundary)")
-        patches = body.boundary_patches()
-        if len(patches) == 1 and isinstance(patches[0], EllipsoidPatch):
-            return _charted_p_area(patches[0], rel_tol, min_resolution, max_resolution)
-    return _adaptive_surface_integral(
-        body,
-        horizontal_normal_norm,
-        rel_tol,
-        min_resolution,
-        max_resolution,
-        "quadrature",
-    )
+    if method == "quadrature":
+        return _adaptive_surface_integral(body, horizontal_normal_norm, rel_tol)
+    facets = _planar_facets(body)
+    if facets is not None:
+        return MeasureResult(
+            value=_planar_p_area(*facets), method="exact", resolution=0, error_estimate=0.0
+        )
+    if method == "exact":
+        raise ValueError("body has no closed-form p-Area (curved boundary)")
+    return _charted_p_area(body.boundary_patches()[0], rel_tol)
 
 
 def _voxel_fraction(body, resolution: int) -> float:

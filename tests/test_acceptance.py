@@ -195,8 +195,8 @@ def test_criterion_5_containment_probability_of_nested_balls(capsys):
 
 
 def test_criterion_6_estimates_invariant_under_motions(acceptance_bodies, capsys):
-    # paired line-measure and chord-integral estimates before and after
-    # 20 random rigid motions
+    # paired line-measure, chord-integral and segment-hit (ell = 1)
+    # estimates before and after 20 random rigid motions
     rng = np.random.default_rng(20250816)
     worst = (0.0, "", 0.0, 0.0)
     passed = True
@@ -209,7 +209,6 @@ def test_criterion_6_estimates_invariant_under_motions(acceptance_bodies, capsys
             200_000,
             seed=SEED + i,
             threads=THREADS,
-            quantities=("line_measure", "chord_integral"),
         )
         passed = passed and rep.passed
         for row in rep.rows:

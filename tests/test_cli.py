@@ -508,6 +508,57 @@ def test_config_errors(capsys, tmp_path, ball_file):
     assert exc.value.code == 2
 
 
+_BAD_INPUTS = {
+    "array": ('[{"kind": "ball", "center": [0, 0, 0], "radius": 1}]', ["volume"]),
+    "missing-field": ('{"kind": "ball", "center": [0, 0, 0]}', ["volume"]),
+    "short-center": ('{"kind": "ball", "center": [0, 0], "radius": 1}', ["volume"]),
+    "string-coordinate": ('{"kind": "ball", "center": [0, "a", 0], "radius": 1}', ["volume"]),
+    "nan-radius": ('{"kind": "ball", "center": [0, 0, 0], "radius": NaN}', ["volume"]),
+    "zero-semi-axis": (
+        '{"kind": "ellipsoid", "center": [0, 0, 0], "semi_axes": [1, 0, 1]}', ["volume"]
+    ),
+    "flat-box": ('{"kind": "box", "min": [0, 0, 0], "max": [1, 0, 1]}', ["volume"]),
+    "short-halfspace": (
+        '{"kind": "polytope", "halfspaces": '
+        '[[1, 0, 0, 1], [-1, 0, 0, 1], [0, 1, 0, 1], [0, -1, 1]]}',
+        ["volume"],
+    ),
+    "unbounded-polytope": (
+        '{"kind": "polytope", "halfspaces": '
+        '[[1, 0, 0, 1], [-1, 0, 0, 1], [0, 1, 0, 1], [0, -1, 0, 1]]}',
+        ["volume"],
+    ),
+    "motion-of-three": (None, ["invariance", "--n", "1000", "--motion", "1,2,3"]),
+    "motion-of-letters": (None, ["invariance", "--n", "1000", "--motion", "a,b,c,d"]),
+    "ell-list-letter": (None, ["sweep", "--n", "1000", "--ell-list", "x"]),
+    "ell-list-negative": (None, ["sweep", "--n", "1000", "--ell-list", "-1"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_bad_input_is_a_configuration_error(capsys, tmp_path, ball_file, case):
+    # a body file or flag that fails its check exits 2 with one error line
+    # and writes no report
+    text, argv = _BAD_INPUTS[case]
+    body = ball_file
+    if text is not None:
+        body = str(tmp_path / "body.json")
+        with open(body, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    code, out, err = run_cli(capsys, [argv[0], "--body", body, *argv[1:]])
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
+def test_ellipsoid_body_file(capsys, tmp_path):
+    path = tmp_path / "ellipsoid.json"
+    path.write_text(
+        json.dumps({"kind": "ellipsoid", "center": [0.1, 0, 0.2], "semi_axes": [1, 0.8, 1.2]})
+    )
+    for argv in (["volume"], ["p-area"], ["crofton", "--n", "1000"]):
+        code, out, _ = run_cli(capsys, [argv[0], "--body", str(path), *argv[1:]])
+        assert code == 0 and json.loads(out)["body"]["kind"] == "ellipsoid"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_bad_tolerance_is_a_configuration_error(capsys, ball_file, monkeypatch, tol):
     # rejected before any quadrature runs, not reported as a tolerance

@@ -218,10 +218,12 @@ def test_apply_line_matches_pointwise_action():
         m = random_motion(rng, 2.0)
         g = random_line(rng)
         img = psh_apply_line(m, g)
+        assert m.apply_line(g) == img
         assert img.p >= 0.0
         ct, st = math.cos(img.theta), math.sin(img.theta)
         for s in rng.uniform(-3.0, 3.0, 10):
             q = psh_apply_point(m, line_point_at(g, s))
+            assert m.apply(line_point_at(g, s)) == q
             # recover the parameter of q on the image line by projecting
             # its xy-offset from the base point onto the unit direction
             s_img = (q.x - img.p * ct) * st - (q.y - img.p * st) * ct

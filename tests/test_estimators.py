@@ -160,6 +160,14 @@ def test_containment_measure_near_linear_for_short_segments():
     assert abs(est.value - linear) < 0.002 * linear
 
 
+def test_clamp_fraction_is_a_python_float():
+    # like every other float of an estimate, not a numpy scalar
+    for method in ("mc", "grid"):
+        est = estimate_segment_containment_measure(BALL, 0.5, 4096, seed=5, method=method)
+        assert type(est.clamp_fraction) is float
+        assert 0.0 < est.clamp_fraction < 1.0
+
+
 def test_containment_measure_reference_only_at_zero():
     est = estimate_segment_containment_measure(BALL, 0.0, 50_000, seed=41)
     assert est.reference is not None and abs(est.z_score()) < 4.0
@@ -479,17 +487,10 @@ def test_invariance_check():
         "chord_integral",
         "segment_hit_measure_ell1",
     ]
+    assert report.threshold == 4.0
     rng = np.random.default_rng(83)
-    report = invariance_check(
-        BOX,
-        random_motion(rng, 1.0),
-        50_000,
-        seed=89,
-        quantities=("line_measure", "chord_integral"),
-    )
-    assert report.passed and len(report.rows) == 2
-    with pytest.raises(ValueError):
-        invariance_check(BALL, PshMotion.identity(), 1000, quantities=("volume",))
+    report = invariance_check(BOX, random_motion(rng, 1.0), 50_000, seed=89)
+    assert report.passed and len(report.rows) == 3
 
 
 def _bits(est):
@@ -728,6 +729,7 @@ def test_segment_class():
     assert not Segment(g, 0.9, 0.4).contained_in(BALL)
     assert not Segment(g, 1.5, 0.4).hits(BALL)
     assert not Segment(HorizontalLine(2.0, 0.0, 0.0), 0.0, 1.0).hits(BALL)
+    assert not Segment(HorizontalLine(2.0, 0.0, 0.0), 0.0, 1.0).contained_in(BALL)
     with pytest.raises(ValueError):
         Segment(g, 0.0, -1.0)
     with pytest.raises(ValueError):

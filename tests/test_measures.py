@@ -16,7 +16,6 @@ from h1geom import (
     EllipsoidPatch,
     Polytope,
     QuadratureError,
-    RectanglePatch,
     TrianglePatch,
     horizontal_normal_norm,
     p_area,
@@ -111,9 +110,24 @@ def test_p_area_triangulation_oracle_agrees():
         p_area_triangulation_oracle(BODIES["ball"], resolution=4)
 
 
+@pytest.mark.parametrize("name", ["box", "polytope"])
+def test_planar_cross_checks_within_their_error_bars(name):
+    # the forced quadrature and the triangulation oracle of p-Area, and
+    # the flux quadrature of volume, against the closed forms
+    body = BODIES[name]
+    pa, vol = p_area(body).value, volume(body).value
+    for res, exact in (
+        (p_area(body, method="quadrature"), pa),
+        (p_area_triangulation_oracle(body), pa),
+        (volume(body, method="quadrature"), vol),
+    ):
+        assert res.error_estimate > 0.0
+        assert abs(res.value - exact) <= res.error_estimate, res.method
+
+
 def test_p_area_polytope_matches_box():
     # the six-halfspace polytope is the same set as the unit box, with
-    # triangle patches instead of rectangles
+    # vertices and facets found from its halfspaces instead of its corners
     normals = np.vstack([np.eye(3), -np.eye(3)])
     offsets = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     poly = Polytope(normals, offsets)
@@ -151,16 +165,6 @@ def test_integrand_vanishes_at_characteristic_points():
 
 
 def test_patch_area_elements():
-    rect = RectanglePatch(
-        origin=(0.0, 0.0, 0.0), eu=(2.0, 0.0, 0.0), ev=(0.0, 0.0, 1.5), normal=(0.0, -1.0, 0.0)
-    )
-    u = np.array([0.25, 0.75])
-    v = np.array([0.5, 0.5])
-    pts, normals, jac = rect.evaluate(u, v)
-    assert np.allclose(pts[0], [0.5, 0.0, 0.75])
-    assert np.allclose(normals, [[0.0, -1.0, 0.0]] * 2)
-    assert np.allclose(jac, 3.0)
-
     tri = TrianglePatch(
         (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), normal=(0.0, 0.0, 1.0)
     )
@@ -184,9 +188,10 @@ def test_patch_area_elements():
     assert abs(area - knud) < 0.015 * knud
 
 
-def test_quadrature_error_when_budget_too_small():
+def test_quadrature_error_when_budget_too_small(monkeypatch):
+    monkeypatch.setattr(measures, "_MAX_RESOLUTION", 32)
     with pytest.raises(QuadratureError):
-        p_area(BODIES["ellipsoid"], rel_tol=1e-13, max_resolution=32)
+        p_area(BODIES["ellipsoid"], rel_tol=1e-13)
 
 
 def test_measure_result_fields():
@@ -357,9 +362,6 @@ def test_p_area_planar_bodies_skip_quadrature(monkeypatch):
 
 def reference_planar_vertices(patch):
     """Vertices (k, 3) of a planar patch in cyclic order, or None."""
-    if isinstance(patch, RectanglePatch):
-        o, eu, ev = patch.origin, patch.eu, patch.ev
-        return np.array([o, o + eu, o + eu + ev, o + ev])
     if isinstance(patch, TrianglePatch):
         return np.array([patch.p0, patch.p1, patch.p2])
     return None
@@ -423,8 +425,8 @@ def _reference_cases() -> dict:
 
 @pytest.mark.parametrize("name, body", list(_reference_cases().items()))
 def test_planar_p_area_matches_scalar_reference(name, body):
-    # the same closed form, facet by facet in Python; a Box's reference
-    # runs on its six rectangles, the array pass on its twelve triangles
+    # the same closed form, facet by facet in Python, on the triangle
+    # patches of the facets the array pass sums
     ref = reference_planar_p_area(body.boundary_patches())
     got = measures._planar_p_area(body._triangles, body._facet_normals)
     assert abs(got - ref) <= 1e-14 * ref
@@ -471,7 +473,6 @@ def test_p_area_of_planar_bodies_builds_no_patch(monkeypatch):
         raise AssertionError("p_area built a SurfacePatch")
 
     monkeypatch.setattr(TrianglePatch, "__init__", refuse)
-    monkeypatch.setattr(RectanglePatch, "__init__", refuse)
     for body in PLANAR.values():
         assert p_area(body).method == "exact"
 
