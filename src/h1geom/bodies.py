@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HorizontalLine, Point, PshMotion, motion_affine
-from .measures import EllipsoidPatch, SurfacePatch, TrianglePatch, _cross
+from .measures import _cross
 
 __all__ = [
     "CapabilityError",
@@ -165,8 +165,8 @@ def _solve_chord_quadratic(a, b, c):
 
 
 class ConvexBody(abc.ABC):
-    """Interface shared by all bodies: membership, chords, bounds,
-    boundary patches and closed-form volume."""
+    """Interface shared by all bodies: membership, chords, bounds and
+    closed-form volume."""
 
     @abc.abstractmethod
     def contains_batch(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -186,10 +186,6 @@ class ConvexBody(abc.ABC):
     @abc.abstractmethod
     def volume_exact(self) -> float:
         """Closed-form Lebesgue volume."""
-
-    @abc.abstractmethod
-    def boundary_patches(self) -> list[SurfacePatch]:
-        ...
 
     @abc.abstractmethod
     def interior_point(self) -> np.ndarray:
@@ -321,9 +317,6 @@ class Ellipsoid(ConvexBody):
         q[1:, 0] = -mc
         q[1:, 1:] = m
         return q
-
-    def boundary_patches(self):
-        return [EllipsoidPatch(self.center, self.lin)]
 
     def interior_point(self):
         return self.center.copy()
@@ -530,11 +523,6 @@ class Polytope(ConvexBody):
     def volume_exact(self):
         return self._volume
 
-    def boundary_patches(self):
-        return [
-            TrianglePatch(a, b, c, n) for (a, b, c), n in zip(self._triangles, self._facet_normals)
-        ]
-
     def interior_point(self):
         return self._centroid.copy()
 
@@ -553,8 +541,7 @@ class Box(Polytope):
     """Axis-aligned box [lo, hi] componentwise: the polytope of the
     halfspaces x_i <= hi_i and -x_i <= -lo_i, built from its exact
     corners without ``_hull_edges``.  Its volume is the product of its
-    sides, and its boundary patches are the twelve face triangles it
-    stores, two per face."""
+    sides, and it stores twelve face triangles, two per face."""
 
     def __init__(self, lo, hi) -> None:
         self.lo = np.asarray(lo, dtype=float).reshape(3)

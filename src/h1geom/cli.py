@@ -9,9 +9,9 @@ Bodies are described by JSON files::
 
 Unknown keys are rejected.  Commands::
 
-    volume          Lebesgue volume (closed form, quadrature, or voxel)
-    p-area          sub-Riemannian perimeter; --oracle forces the
-                    triangulation oracle instead of adaptive quadrature
+    volume          Lebesgue volume (closed form, or the voxel oracle)
+    p-area          sub-Riemannian perimeter; --oracle reports the
+                    line-space Crofton rule instead
     crofton         Monte Carlo line measure vs twice the p-Area
     chord-integral  Monte Carlo chord integral vs 2*pi*V
     mean-chord      ratio estimate of the mean chord vs pi*V/pA
@@ -60,13 +60,7 @@ from .estimators import (
     grid_axis_resolution,
     invariance_check,
 )
-from .measures import (
-    QuadratureError,
-    p_area,
-    p_area_triangulation_oracle,
-    volume,
-    volume_voxel_oracle,
-)
+from .measures import QuadratureError, p_area, volume, volume_voxel_oracle
 
 SCHEMA = "h1geom.report/1"
 
@@ -389,16 +383,13 @@ def _cmd_volume(args):
         return _measure_report(
             "volume", spec, volume_voxel_oracle(body, args.resolution)
         )
-    return _measure_report("volume", spec, volume(body, method=args.method))
+    return _measure_report("volume", spec, volume(body))
 
 
 def _cmd_p_area(args):
     spec, body = _load_body(args.body)
-    if args.oracle:
-        return _measure_report(
-            "p-area", spec, p_area_triangulation_oracle(body, args.resolution)
-        )
-    return _measure_report("p-area", spec, p_area(body, rel_tol=args.tol))
+    method = "line" if args.oracle else "auto"
+    return _measure_report("p-area", spec, p_area(body, method=method, rel_tol=args.tol))
 
 
 def _cmd_estimate(args):
@@ -539,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.add_argument(
         "--method",
-        choices=("auto", "exact", "quadrature", "voxel"),
+        choices=("auto", "exact", "voxel"),
         default="auto",
     )
     p.add_argument("--resolution", type=int, default=128, help="voxel resolution")
@@ -551,10 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="use the triangulation oracle instead of quadrature",
-    )
-    p.add_argument(
-        "--resolution", type=int, default=128, help="oracle triangulation resolution"
+        help="report the line-space Crofton rule, refined to --tol, "
+        "instead of the default p-Area",
     )
     p.set_defaults(func=_cmd_p_area)
 

@@ -11,9 +11,7 @@ element.  It is invariant under the rigid motions of the Heisenberg
 group, and it is the line measure's companion: the invariant measure of
 horizontal lines meeting a convex body equals twice its p-Area.
 
-Bodies expose their boundary as parametrized patches: flat triangles
-(``Box``, ``Polytope`` and their images under rigid motions) or one
-linear image of the sphere (balls, ellipsoids and their images).
+``volume`` returns the body's closed form, which every body has.
 ``p_area`` is exact for planar bodies, whose boundary it takes as one
 array of flat triangles: a polytope's stored facet fans, of which a box
 has twelve.  A vertical facet has the constant |N_H| = |(n1, n2)|.
@@ -29,41 +27,41 @@ The integrand |N_H| vanishes at characteristic points (where the
 tangent plane is the contact plane), and it has a cone-like kink there:
 |N_H| = rho * h(phi) in polar coordinates about the point.  A grid cell
 that contains the kink spoils the convergence order of any tensor rule.
-Curved bodies (balls, ellipsoids and their images, whose boundary is
-one ``EllipsoidPatch``) are therefore integrated on a sphere chart whose
-poles are the body's two characteristic points, where the midpoint grid
-is the periodic trapezoid rule of an analytic function and converges
-spectrally.  The grid is evaluated as a column of u against a row of
-v, so the chart's sines and cosines cost one per row or column, and its
-points and normals come from one matrix product per grid.
-``method='quadrature'`` forces the adaptive midpoint rule with
-Richardson extrapolation on the standard patch charts instead, on
-every body, as a cross-check; it stops only where three successive
-levels show the h^2 order its error estimate assumes, so a kink inside
-a patch costs resolution, not coverage.  ``p_area_triangulation_oracle``
-and ``volume_voxel_oracle`` are slower, structurally independent
-cross-checks used by the test suite.
+Curved bodies (balls, ellipsoids and their images) are therefore
+integrated on a sphere chart whose poles are the body's two
+characteristic points, where the midpoint grid is the periodic
+trapezoid rule of an analytic function and converges spectrally.  The
+grid is evaluated as a column of u against a row of v, so the chart's
+sines and cosines cost one per row or column, and its points and
+normals come from one matrix product per grid.
+
+``method='line'`` is the independent cross-check: the Crofton identity
+itself, 2 pA = the integral over theta in [0, 2 pi) and p in P(theta)
+of |T(p, theta)|, where a horizontal line (p, theta, t) meets the body
+exactly when p lies in P(theta), the range of x . n over the body with
+n = (cos theta, sin theta, 0), and t lies in T(p, theta), the range of
+a . x over the slice {x . n = p} with a = e3 - p v and v = (sin theta,
+-cos theta, 0): a . x = t along the line.  Its rules
+(``_ellipsoid_line_rule``, ``_planar_line_rule``) work from those
+slices and share no code with the surface rules.  ``volume_voxel_oracle``
+is the volume's cross-check, from membership tests alone.
 """
 
 from __future__ import annotations
 
-import abc
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SurfacePatch",
-    "TrianglePatch",
-    "EllipsoidPatch",
     "MeasureResult",
     "QuadratureError",
     "horizontal_normal_norm",
     "volume",
     "p_area",
     "volume_voxel_oracle",
-    "p_area_triangulation_oracle",
 ]
 
 # evaluation is chunked so refinement never materializes huge grids
@@ -81,8 +79,9 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _GAUSS_U = 0.5 * (_GAUSS_NODES + 1.0)
 _GAUSS_W = 0.5 * _GAUSS_WEIGHTS
 
-# the adaptive rules start at this many cells per patch axis and double
-# it until they meet their tolerance or reach the maximum
+# the refined rules start at this level (cells per chart axis, or theta
+# nodes of the line rule) and double it until two levels agree to their
+# tolerance or the level reaches the maximum
 _MIN_RESOLUTION = 16
 _MAX_RESOLUTION = 4096
 
@@ -103,120 +102,21 @@ def _cross(a, b):
 
 
 class QuadratureError(RuntimeError):
-    """Raised when adaptive quadrature cannot reach the requested
-    tolerance within the resolution budget."""
+    """Raised when a refined rule cannot reach the requested tolerance
+    within the resolution budget."""
 
 
 @dataclass(frozen=True)
 class MeasureResult:
     """A measured value with provenance: the method that produced it
-    ("exact", "quadrature", "voxel-oracle" or "triangulation-oracle"),
-    the finest resolution used (0 for closed forms), and an error
-    estimate (0.0 for closed forms)."""
+    ("exact", "quadrature" for the charted p-Area, "line-rule" or
+    "voxel-oracle"), the finest resolution used (0 for closed forms), and
+    an error estimate (0.0 for closed forms)."""
 
     value: float
     method: str
     resolution: int
     error_estimate: float
-
-
-class SurfacePatch(abc.ABC):
-    """A smooth parametrized piece of a body's boundary over the unit
-    square (u, v) in [0, 1]^2.
-
-    ``evaluate`` maps parameter arrays to (points, normals, jacobian):
-    points on the surface with shape (..., 3), outward Euclidean unit
-    normals with shape (..., 3), and the area element |X_u x X_v| with
-    shape (...).  Patches may collapse edges (triangles, sphere poles);
-    the jacobian then vanishes on the collapsed set.
-    """
-
-    @abc.abstractmethod
-    def evaluate(
-        self, u: np.ndarray, v: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-
-class TrianglePatch(SurfacePatch):
-    """A flat triangle mapped from the unit square by collapsing an edge:
-    X(u, v) = (1-u) p0 + u ((1-v) p1 + v p2), so the area element is
-    u * |(p1 - p0) x (p2 - p0)| and integrates to the triangle area."""
-
-    def __init__(self, p0, p1, p2, normal) -> None:
-        self.p0 = np.asarray(p0, dtype=float)
-        self.p1 = np.asarray(p1, dtype=float)
-        self.p2 = np.asarray(p2, dtype=float)
-        n = np.asarray(normal, dtype=float)
-        norm = np.linalg.norm(n)
-        if norm == 0.0:
-            raise ValueError("TrianglePatch normal must be nonzero")
-        self.normal = n / norm
-        self._jac0 = float(
-            np.linalg.norm(_cross(self.p1 - self.p0, self.p2 - self.p0))
-        )
-
-    def evaluate(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        edge = (1.0 - v)[..., None] * self.p1 + v[..., None] * self.p2
-        pts = (1.0 - u)[..., None] * self.p0 + u[..., None] * edge
-        shape = np.broadcast_shapes(u.shape, v.shape)
-        normals = np.broadcast_to(self.normal, shape + (3,))
-        jac = np.broadcast_to(u, shape) * self._jac0
-        return pts, normals, jac
-
-
-class EllipsoidPatch(SurfacePatch):
-    """The boundary of a linear image of the unit ball, X = center + L n
-    over the sphere chart n(u, v) = (sin(pi v) cos(2 pi u),
-    sin(pi v) sin(2 pi u), cos(pi v)).
-
-    The outward normal of the image surface is parallel to L^{-T} n (the
-    gradient of the defining quadratic |L^{-1}(X - center)|^2), which
-    points outward for any invertible L because (L^{-T} n) . (L n) = 1.
-    """
-
-    def __init__(self, center, lin) -> None:
-        self.center = np.asarray(center, dtype=float)
-        self.lin = np.asarray(lin, dtype=float)
-        if self.lin.shape != (3, 3):
-            raise ValueError("EllipsoidPatch needs a 3x3 linear map")
-        self._lin_inv = np.linalg.inv(self.lin)
-
-    def evaluate(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        phi = 2.0 * math.pi * u
-        psi = math.pi * v
-        sp, cp = np.sin(psi), np.cos(psi)
-        sf, cf = np.sin(phi), np.cos(phi)
-        n_sph = np.stack(
-            np.broadcast_arrays(sp * cf, sp * sf, cp), axis=-1
-        )
-        pts = self.center + n_sph @ self.lin.T
-        # chart partials through the linear map
-        dn_du = np.stack(
-            np.broadcast_arrays(
-                -2.0 * math.pi * sp * sf,
-                2.0 * math.pi * sp * cf,
-                np.zeros_like(sp * sf),
-            ),
-            axis=-1,
-        )
-        dn_dv = np.stack(
-            np.broadcast_arrays(
-                math.pi * cp * cf, math.pi * cp * sf, -math.pi * sp
-            ),
-            axis=-1,
-        )
-        xu = dn_du @ self.lin.T
-        xv = dn_dv @ self.lin.T
-        jac = np.linalg.norm(_cross(xu, xv), axis=-1)
-        grad = n_sph @ self._lin_inv
-        gnorm = np.linalg.norm(grad, axis=-1, keepdims=True)
-        normals = grad / gnorm
-        return pts, normals, jac
 
 
 def _characteristic_directions(center, lin) -> tuple[np.ndarray, np.ndarray]:
@@ -248,12 +148,11 @@ def _characteristic_directions(center, lin) -> tuple[np.ndarray, np.ndarray]:
     return north, south
 
 
-class _CharacteristicChart(SurfacePatch):
-    """The surface of an ``EllipsoidPatch`` over a sphere chart whose
-    poles are the body's two characteristic points.
+class _CharacteristicChart:
+    """The surface of an ellipsoid X = center + L u, |u| = 1, over a
+    sphere chart whose poles are the body's two characteristic points.
 
-    With u+ and u- the characteristic directions (on the unit sphere of
-    the patch's chart), a rotation R takes them to (-beta, 0,
+    With u+ and u- the characteristic directions (on the unit sphere), a rotation R takes them to (-beta, 0,
     +-sqrt(1 - beta^2)) and the sphere boost of speed beta along the
     first axis, a Mobius map, takes those to the poles.  The chart is
     X = center + L R B^{-1}(q) over the standard sphere chart q(u, v),
@@ -264,8 +163,8 @@ class _CharacteristicChart(SurfacePatch):
     integrand is analytic and the midpoint grid (n even) is its
     periodic trapezoid rule."""
 
-    def __init__(self, patch: EllipsoidPatch) -> None:
-        north, south = _characteristic_directions(patch.center, patch.lin)
+    def __init__(self, body) -> None:
+        north, south = _characteristic_directions(body.center, body.lin)
         e3 = north - south
         e3 /= math.sqrt(e3 @ e3)
         bisector = north + south
@@ -282,16 +181,16 @@ class _CharacteristicChart(SurfacePatch):
             e1 = axis - (axis @ e3) * e3
             e1 /= math.sqrt(e1 @ e1)
         rotation = np.array([e1, _cross(e3, e1), e3])
-        self.center = patch.center
-        self.lin = patch.lin @ rotation.T
-        self._lin_inv = rotation @ patch._lin_inv
+        self.center = body.center
+        self.lin = body.lin @ rotation.T
+        self._lin_inv = rotation @ body._lin_inv
         # the rows of lin and the columns of its inverse, for one product
         # per grid: points are center + lin s and normals parallel to
         # lin^{-T} s for s on the unit sphere
         self._maps = np.vstack([self.lin, self._lin_inv.T])
         # |N_H| dA_X = |det L| |N_H(g)| dA_u for the unnormalised normal
         # g = L^{-T} u, and the standard chart has dA_u = 2 pi^2 sin(psi)
-        det = abs(float(patch.lin[2] @ _cross(patch.lin[0], patch.lin[1])))
+        det = abs(float(body.lin[2] @ _cross(body.lin[0], body.lin[1])))
         self._area_scale = 2.0 * math.pi**2 * det * (1.0 - self.beta**2)
 
     def _images(self, u, v):
@@ -317,6 +216,8 @@ class _CharacteristicChart(SurfacePatch):
         return images, inv
 
     def evaluate(self, u, v):
+        """Points (..., 3), outward unit normals (..., 3) and the area
+        element at the chart parameters (u, v) in [0, 1]^2."""
         images, weight = self._images(u, v)
         pts = np.moveaxis(images[:3], 0, -1)
         grad = np.moveaxis(images[3:], 0, -1)
@@ -346,100 +247,47 @@ def horizontal_normal_norm(points: np.ndarray, normals: np.ndarray) -> np.ndarra
     return np.hypot(nh1, nh2)
 
 
+def _chunked_sum(term, count: int, width: int) -> float:
+    """The sum of term(lo, hi) over consecutive ranges [lo, hi) of
+    range(count), each of at most _CHUNK_POINTS // width items of
+    ``width`` points."""
+    step = max(1, _CHUNK_POINTS // width)
+    total = 0.0
+    for lo in range(0, count, step):
+        total += term(lo, min(lo + step, count))
+    return total
+
+
 def _midpoint_sum(density, n: int) -> float:
     """Composite midpoint rule of density(u, v) over the unit square on an
     n x n grid.  The density sees a column of u against a row of v, so
     what depends on one parameter is computed once per row or column."""
     cell = 1.0 / n
     mid = (np.arange(n) + 0.5) * cell
-    rows_per_chunk = max(1, _CHUNK_POINTS // n)
-    total = 0.0
-    for lo in range(0, n, rows_per_chunk):
-        total += float(np.sum(density(mid[lo : lo + rows_per_chunk, None], mid[None, :])))
-    return total * cell * cell
+
+    def rows(lo, hi):
+        return float(np.sum(density(mid[lo:hi, None], mid[None, :])))
+
+    return _chunked_sum(rows, n, n) * cell * cell
 
 
-def _patch_density(patch: SurfacePatch, integrand):
-    """integrand(points, normals) times the area element of the patch, as
-    a function of (u, v)."""
-
-    def density(u, v):
-        pts, normals, jac = patch.evaluate(u, v)
-        return integrand(pts, normals) * jac
-
-    return density
-
-
-def _adaptive_patch_integral(
-    patch: SurfacePatch, integrand, tol_abs: float
-) -> tuple[float, float, int]:
-    """Refine the midpoint rule until the Richardson error estimate meets
-    tol_abs; return (extrapolated value, error estimate, resolution).  The
-    returned estimate is at least the round-off floor."""
+def _refine(rule, rel_tol: float, method: str) -> MeasureResult:
+    """rule(n) at n = _MIN_RESOLUTION, doubled until two levels agree to
+    rel_tol.  The finer level is returned as it is: every rule here
+    converges spectrally, so a Richardson step would only move the
+    coarser level's error into it, and the difference of the levels,
+    never taken below the round-off floor, bounds its error.  Raises
+    QuadratureError once the level reaches _MAX_RESOLUTION."""
     n = _MIN_RESOLUTION
-    older = None
-    density = _patch_density(patch, integrand)
-    coarse = _midpoint_sum(density, n)
+    coarse = rule(n)
     while True:
         n *= 2
-        fine = _midpoint_sum(density, n)
-        diff = fine - coarse
-        # midpoint rule converges at order h^2, so the h -> h/2 step
-        # overestimates the remaining error by a factor 3.  A kink inside
-        # the patch (a characteristic point) breaks that order until h
-        # resolves it, so the step is trusted only where the last three
-        # levels show it, their differences shrinking by 3 or more, or
-        # where the difference is round-off
-        err = abs(diff) / 3.0
-        settled = abs(diff) <= _ROUNDOFF * abs(fine) or (
-            older is not None and (coarse - older) / diff >= 3.0
-        )
-        if err <= tol_abs and settled:
-            value = fine + diff / 3.0
-            return value, max(err, _ROUNDOFF * abs(value)), n
-        if n >= _MAX_RESOLUTION:
-            raise QuadratureError(
-                f"patch integral did not reach tolerance {tol_abs:.3e} at "
-                f"resolution {n} (error estimate {err:.3e})"
-            )
-        older, coarse = coarse, fine
-
-
-def _adaptive_surface_integral(body, integrand, rel_tol: float) -> MeasureResult:
-    """integrand(points, normals) over the body's boundary patches, each
-    refined by ``_adaptive_patch_integral`` to its share of rel_tol."""
-    patches = body.boundary_patches()
-    coarse = sum(_midpoint_sum(_patch_density(p, integrand), _MIN_RESOLUTION) for p in patches)
-    scale = max(abs(coarse), 1e-12)
-    tol_patch = rel_tol * scale / len(patches)
-    value = 0.0
-    err = 0.0
-    res = _MIN_RESOLUTION
-    for patch in patches:
-        v, e, n = _adaptive_patch_integral(patch, integrand, tol_patch)
-        value += v
-        err += e
-        res = max(res, n)
-    return MeasureResult(value=value, method="quadrature", resolution=res, error_estimate=err)
-
-
-def _charted_p_area(patch: EllipsoidPatch, rel_tol: float) -> MeasureResult:
-    """p-Area of one ellipsoid patch by the midpoint rule on its
-    characteristic-point chart, doubled until two levels agree to
-    rel_tol.  The finer level is returned as it is: it converges
-    spectrally, so a Richardson step would only move the coarse level's
-    error into it, and the difference of the levels bounds its error."""
-    chart = _CharacteristicChart(patch)
-    n = _MIN_RESOLUTION
-    coarse = _midpoint_sum(chart.p_area_density, n)
-    while True:
-        n *= 2
-        fine = _midpoint_sum(chart.p_area_density, n)
+        fine = rule(n)
         err = abs(fine - coarse)
         if err <= rel_tol * abs(fine):
             return MeasureResult(
                 value=fine,
-                method="quadrature",
+                method=method,
                 resolution=n,
                 error_estimate=max(err, _ROUNDOFF * abs(fine)),
             )
@@ -451,6 +299,116 @@ def _charted_p_area(patch: EllipsoidPatch, rel_tol: float) -> MeasureResult:
         coarse = fine
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the count-point Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(count)
+
+
+def _ellipsoid_line_rule(body, n: int) -> float:
+    """Half the Crofton integral of the ellipsoid X = c + L y, |y| <= 1,
+    at level n: the midpoint rule on n theta nodes (the integrand is
+    periodic) and n/2 Gauss-Legendre nodes on each of two pieces in u.
+
+    With m = L^T n, P(theta) = n.c +- |m|.  The slice at p = n.c + delta
+    is c + L y over m.y = delta, |y| <= 1, where a.x = a.c + b.y with
+    b = L^T a, so |T| = 2 sqrt(1 - delta^2 / |m|^2) |b_perp|, b_perp the
+    part of b orthogonal to m.  After p = n.c - |m| cos u, u in [0, pi],
+    which absorbs the square-root ends of |T|, the p integral is 2 |m|
+    times the integral of sin^2 u |b_perp|.  As b_perp = alpha + beta p
+    is affine in p, |b_perp|^2 = |beta|^2 (p - p*)^2 + |alpha x beta|^2
+    / |beta|^2 has a near-kink at p* when its minimum is small (every
+    thin body has one), so u is split where p = p*."""
+    lin, (c0, c1, _) = body.lin, body.center
+    nodes, weights = _gauss_legendre(n // 2)
+
+    def rows(lo, hi):
+        theta = (np.arange(lo, hi) + 0.5) * (2.0 * math.pi / n)
+        ct, st = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        m = ct * lin[0] + st * lin[1]
+        mm = np.sum(m * m, axis=1, keepdims=True)
+        # L^T e3 and -L^T v, each without its part along m
+        alpha = lin[2] - (m @ lin[2])[:, None] / mm * m
+        w = st * lin[0] - ct * lin[1]
+        beta = np.sum(w * m, axis=1, keepdims=True) / mm * m - w
+        bb = np.sum(beta * beta, axis=1)
+        p_star = -np.sum(alpha * beta, axis=1) / bb
+        floor = np.sum(_cross(alpha, beta) ** 2, axis=1) / bb
+        mu = np.sqrt(mm[:, 0])
+        # p - p* = offset - mu cos u
+        offset = ct[:, 0] * c0 + st[:, 0] * c1 - p_star
+        u_star = np.arccos(np.clip(offset / mu, -1.0, 1.0))
+        # the pieces [0, u*] and [u*, pi] by centre and half-length
+        half = np.column_stack([u_star, math.pi - u_star]) / 2.0
+        centre = np.column_stack([u_star, math.pi + u_star]) / 2.0
+        u = centre[..., None] + half[..., None] * nodes
+        gap = offset[:, None, None] - mu[:, None, None] * np.cos(u)
+        b_perp = np.sqrt(bb[:, None, None] * gap * gap + floor[:, None, None])
+        inner = np.sum(half * ((np.sin(u) ** 2 * b_perp) @ weights), axis=1)
+        return float(2.0 * (mu @ inner))
+
+    # half of (2 pi / n) times the sum over the theta nodes
+    return _chunked_sum(rows, n, n) * (math.pi / n)
+
+
+def _planar_line_rule(triangles: np.ndarray, normals: np.ndarray, n: int) -> float:
+    """Half the Crofton integral of a convex surface of flat triangles
+    (T, 3, 3) with outward unit normals f (T, 3), at level n: n/2
+    Gauss-Legendre theta nodes on each of seven pieces per triangle.
+
+    A slice is a convex polygon, around which a . x rises and falls by
+    |T| each, so |T| is half the sum of |a . dx| over its sides.  A side
+    runs along d = n x f in each facet it crosses, and the part of it in
+    one fan triangle adds |a . d| / |d| times the section's length.  By
+    the coarea formula (|d| is the slope of x . n within the facet), the
+    triangle's share of the p integral of |T| is half the integral over
+    the triangle of |g|, g(x) = a(x . n) . d = d3 - (x . n) f3 =
+    cos(theta) (f2 - x f3) - sin(theta) (f1 + y f3).  So g is linear on
+    the triangle, -u . N_H(x) with u = (sin theta, -cos theta), and the
+    integral of |g| is closed form in g's vertex values.  It is analytic
+    in theta between the angles where g vanishes at a vertex (where the
+    facet's turning point p = d3 / f3, at which a . d changes sign,
+    crosses the vertex's x . n), two per vertex, and theta is split
+    there."""
+    d1 = triangles[:, 1] - triangles[:, 0]
+    d2 = triangles[:, 2] - triangles[:, 0]
+    area = 0.5 * np.linalg.norm(_cross(d1, d2), axis=1)
+    # N_H at each vertex of each triangle, (T, 3) per component
+    f1, f2, f3 = (normals[:, k, None] for k in range(3))
+    nh1 = f1 + triangles[..., 1] * f3
+    nh2 = f2 - triangles[..., 0] * f3
+    zero = np.arctan2(nh2, nh1) % math.pi
+    ends = np.zeros((len(area), 1))
+    cuts = np.sort(np.hstack([ends, zero, zero + math.pi, ends + 2.0 * math.pi]), axis=1)
+    half = np.diff(cuts, axis=1) / 2.0
+    nodes, weights = _gauss_legendre(n // 2)
+
+    def rows(lo, hi):
+        theta = (cuts[lo:hi, :-1] + half[lo:hi])[..., None] + half[lo:hi, :, None] * nodes
+        g = (
+            np.cos(theta)[..., None] * nh2[lo:hi, None, None]
+            - np.sin(theta)[..., None] * nh1[lo:hi, None, None]
+        )
+        total = g.sum(axis=-1)
+        # |g| integrates as -g does: make at most one vertex positive
+        sign = np.where(np.count_nonzero(g > 0.0, axis=-1) == 2, -1.0, 1.0)
+        low, mid, top = np.moveaxis(np.sort(g * sign[..., None], axis=-1), -1, 0)
+        total *= sign
+        # the mean of |g| over the triangle: |mean g| where g keeps one
+        # sign, else twice the mean of g+ (a corner triangle with g = top,
+        # 0, 0 and sides cut at top / (top - mid), top / (top - low)) less
+        # the mean of g
+        lone = (top > 0.0) & (mid <= 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corner = 2.0 * top**3 / ((top - mid) * (top - low))
+        mean = np.where(lone, corner - total, np.abs(total)) / 3.0
+        return float(area[lo:hi] @ np.sum(half[lo:hi] * (mean @ weights), axis=1))
+
+    # the p integral of |T| is half the sum of the triangles' integrals,
+    # and the p-Area half the Crofton integral
+    return 0.25 * _chunked_sum(rows, len(area), 7 * (n // 2))
+
+
 def _check_rel_tol(rel_tol) -> None:
     """Reject a tolerance no quadrature can meet or test (nan, infinite,
     zero or negative) before any work is done."""
@@ -458,29 +416,12 @@ def _check_rel_tol(rel_tol) -> None:
         raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol}")
 
 
-def volume(body, method: str = "auto", rel_tol: float = 1e-6) -> MeasureResult:
-    """Lebesgue volume of a convex body.
-
-    ``method='auto'`` and ``'exact'`` return the body's closed form,
-    which every body has.  ``'quadrature'`` integrates the divergence
-    identity V = (1/3) * integral of (X . n) dA over the boundary patches
-    with the adaptive midpoint rule, as a cross-check.  Raises ValueError
-    unless ``rel_tol`` is finite and positive, and QuadratureError if the
-    quadrature cannot meet it within ``_MAX_RESOLUTION`` cells per patch
-    axis.
-    """
-    if method not in ("auto", "exact", "quadrature"):
-        raise ValueError(f"unknown volume method {method!r}")
-    _check_rel_tol(rel_tol)
-    if method != "quadrature":
-        return MeasureResult(
-            value=body.volume_exact(), method="exact", resolution=0, error_estimate=0.0
-        )
-
-    def flux(pts, normals):
-        return np.sum(pts * normals, axis=-1) / 3.0
-
-    return _adaptive_surface_integral(body, flux, rel_tol)
+def volume(body) -> MeasureResult:
+    """Lebesgue volume of a convex body: its closed form, which every body
+    has.  ``volume_voxel_oracle`` is its cross-check."""
+    return MeasureResult(
+        value=body.volume_exact(), method="exact", resolution=0, error_estimate=0.0
+    )
 
 
 def _planar_p_area(triangles: np.ndarray, normals: np.ndarray) -> float:
@@ -560,59 +501,69 @@ def p_area(body, method: str = "auto", rel_tol: float = 1e-6) -> MeasureResult:
 
     ``method='auto'`` is exact on planar bodies (boxes, polytopes and
     their images under rigid motions).  Every other body is an ellipsoid
-    (balls, ellipsoids and their images), whose boundary is one ellipsoid
-    patch; it is integrated on a sphere chart whose poles are its two
-    characteristic points, the only kinks of |N_H|: the midpoint grid,
-    doubled from ``_MIN_RESOLUTION`` cells per axis until two levels
-    agree to ``rel_tol``, is then a spectrally convergent periodic
-    trapezoid rule, and the finer level is returned with the difference
-    of the levels as its error estimate.  ``'exact'`` (ValueError on a
-    curved body) and ``'quadrature'`` force one path; ``'quadrature'`` is
-    the adaptive midpoint rule with Richardson extrapolation on the
-    standard patch charts, kept as an independent cross-check.
+    (balls, ellipsoids and their images), integrated on a sphere chart
+    whose poles are its two characteristic points, the only kinks of
+    |N_H|: the midpoint grid, doubled from ``_MIN_RESOLUTION`` cells per
+    axis until two levels agree to ``rel_tol``, is then a spectrally
+    convergent periodic trapezoid rule, and the finer level is returned
+    with the difference of the levels as its error estimate.  ``'exact'``
+    forces the closed form (ValueError on a curved body).  ``'line'`` is
+    the cross-check: half the Crofton integral of the slice ranges
+    |T(p, theta)| over the lines' (p, theta), refined the same way to
+    ``rel_tol`` and reported as ``"line-rule"``.
 
     Raises ValueError unless ``rel_tol`` is finite and positive, and
-    QuadratureError if the quadrature cannot meet the tolerance within
-    ``_MAX_RESOLUTION`` cells per patch axis.
+    QuadratureError if a refined rule cannot meet the tolerance by level
+    ``_MAX_RESOLUTION``.
     """
-    if method not in ("auto", "exact", "quadrature"):
+    if method not in ("auto", "exact", "line"):
         raise ValueError(f"unknown p_area method {method!r}")
     _check_rel_tol(rel_tol)
-    if method == "quadrature":
-        return _adaptive_surface_integral(body, horizontal_normal_norm, rel_tol)
     facets = _planar_facets(body)
+    if method == "line":
+        if facets is not None:
+            return _refine(functools.partial(_planar_line_rule, *facets), rel_tol, "line-rule")
+        return _refine(functools.partial(_ellipsoid_line_rule, body), rel_tol, "line-rule")
     if facets is not None:
         return MeasureResult(
             value=_planar_p_area(*facets), method="exact", resolution=0, error_estimate=0.0
         )
     if method == "exact":
         raise ValueError("body has no closed-form p-Area (curved boundary)")
-    return _charted_p_area(body.boundary_patches()[0], rel_tol)
+    chart = _CharacteristicChart(body)
+    return _refine(functools.partial(_midpoint_sum, chart.p_area_density), rel_tol, "quadrature")
+
+
+def _bounding_box(body) -> tuple[np.ndarray, np.ndarray]:
+    """The body's axis-aligned bounding box (lo, hi): the range of its
+    facets' vertices, or c_i -+ |row i of L| for an ellipsoid c + L y,
+    |y| <= 1."""
+    facets = _planar_facets(body)
+    if facets is not None:
+        corners = facets[0].reshape(-1, 3)
+        return corners.min(axis=0), corners.max(axis=0)
+    reach = np.linalg.norm(body.lin, axis=1)
+    return body.center - reach, body.center + reach
 
 
 def _voxel_fraction(body, resolution: int) -> float:
-    bounds = body.bounds()
-    x_lo, x_hi = -bounds.r_xy, bounds.r_xy
-    z_lo, z_hi = bounds.z_min, bounds.z_max
-    hx = (x_hi - x_lo) / resolution
-    hz = (z_hi - z_lo) / resolution
-    xs = x_lo + (np.arange(resolution) + 0.5) * hx
-    zs = z_lo + (np.arange(resolution) + 0.5) * hz
-    xx, yy = np.meshgrid(xs, xs, indexing="ij")
+    lo, hi = _bounding_box(body)
+    step = (hi - lo) / resolution
+    xs, ys, zs = lo[:, None] + (np.arange(resolution) + 0.5) * step[:, None]
+    xx, yy = np.meshgrid(xs, ys, indexing="ij")
     plane = np.column_stack([xx.ravel(), yy.ravel()])
     inside = 0
     for z in zs:
         pts = np.column_stack([plane, np.full(len(plane), z)])
         inside += int(np.count_nonzero(body.contains_batch(pts)))
-    cell = hx * hx * hz
-    return inside * cell
+    return inside * float(np.prod(step))
 
 
 def volume_voxel_oracle(body, resolution: int = 128) -> MeasureResult:
     """Volume by counting voxel centers inside the body on a regular grid
-    over the bounding box.  Structurally independent of ``volume``: uses
-    only membership tests.  The error estimate is the change from the
-    half-resolution grid."""
+    over its axis-aligned bounding box.  Structurally independent of
+    ``volume``: uses only membership tests.  The error estimate is the
+    change from the half-resolution grid."""
     if resolution < 8:
         raise ValueError("volume_voxel_oracle needs resolution >= 8")
     value = _voxel_fraction(body, resolution)
@@ -620,45 +571,6 @@ def volume_voxel_oracle(body, resolution: int = 128) -> MeasureResult:
     return MeasureResult(
         value=value,
         method="voxel-oracle",
-        resolution=resolution,
-        error_estimate=abs(value - coarse),
-    )
-
-
-def _triangulation_value(body, resolution: int) -> float:
-    total = 0.0
-    grid = np.linspace(0.0, 1.0, resolution + 1)
-    for patch in body.boundary_patches():
-        uu, vv = np.meshgrid(grid, grid, indexing="ij")
-        pts, _, _ = patch.evaluate(uu, vv)
-        p00 = pts[:-1, :-1]
-        p10 = pts[1:, :-1]
-        p01 = pts[:-1, 1:]
-        p11 = pts[1:, 1:]
-        # two triangles per cell; the unnormalized area vector absorbs
-        # both the triangle area and the unit normal, so degenerate
-        # (collapsed) cells contribute exactly zero
-        for a, b, c in ((p00, p10, p11), (p00, p11, p01)):
-            area_vec = 0.5 * np.cross(b - a, c - a)
-            centroid = (a + b + c) / 3.0
-            nh1 = area_vec[..., 0] + centroid[..., 1] * area_vec[..., 2]
-            nh2 = area_vec[..., 1] - centroid[..., 0] * area_vec[..., 2]
-            total += float(np.sum(np.hypot(nh1, nh2)))
-    return total
-
-
-def p_area_triangulation_oracle(body, resolution: int = 128) -> MeasureResult:
-    """p-Area by triangulating each boundary patch and summing
-    |N_H(centroid)| * area over flat triangles.  Independent of the
-    quadrature path: needs only boundary points, no normals or area
-    elements.  The error estimate is the change from half resolution."""
-    if resolution < 8:
-        raise ValueError("p_area_triangulation_oracle needs resolution >= 8")
-    value = _triangulation_value(body, resolution)
-    coarse = _triangulation_value(body, resolution // 2)
-    return MeasureResult(
-        value=value,
-        method="triangulation-oracle",
         resolution=resolution,
         error_estimate=abs(value - coarse),
     )

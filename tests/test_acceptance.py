@@ -1,7 +1,7 @@
 """End-to-end acceptance checks for the kinematic identities.
 
 Every estimator is compared against an independently produced reference
-(closed form, quadrature, or a brute-force oracle) at a fixed seed and
+(closed form, quadrature, or the line-space Crofton rule) at a fixed seed and
 sample size.  Each test prints one summary line with the two numbers
 being compared, so a verbose run reads as a checklist.
 """
@@ -26,7 +26,6 @@ from h1geom import (
     line_direction,
     line_point_at,
     p_area,
-    p_area_triangulation_oracle,
     psh_compose,
     psh_inverse,
     volume,
@@ -93,27 +92,27 @@ def test_criterion_2_line_measure_matches_twice_p_area(
         assert rel <= 0.01, name
 
 
-def test_criterion_2_p_area_quadrature_agrees_with_triangulation(
+def test_criterion_2_p_area_agrees_with_line_rule(
     acceptance_bodies, acceptance_references, capsys
 ):
-    # the p-Area reference itself is cross-checked against a brute-force
-    # surface triangulation
+    # the p-Area reference itself is cross-checked against the line-space
+    # Crofton rule, which integrates the exact slices of the body
     rows = []
     for name, body in acceptance_bodies.items():
         quad = acceptance_references[name][1]
-        oracle = p_area_triangulation_oracle(body, resolution=256).value
-        rows.append((abs(quad - oracle) / oracle, name, quad, oracle))
-    rel, name, quad, oracle = max(rows)
-    ok = rel <= 0.005
+        line = p_area(body, method="line").value
+        rows.append((abs(quad - line) / line, name, quad, line))
+    rel, name, quad, line = max(rows)
+    ok = rel <= 1e-9
     announce(
         capsys,
         2,
         ok,
-        f"p-area quadrature vs triangulation oracle, worst of 4 ({name}): "
-        f"{quad:.6f} vs {oracle:.6f} (rel = {rel:.3%})",
+        f"p-area vs line rule, worst of 4 ({name}): "
+        f"{quad:.15f} vs {line:.15f} (rel = {rel:.1e})",
     )
     for rel, name, *_ in rows:
-        assert rel <= 0.005, name
+        assert rel <= 1e-9, name
 
 
 def test_criterion_3_segment_measure_linear_in_length(

@@ -196,13 +196,12 @@ def test_polytope_vertices_on_more_than_three_planes():
         assert np.abs(np.sort(v, axis=0) - np.sort(np.asarray(corners, float), axis=0)).max() < 1e-15
         assert abs(body.volume_exact() - 4.0 / 3.0) <= 1e-15
         assert np.array_equal(body.interior_point(), v.mean(axis=0))
-        patches = body.boundary_patches()
-        assert len(patches) == triangles
-        for patch in patches:
+        assert len(body._triangles) == triangles
+        for corners, normal in zip(body._triangles, body._facet_normals):
             # each triangle lies in its facet plane, with that plane's normal
-            k = np.argmax(body.normals @ patch.normal)
-            assert np.allclose(body.normals[k], patch.normal, rtol=0.0, atol=1e-15)
-            for q in (patch.p0, patch.p1, patch.p2):
+            k = np.argmax(body.normals @ normal)
+            assert np.allclose(body.normals[k], normal, rtol=0.0, atol=1e-15)
+            for q in corners:
                 assert abs(body.normals[k] @ q - body.offsets[k]) <= 1e-15
 
 

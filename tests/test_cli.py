@@ -75,13 +75,11 @@ def test_p_area_command(capsys, ball_file):
     assert report["result"]["method"] == "quadrature"
     quad_value = report["result"]["value"]
 
-    code, out, _ = run_cli(
-        capsys, ["p-area", "--body", ball_file, "--oracle", "--resolution", "128"]
-    )
+    code, out, _ = run_cli(capsys, ["p-area", "--body", ball_file, "--oracle"])
     assert code == 0
     report = json.loads(out)
-    assert report["result"]["method"] == "triangulation-oracle"
-    assert abs(report["result"]["value"] - quad_value) < 0.01 * quad_value
+    assert report["result"]["method"] == "line-rule"
+    assert abs(report["result"]["value"] - quad_value) <= report["result"]["error_estimate"]
 
 
 def test_p_area_command_planar_bodies(capsys, tmp_path, box_file):
@@ -104,12 +102,11 @@ def test_p_area_command_planar_bodies(capsys, tmp_path, box_file):
         assert result["method"] == "exact"
         assert result["resolution"] == 0 and result["error_estimate"] == 0.0
 
-        code, out, _ = run_cli(
-            capsys, ["p-area", "--body", path, "--oracle", "--resolution", "128"]
-        )
+        code, out, _ = run_cli(capsys, ["p-area", "--body", path, "--oracle"])
         assert code == 0
-        oracle = json.loads(out)["result"]["value"]
-        assert abs(oracle - result["value"]) < 0.01 * result["value"]
+        oracle = json.loads(out)["result"]
+        assert oracle["method"] == "line-rule"
+        assert abs(oracle["value"] - result["value"]) <= oracle["error_estimate"]
 
 
 def test_crofton_report_fields(capsys, ball_file):
@@ -566,18 +563,18 @@ def test_bad_tolerance_is_a_configuration_error(capsys, ball_file, monkeypatch, 
     def no_quadrature(*args, **kwargs):
         raise AssertionError("a bad --tol reached the quadrature")
 
-    monkeypatch.setattr(measures, "_charted_p_area", no_quadrature)
-    code, out, err = run_cli(capsys, ["p-area", "--body", ball_file, "--tol", tol])
-    assert code == 2 and out == "" and "rel_tol" in err
+    monkeypatch.setattr(measures, "_refine", no_quadrature)
+    for oracle in ([], ["--oracle"]):
+        code, out, err = run_cli(capsys, ["p-area", "--body", ball_file, "--tol", tol, *oracle])
+        assert code == 2 and out == "" and "rel_tol" in err
 
 
 def test_resolution_zero_is_rejected(capsys, ball_file):
     # 0 is a resolution, not "not given": it must not fall back to the
-    # default grid or the 128-cell oracles
+    # default grid or the 128-cell voxel oracle
     for argv in (
         ["crofton", "--body", ball_file, "--method", "grid"],
         ["volume", "--body", ball_file, "--method", "voxel"],
-        ["p-area", "--body", ball_file, "--oracle"],
     ):
         for res in ("0", "1"):
             code, out, err = run_cli(capsys, argv + ["--resolution", res])

@@ -1,5 +1,6 @@
-"""Volume and p-Area: closed forms, adaptive quadrature, and the
-independent voxel/triangulation oracles."""
+"""Volume and p-Area: closed forms, the charted quadrature, and the
+independent cross-checks, the line-space Crofton rule and the voxel
+oracle."""
 
 import math
 
@@ -13,13 +14,11 @@ from h1geom import (
     Ball,
     Box,
     Ellipsoid,
-    EllipsoidPatch,
     Polytope,
+    PshMotion,
     QuadratureError,
-    TrianglePatch,
     horizontal_normal_norm,
     p_area,
-    p_area_triangulation_oracle,
     transform_body,
     volume,
     volume_voxel_oracle,
@@ -39,20 +38,24 @@ def test_volume_exact_values():
     assert res.resolution == 0 and res.error_estimate == 0.0
 
 
-def test_volume_quadrature_matches_exact():
-    for name in ("ball", "ellipsoid"):
-        body = BODIES[name]
-        res = volume(body, method="quadrature")
-        assert res.method == "quadrature"
-        assert abs(res.value - body.volume_exact()) < 1e-5 * body.volume_exact()
-    # flat faces make the flux midpoint rule exact up to rounding
-    res = volume(BODIES["box"], method="quadrature")
-    assert abs(res.value - 1.0) < 1e-9
+def test_voxel_oracle_grids_the_body_box():
+    # the only volume cross-check grids the body's own axis-aligned box,
+    # so a body far from the t-axis gets the whole grid
+    bodies = [
+        BODIES["ball"],
+        BODIES["ellipsoid"],
+        Box((5.0, 5.0, 0.0), (6.0, 6.0, 1.0)),
+        Ball((10.0, 0.0, 0.0), 1.0),
+    ]
+    for body in bodies:
+        res = volume_voxel_oracle(body, resolution=128)
+        assert abs(res.value - body.volume_exact()) <= 0.01 * body.volume_exact()
 
 
 def test_volume_method_validation():
-    with pytest.raises(ValueError):
-        volume(BODIES["ball"], method="montecarlo")
+    # every body has a closed-form volume, and volume takes no method
+    with pytest.raises(TypeError):
+        volume(BODIES["ball"], method="quadrature")
 
 
 def test_voxel_oracle():
@@ -64,11 +67,13 @@ def test_voxel_oracle():
 
 
 def test_voxel_oracle_refines():
-    # offset bodies so voxel faces are not aligned with body faces
+    # bodies whose faces are not aligned with the voxel faces: the grid
+    # spans an axis-aligned box exactly, so that box is turned about the
+    # t-axis
     bodies = [
         BODIES["ball"],
         BODIES["ellipsoid"],
-        Box((0.05, 0.1, -0.03), (1.13, 0.97, 1.08)),
+        transform_body(PshMotion(0.0, 0.0, 0.0, 0.3), Box((0.05, 0.1, -0.03), (1.13, 0.97, 1.08))),
     ]
     for body in bodies:
         errs = [
@@ -100,29 +105,16 @@ def test_p_area_box_value():
     assert abs(res.value - expected) < 1e-9 * expected
 
 
-def test_p_area_triangulation_oracle_agrees():
-    for name in ("ball", "ellipsoid"):
-        quad = p_area(BODIES[name]).value
-        tri = p_area_triangulation_oracle(BODIES[name], resolution=256)
-        assert tri.method == "triangulation-oracle"
-        assert abs(tri.value - quad) < 0.005 * quad
-    with pytest.raises(ValueError):
-        p_area_triangulation_oracle(BODIES["ball"], resolution=4)
-
-
 @pytest.mark.parametrize("name", ["box", "polytope"])
 def test_planar_cross_checks_within_their_error_bars(name):
-    # the forced quadrature and the triangulation oracle of p-Area, and
-    # the flux quadrature of volume, against the closed forms
+    # the line rule at the default tolerance and the voxel oracle against
+    # the closed forms
     body = BODIES[name]
-    pa, vol = p_area(body).value, volume(body).value
-    for res, exact in (
-        (p_area(body, method="quadrature"), pa),
-        (p_area_triangulation_oracle(body), pa),
-        (volume(body, method="quadrature"), vol),
-    ):
-        assert res.error_estimate > 0.0
-        assert abs(res.value - exact) <= res.error_estimate, res.method
+    res = p_area(body, method="line")
+    assert res.error_estimate > 0.0
+    assert abs(res.value - p_area(body).value) <= res.error_estimate
+    vol = volume(body).value
+    assert abs(volume_voxel_oracle(body).value - vol) <= 0.01 * vol
 
 
 def test_p_area_polytope_matches_box():
@@ -164,34 +156,16 @@ def test_integrand_vanishes_at_characteristic_points():
     assert abs(got - expected) < 1e-15
 
 
-def test_patch_area_elements():
-    tri = TrianglePatch(
-        (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), normal=(0.0, 0.0, 1.0)
-    )
-    # integral of the area element over the unit square equals the area
-    grid = (np.arange(64) + 0.5) / 64
-    uu, vv = np.meshgrid(grid, grid, indexing="ij")
-    _, _, jac = tri.evaluate(uu, vv)
-    assert abs(jac.mean() - 0.5) < 1e-12
-
-    patch = EllipsoidPatch((0.0, 0.0, 0.0), np.diag([1.0, 2.0, 0.5]))
-    pts, normals, jac = patch.evaluate(uu, vv)
-    # normals are unit and outward
-    assert np.allclose(np.linalg.norm(normals, axis=-1), 1.0)
-    assert np.all(np.sum(pts * normals, axis=-1) > 0.0)
-    # the area element integrates to the ellipsoid surface area; compare
-    # against the degree-1.6 approximation accurate to 1.2 percent
-    area = jac.mean()
-    a, b, c = 1.0, 2.0, 0.5
-    p = 1.6075
-    knud = 4.0 * math.pi * (((a * b) ** p + (a * c) ** p + (b * c) ** p) / 3.0) ** (1.0 / p)
-    assert abs(area - knud) < 0.015 * knud
-
-
 def test_quadrature_error_when_budget_too_small(monkeypatch):
+    # levels 16 and 32 of each refined rule differ by more than 1e-13
     monkeypatch.setattr(measures, "_MAX_RESOLUTION", 32)
-    with pytest.raises(QuadratureError):
-        p_area(BODIES["ellipsoid"], rel_tol=1e-13)
+    for body, method in (
+        (BODIES["ellipsoid"], "auto"),
+        (BODIES["ellipsoid"], "line"),
+        (BODIES["polytope"], "line"),
+    ):
+        with pytest.raises(QuadratureError):
+            p_area(body, method=method, rel_tol=1e-13)
 
 
 def test_measure_result_fields():
@@ -312,21 +286,27 @@ def test_duplicated_and_redundant_halfspaces_leave_the_cube():
     normals = np.vstack([np.eye(3), -np.eye(3), [[2.0, 0.0, 0.0], [1.0, 1.0, 1.0]]])
     cube = Polytope(normals, np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 2.0, 3.0]))
     assert len(cube.vertices) == 8
-    assert len(cube.boundary_patches()) == 12
+    assert len(cube._triangles) == 12
     assert abs(cube.volume_exact() - 1.0) <= 1e-15
     assert abs(p_area(cube).value - CUBE_P_AREA) <= 1e-14 * CUBE_P_AREA
     assert np.allclose(cube.interior_point(), 0.5, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("name", list(PLANAR))
+# the planar bodies and the qhull-checked random polytopes and images
+LINE_PLANAR = {**PLANAR, **{f"qhull-{k}": body for k, body in _qhull_cases().items()}}
+
+
+@pytest.mark.parametrize("name", list(LINE_PLANAR))
 def test_p_area_closed_form_within_quadrature_error_bar(name):
-    # the quadrature's Richardson error estimate must bound its actual
-    # error against the closed form, near-vertical facets included
-    body = PLANAR[name]
+    # the line rule, refined to round-off, agrees with the closed form to
+    # 1e-12 and within its error estimate, near-vertical facets included
+    body = LINE_PLANAR[name]
     exact = p_area(body)
-    quad = p_area(body, method="quadrature")
-    assert exact.method == "exact" and quad.method == "quadrature"
-    assert abs(exact.value - quad.value) <= quad.error_estimate
+    line = p_area(body, method="line", rel_tol=1e-12)
+    assert exact.method == "exact" and line.method == "line-rule"
+    diff = abs(exact.value - line.value)
+    assert diff <= 1e-12 * exact.value
+    assert diff <= line.error_estimate
 
 
 @pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0, 0.0])
@@ -337,34 +317,26 @@ def test_bad_rel_tol_is_rejected_before_any_quadrature(monkeypatch, rel_tol):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("a bad rel_tol reached the quadrature")
 
-    monkeypatch.setattr(measures, "_adaptive_surface_integral", no_quadrature)
-    monkeypatch.setattr(measures, "_charted_p_area", no_quadrature)
+    monkeypatch.setattr(measures, "_refine", no_quadrature)
     for body in BODIES.values():
-        for method in ("auto", "exact", "quadrature"):
-            for measure in (p_area, volume):
-                with pytest.raises(ValueError, match="rel_tol"):
-                    measure(body, method=method, rel_tol=rel_tol)
+        for method in ("auto", "exact", "line"):
+            with pytest.raises(ValueError, match="rel_tol"):
+                p_area(body, method=method, rel_tol=rel_tol)
 
 
 def test_p_area_planar_bodies_skip_quadrature(monkeypatch):
     def no_quadrature(*args, **kwargs):
         raise AssertionError("planar body reached the quadrature")
 
-    monkeypatch.setattr(measures, "_adaptive_surface_integral", no_quadrature)
+    monkeypatch.setattr(measures, "_refine", no_quadrature)
     for body in PLANAR.values():
         assert p_area(body).method == "exact"
 
 
 # the scalar planar closed form that the whole-array
-# measures._planar_p_area replaced, kept as its reference: one patch at a
-# time, the fan sum in Python floats, the Gauss rule on the patch's chart
-
-
-def reference_planar_vertices(patch):
-    """Vertices (k, 3) of a planar patch in cyclic order, or None."""
-    if isinstance(patch, TrianglePatch):
-        return np.array([patch.p0, patch.p1, patch.p2])
-    return None
+# measures._planar_p_area replaced, kept as its reference: one triangle
+# at a time, the fan sum in Python floats, the Gauss rule on the
+# triangle's chart
 
 
 def reference_fan_distance_integral(poly):
@@ -386,23 +358,28 @@ def reference_fan_distance_integral(poly):
     return abs(total)
 
 
-def reference_gauss_patch_p_area(patch):
-    """p-Area of a patch by the 10-point tensor Gauss-Legendre rule."""
+def reference_gauss_triangle_p_area(vertices, normal):
+    """p-Area of a flat triangle by the 10-point tensor Gauss-Legendre
+    rule on the chart X(u, v) = (1-u) p0 + u ((1-v) p1 + v p2), whose area
+    element is u |(p1 - p0) x (p2 - p0)|."""
+    p0, p1, p2 = vertices
     nodes, weights = np.polynomial.legendre.leggauss(10)
     nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
     uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-    pts, normals, jac = patch.evaluate(uu, vv)
+    edge = (1.0 - vv)[..., None] * p1 + vv[..., None] * p2
+    pts = (1.0 - uu)[..., None] * p0 + uu[..., None] * edge
+    jac = uu * np.linalg.norm(np.cross(p1 - p0, p2 - p0))
+    normals = np.broadcast_to(normal, pts.shape)
     return float(weights @ (horizontal_normal_norm(pts, normals) * jac) @ weights)
 
 
-def reference_planar_p_area(patches):
-    """Sum over planar patches: the fan formula where c lies within
+def reference_planar_p_area(triangles, normals):
+    """Sum over flat triangles: the fan formula where c lies within
     measures._FAN_REACH projected diameters of the facet's centroid,
     Gauss-Legendre otherwise (vertical facets included)."""
     total = 0.0
-    for patch in patches:
-        vertices = reference_planar_vertices(patch)
-        n1, n2, n3 = patch.normal
+    for vertices, normal in zip(triangles, normals):
+        n1, n2, n3 = normal
         proj = vertices[:, :2]
         mid = proj.mean(axis=0)
         diam = 2.0 * float(np.max(np.hypot(*(proj - mid).T)))
@@ -410,7 +387,7 @@ def reference_planar_p_area(patches):
         if math.hypot(n2 - n3 * mid[0], -n1 - n3 * mid[1]) <= reach:
             total += reference_fan_distance_integral(proj - (n2 / n3, -n1 / n3))
         else:
-            total += reference_gauss_patch_p_area(patch)
+            total += reference_gauss_triangle_p_area(vertices, normal)
     return total
 
 
@@ -425,9 +402,9 @@ def _reference_cases() -> dict:
 
 @pytest.mark.parametrize("name, body", list(_reference_cases().items()))
 def test_planar_p_area_matches_scalar_reference(name, body):
-    # the same closed form, facet by facet in Python, on the triangle
-    # patches of the facets the array pass sums
-    ref = reference_planar_p_area(body.boundary_patches())
+    # the same closed form, triangle by triangle in Python, on the
+    # triangles of the facets the array pass sums
+    ref = reference_planar_p_area(body._triangles, body._facet_normals)
     got = measures._planar_p_area(body._triangles, body._facet_normals)
     assert abs(got - ref) <= 1e-14 * ref
     assert p_area(body).value == got
@@ -468,11 +445,12 @@ def test_p_area_fan_and_gauss_agree_where_they_meet(monkeypatch):
 
 
 def test_p_area_of_planar_bodies_builds_no_patch(monkeypatch):
-    # a Polytope or a Box hands its stored triangles to the array pass
+    # a Polytope or a Box hands its stored triangles to the array pass,
+    # and builds no surface chart
     def refuse(self, *args, **kwargs):
-        raise AssertionError("p_area built a SurfacePatch")
+        raise AssertionError("p_area built a chart")
 
-    monkeypatch.setattr(TrianglePatch, "__init__", refuse)
+    monkeypatch.setattr(measures._CharacteristicChart, "__init__", refuse)
     for body in PLANAR.values():
         assert p_area(body).method == "exact"
 
@@ -480,10 +458,11 @@ def test_p_area_of_planar_bodies_builds_no_patch(monkeypatch):
 def test_p_area_method_validation():
     with pytest.raises(ValueError):
         p_area(BODIES["ellipsoid"], method="exact")
-    with pytest.raises(ValueError):
-        p_area(BODIES["box"], method="montecarlo")
-    res = p_area(BODIES["box"], method="quadrature")
-    assert res.method == "quadrature" and res.resolution >= 16
+    for method in ("montecarlo", "quadrature"):
+        with pytest.raises(ValueError):
+            p_area(BODIES["box"], method=method)
+    res = p_area(BODIES["box"], method="line")
+    assert res.method == "line-rule" and res.resolution >= 32
 
 
 def _spheroid_p_area(a: float, b: float) -> tuple[float, float]:
@@ -525,6 +504,9 @@ def test_p_area_error_bar_covers_spheroid_closed_form(a, b):
         assert res.method == "quadrature"
         assert abs(res.value - ref) <= res.error_estimate + ref_err
         assert 0.0 < res.error_estimate <= 1e-6 * res.value
+        # the line rule, refined to round-off
+        line = p_area(image, method="line", rel_tol=1e-12)
+        assert abs(line.value - ref) <= min(1e-12 * ref, line.error_estimate) + ref_err
 
 
 def test_p_area_spheroid_matches_ball_formula():
@@ -534,16 +516,15 @@ def test_p_area_spheroid_matches_ball_formula():
 
 
 # the charted rule at resolution 2048 and the standard chart's midpoint
-# Richardson step at 2048/4096 agree on this value to 4e-11
+# Richardson step at 2048/4096 agreed on this value to 4e-11
 NEEDLE_P_AREA = 0.87722985372
 
 
 def test_p_area_needle_within_error_bar():
-    # a needle off the t-axis: its characteristic points lie inside the
-    # standard chart's patches, where the forced path's Richardson step
-    # holds only once its levels show the h^2 order
+    # a needle off the t-axis, whose |T| varies sharply in theta, so the
+    # line rule needs a fine level
     needle = Ellipsoid((0.2, 0.1, 0.0), (2.0, 0.05, 0.05))
-    for method in ("auto", "quadrature"):
+    for method in ("auto", "line"):
         res = p_area(needle, method=method)
         assert abs(res.value - NEEDLE_P_AREA) <= res.error_estimate + 5e-11, method
 
@@ -567,7 +548,7 @@ def test_characteristic_points_are_the_chart_poles():
         normals = homog[:, 1:] / np.linalg.norm(homog[:, 1:], axis=1, keepdims=True)
         assert np.all(horizontal_normal_norm(pts, normals) < 1e-12)
         assert normals[0, 2] > 0.0 > normals[1, 2]
-        chart = measures._CharacteristicChart(image.boundary_patches()[0])
+        chart = measures._CharacteristicChart(image)
         assert chart.beta > 0.0
         poles, pole_normals, _ = chart.evaluate(np.zeros(2), np.array([0.0, 1.0]))
         assert np.allclose(poles, pts, rtol=0.0, atol=1e-12)
@@ -588,7 +569,7 @@ def test_characteristic_chart_area_element_and_normals():
     u, v = rng.uniform(0.05, 0.95, (2, 50))
     h = 1e-6
     for body in bodies:
-        chart = measures._CharacteristicChart(body.boundary_patches()[0])
+        chart = measures._CharacteristicChart(body)
         pts, normals, jac = chart.evaluate(u, v)
         xu = (chart.evaluate(u + h, v)[0] - chart.evaluate(u - h, v)[0]) / (2.0 * h)
         xv = (chart.evaluate(u, v + h)[0] - chart.evaluate(u, v - h)[0]) / (2.0 * h)
@@ -602,10 +583,11 @@ def test_characteristic_chart_area_element_and_normals():
 
 def test_charted_p_area_within_forced_quadrature_error_bar():
     # bodies whose characteristic points are not antipodal on the sphere
-    # chart, so the charted rule boosts them to the poles
+    # chart, so the charted rule boosts them to the poles, against the
+    # line rule
     for body in (BODIES["ellipsoid"], Ball((0.3, -0.4, 0.2), 0.5)):
         charted = p_area(body)
-        forced = p_area(body, method="quadrature")
+        forced = p_area(body, method="line")
         assert charted.resolution <= 64
         bar = charted.error_estimate + forced.error_estimate
         assert abs(charted.value - forced.value) <= bar
@@ -617,7 +599,34 @@ def test_quadrature_error_estimates_have_a_round_off_floor():
     for body, radius in cases:
         ref = _spheroid_p_area(radius, radius)[0]
         for image in _with_images(body, seed=7, count=2):
-            for method in ("auto", "quadrature"):
+            for method in ("auto", "line"):
                 res = p_area(image, method=method)
                 assert res.error_estimate >= 256.0 * np.finfo(float).eps * res.value
                 assert abs(res.value - ref) <= res.error_estimate
+
+
+# curved bodies and their images, thin ones (needle, disc) and one far
+# from the t-axis
+CURVED = {
+    **{
+        name if k == 0 else f"{name}-image{k - 1}": image
+        for name in ("ball", "ellipsoid")
+        for k, image in enumerate(_with_images(BODIES[name], seed=len(name)))
+    },
+    "needle": Ellipsoid((0.2, 0.1, 0.0), (2.0, 0.05, 0.05)),
+    "disc": Ellipsoid((0.0, 0.0, 0.7), (1.5, 1.5, 0.02)),
+    "far-ball": Ball((10.0, 0.0, 0.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(CURVED))
+def test_line_rule_matches_charted_p_area(name):
+    # the Crofton identity to round-off: twice the p-Area is the measure
+    # of the lines meeting the body, summed from its exact slices
+    body = CURVED[name]
+    charted = p_area(body, rel_tol=1e-10)
+    line = p_area(body, method="line", rel_tol=1e-12)
+    assert line.method == "line-rule"
+    diff = abs(line.value - charted.value)
+    assert diff <= 1e-12 * charted.value
+    assert diff <= line.error_estimate
