@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import HorizontalLine, Point, PshMotion, motion_affine
-from .measures import _cross
 
 __all__ = [
     "CapabilityError",
@@ -47,6 +46,17 @@ __all__ = [
     "Polytope",
     "transform_body",
 ]
+
+
+# a x b = a[_NEXT] * b[_PREV] - a[_PREV] * b[_NEXT] along the last axis
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _cross(a, b):
+    """a x b along the last axis with the arithmetic of np.cross, which
+    costs tens of microseconds a call in numpy 2."""
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 class CapabilityError(Exception):
@@ -187,10 +197,6 @@ class ConvexBody(abc.ABC):
     def volume_exact(self) -> float:
         """Closed-form Lebesgue volume."""
 
-    @abc.abstractmethod
-    def interior_point(self) -> np.ndarray:
-        ...
-
     def contains(self, pt: Point, tol: float = 0.0) -> bool:
         mask = self.contains_batch(pt.as_array()[None, :], tol=tol)
         return bool(mask[0])
@@ -318,9 +324,6 @@ class Ellipsoid(ConvexBody):
         q[1:, 1:] = m
         return q
 
-    def interior_point(self):
-        return self.center.copy()
-
 
 class Ball(Ellipsoid):
     """Euclidean ball of given center and radius: the ellipsoid with
@@ -409,9 +412,8 @@ class Polytope(ConvexBody):
     is a facet.  One lexsort of every (facet, vertex) incidence by facet
     and by angle about the facet's centre orders all the rings at once;
     each ring is fanned into triangles from its first vertex, and the
-    volume is the sum of the fan tetrahedra against the vertex centroid,
-    which is also ``interior_point()``.  A :class:`Box` knows its own
-    corners and its twelve face triangles."""
+    volume is the sum of the fan tetrahedra against the vertex centroid.
+    A :class:`Box` knows its own corners and its twelve face triangles."""
 
     def __init__(self, normals, offsets) -> None:
         normals = np.asarray(normals, dtype=float)
@@ -436,8 +438,8 @@ class Polytope(ConvexBody):
         active = np.abs(ends @ self.normals.T - self.offsets) <= tol
         first = _distinct_rows(active)
         self._vertices, active = ends[first], active[first]
-        self._centroid = self._vertices.mean(axis=0)
-        if np.min(self.offsets - self.normals @ self._centroid) <= tol:
+        centroid = self._vertices.mean(axis=0)
+        if np.min(self.offsets - self.normals @ centroid) <= tol:
             raise ValueError("Polytope has empty interior")
         # duplicate halfspaces hold the same vertices: one facet per set
         planes = np.sort(_distinct_rows(active.T))
@@ -463,7 +465,7 @@ class Polytope(ConvexBody):
         self._facet_normals = normal[facet[middle]]
         # each ring runs counterclockwise about its outward normal, so every
         # fan tetrahedron on the centroid has a positive volume
-        a, b, c = (self._triangles - self._centroid).transpose(1, 0, 2)
+        a, b, c = (self._triangles - centroid).transpose(1, 0, 2)
         self._volume = float(np.sum(a * _cross(b, c)) / 6.0)
 
     @property
@@ -523,9 +525,6 @@ class Polytope(ConvexBody):
     def volume_exact(self):
         return self._volume
 
-    def interior_point(self):
-        return self._centroid.copy()
-
 
 # two triangles per face of a box, as indices into its corners in
 # itertools.product order (corner 4 i + 2 j + k has x, y, t at the lo or hi
@@ -553,7 +552,6 @@ class Box(Polytope):
         self.normals = np.vstack([np.eye(3), -np.eye(3)])
         self.offsets = np.concatenate([self.hi, -self.lo])
         self._vertices = np.array(list(itertools.product(*zip(self.lo, self.hi))))
-        self._centroid = 0.5 * (self.lo + self.hi)
         self._triangles = self._vertices[_BOX_FANS]
         self._facet_normals = np.repeat(self.normals, 2, axis=0)
 

@@ -28,14 +28,16 @@ wall_time_s field.
 Exit codes: 0 success; 2 configuration error (bad JSON/flags, violated
 nesting, no line of the sample hits the body, a grid too large to
 allocate); 3 unsupported body/operation; 4 tolerance failure (estimate
-beyond 4 standard errors of its reference, failed invariance, or
-non-convergent quadrature).
+beyond its method's gate, 4 standard errors of its reference for Monte
+Carlo and 5.48 for the grid, whose z follows Student's t with 15
+degrees of freedom; failed invariance; or non-convergent quadrature).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -49,8 +51,8 @@ from .bodies import Ball, Box, CapabilityError, Ellipsoid, Polytope
 from .core import PshMotion
 from .estimators import (
     DEFAULT_SEED,
-    Z_GATE,
     ContainmentError,
+    InvarianceRow,
     containment_probability,
     estimate_chord_integral,
     estimate_line_measure,
@@ -60,7 +62,7 @@ from .estimators import (
     grid_axis_resolution,
     invariance_check,
 )
-from .measures import QuadratureError, p_area, volume, volume_voxel_oracle
+from .measures import MeasureResult, QuadratureError, p_area, volume, volume_voxel_oracle
 
 SCHEMA = "h1geom.report/1"
 
@@ -260,15 +262,8 @@ _ESTIMATE_CSV_FIELDS = [
     "rel_error",
     "z_score",
 ]
-_MEASURE_CSV_FIELDS = ["command", "value", "method", "resolution", "error_estimate"]
-_INVARIANCE_CSV_FIELDS = [
-    "quantity",
-    "value_original",
-    "se_original",
-    "value_transformed",
-    "se_transformed",
-    "z",
-]
+_MEASURE_CSV_FIELDS = ["command", *(f.name for f in dataclasses.fields(MeasureResult))]
+_INVARIANCE_CSV_FIELDS = [f.name for f in dataclasses.fields(InvarianceRow)]
 
 
 def _estimate_csv_row(command: str, ell, est, diag: dict) -> dict:
@@ -324,12 +319,7 @@ def _sampling(args) -> tuple[dict, dict]:
 
 
 def _measure_report(command: str, spec: dict, res) -> tuple[dict, tuple, int]:
-    result = {
-        "value": res.value,
-        "method": res.method,
-        "resolution": res.resolution,
-        "error_estimate": res.error_estimate,
-    }
+    result = dataclasses.asdict(res)
     report = {"schema": SCHEMA, "command": command, "body": spec, "result": result}
     return report, (_MEASURE_CSV_FIELDS, [{"command": command, **result}]), 0
 
@@ -341,8 +331,9 @@ def _estimate_report(command, specs, params, estimates, fit=None):
     line estimates), and ``params`` is ``_sampling``'s.  One estimate
     fills ``result``, ``reference`` and ``diagnostics``; a sweep (``fit``
     given) lists its estimates as ``rows``.  Every estimate is gated
-    against its reference: it fails beyond the z gate, as does an inexact
-    estimate without an error bar.
+    against its reference: it fails at or beyond its method's z gate
+    (``EstimateResult.z_gate``), as does an inexact estimate without an
+    error bar.
     """
     report = {"schema": SCHEMA, "command": command, **specs}
     diags = [_diagnostics(est) for _, est in estimates]
@@ -364,10 +355,10 @@ def _estimate_report(command, specs, params, estimates, fit=None):
     code = 0
     for (_, est), diag in zip(estimates, diags):
         z = diag.get("z_score", 0.0)
-        if not abs(z) < Z_GATE:
+        if not abs(z) < est.z_gate:
             report["tolerance_failure"] = (
                 f"estimate {est.value:.6g} deviates from reference "
-                f"{est.reference:.6g} by {z:+.2f} standard errors (gate {Z_GATE})"
+                f"{est.reference:.6g} by {z:+.2f} standard errors (gate {est.z_gate})"
             )
             code = 4
     rows = [
@@ -416,18 +407,7 @@ def _cmd_invariance(args):
     motion = _parse_motion(args.motion)
     kw, params = _sampling(args)
     rep = invariance_check(body, motion, args.n, **kw)
-    rows = []
-    for row in rep.rows:
-        rows.append(
-            {
-                "quantity": row.quantity,
-                "value_original": row.value_original,
-                "se_original": row.se_original,
-                "value_transformed": row.value_transformed,
-                "se_transformed": row.se_transformed,
-                "z": row.z,
-            }
-        )
+    rows = [dataclasses.asdict(row) for row in rep.rows]
     report = {
         "schema": SCHEMA,
         "command": "invariance",
@@ -528,11 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="Lebesgue volume")
     _add_output(p)
-    p.add_argument(
-        "--method",
-        choices=("auto", "exact", "voxel"),
-        default="auto",
-    )
+    p.add_argument("--method", choices=("auto", "voxel"), default="auto")
     p.add_argument("--resolution", type=int, default=128, help="voxel resolution")
     p.set_defaults(func=_cmd_volume)
 

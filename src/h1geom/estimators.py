@@ -15,9 +15,9 @@ oriented lines: the canonical chart p >= 0 visits each unoriented line
 once, so the window measure carries a factor 2 (equivalently, p ranges
 over both signs).
 
-Estimators draw lines uniformly from a window (a chart box guaranteed to
-contain every line meeting the body), evaluate exact chords, and scale
-by the window's oriented measure.  The h coordinate of segments is
+Estimators draw lines uniformly from the body's own window (a chart box
+guaranteed to contain every line meeting it), evaluate exact chords, and
+scale by the window's oriented measure.  The h coordinate of segments is
 integrated in closed form: a segment of length l placed on a line with
 chord [a, b] meets the body for h in an interval of length sigma + l and
 lies inside it for max(sigma - l, 0).
@@ -116,6 +116,10 @@ _T15 = 2.131449545559776  # 97.5% quantile of Student's t, 15 degrees of freedom
 # |z| at which an estimate fails against its reference, or an invariant
 # quantity against its image under a motion
 Z_GATE = 4.0
+# a grid z follows t15, which crosses Z_GATE with probability 1.16e-3: the
+# grid's gate is the t15 quantile whose two-sided tail is that of Z_GATE
+# for a normal z, P(|N(0, 1)| > 4) = 6.3e-5
+_GRID_Z_GATE = 5.48
 
 
 class ContainmentError(Exception):
@@ -127,9 +131,8 @@ class LineWindow:
     """A chart box {0 <= p <= p_max, 0 <= theta < 2 pi, t_lo <= t <= t_hi}
     of horizontal lines.
 
-    ``chart_measure`` is its dp dtheta dt volume; ``measure`` doubles it
-    to count oriented lines, which is the normalization the kinematic
-    identities use.
+    ``measure`` is twice its dp dtheta dt volume, to count oriented
+    lines, which is the normalization the kinematic identities use.
     """
 
     p_max: float
@@ -150,18 +153,9 @@ class LineWindow:
             )
 
     @property
-    def chart_measure(self) -> float:
-        return TWO_PI * self.p_max * (self.t_hi - self.t_lo)
-
-    @property
     def measure(self) -> float:
         """Oriented-line measure of the window (twice the chart volume)."""
-        return 2.0 * self.chart_measure
-
-    def contains_line(self, line: HorizontalLine) -> bool:
-        return (
-            0.0 <= line.p <= self.p_max and self.t_lo <= line.t <= self.t_hi
-        )
+        return 2.0 * (TWO_PI * self.p_max * (self.t_hi - self.t_lo))
 
 
 def line_window(body: ConvexBody) -> LineWindow:
@@ -244,6 +238,13 @@ class EstimateResult:
             raise ValueError("no reference available for z_score")
         return _z(self.value, ref, self.std_error)
 
+    @property
+    def z_gate(self) -> float:
+        """The |z| at which the estimate fails against its reference: the
+        same false-alarm rate under the grid's error law as under Monte
+        Carlo's."""
+        return _GRID_Z_GATE if self.method == "grid" else Z_GATE
+
 
 def _z(value: float, reference: float, std_error: float) -> float:
     """The z score of :meth:`EstimateResult.z_score`, for any pair."""
@@ -296,11 +297,10 @@ class SegmentHitSweep:
     intercept: EstimateResult
 
 
-def _setup(body, window, n, seed, threads, method="mc") -> LineWindow:
-    """Validate the arguments every estimator shares; return the
-    caller's window or the body's own.  ``threads`` is checked to be a
-    positive integer and otherwise unused: passes run on the calling
-    thread."""
+def _setup(body, n, seed, threads, method="mc") -> LineWindow:
+    """Validate the arguments every estimator shares; return the body's
+    window.  ``threads`` is checked to be a positive integer and
+    otherwise unused: passes run on the calling thread."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not isinstance(seed, (int, np.integer)):
@@ -309,7 +309,7 @@ def _setup(body, window, n, seed, threads, method="mc") -> LineWindow:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
     if method not in ("mc", "grid"):
         raise ValueError(f"unknown method {method!r}")
-    return window if window is not None else line_window(body)
+    return line_window(body)
 
 
 def _check_ell(ell) -> float:
@@ -552,7 +552,6 @@ def estimate_line_measure(
     n: int,
     seed: int = DEFAULT_SEED,
     *,
-    window: LineWindow | None = None,
     stratify: bool = False,
     threads: int = 1,
     method: str = "mc",
@@ -565,7 +564,7 @@ def estimate_line_measure(
     computes it by quadrature; pass a float to supply your own or None
     to skip.
     """
-    window = _setup(body, window, n, seed, threads, method)
+    window = _setup(body, n, seed, threads, method)
     finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
     return finish((1.0, 0.0), reference, functools.partial(_line_reference, *_measures(body)))
 
@@ -575,7 +574,6 @@ def estimate_chord_integral(
     n: int,
     seed: int = DEFAULT_SEED,
     *,
-    window: LineWindow | None = None,
     stratify: bool = False,
     threads: int = 1,
     method: str = "mc",
@@ -584,7 +582,7 @@ def estimate_chord_integral(
 ) -> EstimateResult:
     """Integral of the chord length over oriented lines; equals
     2 pi V(body)."""
-    window = _setup(body, window, n, seed, threads, method)
+    window = _setup(body, n, seed, threads, method)
     finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
     return finish((0.0, 1.0), reference, functools.partial(_chord_reference, *_measures(body)))
 
@@ -603,7 +601,7 @@ def estimate_segment_hit_sweep(
     one Monte Carlo sample pass.  Every estimate carries its reference,
     from one volume and one p-Area computation."""
     ells = [_check_ell(ell) for ell in ells]
-    window = _setup(body, None, n, seed, threads)
+    window = _setup(body, n, seed, threads)
     finish = _line_pass(body, window, n, seed, stratify, "mc", None)
     measures = _measures(body)
     return SegmentHitSweep(
@@ -623,7 +621,6 @@ def estimate_segment_hit_measure(
     n: int,
     seed: int = DEFAULT_SEED,
     *,
-    window: LineWindow | None = None,
     stratify: bool = False,
     threads: int = 1,
     method: str = "mc",
@@ -642,7 +639,7 @@ def estimate_segment_hit_measure(
     dK = dG dh factorization.
     """
     ell = _check_ell(ell)
-    window = _setup(body, window, n, seed, threads, method)
+    window = _setup(body, n, seed, threads, method)
     auto = functools.partial(_hit_reference, *_measures(body), ell)
     if marginalize_h:
         finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
@@ -673,7 +670,6 @@ def estimate_segment_containment_measure(
     n: int,
     seed: int = DEFAULT_SEED,
     *,
-    window: LineWindow | None = None,
     stratify: bool = False,
     threads: int = 1,
     method: str = "mc",
@@ -690,7 +686,7 @@ def estimate_segment_containment_measure(
     measure is the chord integral 2 pi V.
     """
     ell = _check_ell(ell)
-    window = _setup(body, window, n, seed, threads, method)
+    window = _setup(body, n, seed, threads, method)
 
     def integrand(chords, u):
         sigma, hit = _sigma(chords[0])
@@ -715,7 +711,6 @@ def estimate_mean_chord(
     n: int,
     seed: int = DEFAULT_SEED,
     *,
-    window: LineWindow | None = None,
     stratify: bool = False,
     threads: int = 1,
     reference="auto",
@@ -723,7 +718,7 @@ def estimate_mean_chord(
     """Mean chord length over lines meeting the body: the ratio of the
     chord integral to the line measure, estimated on common samples with
     a delta-method standard error.  Reference: pi V / pA."""
-    window = _setup(body, window, n, seed, threads)
+    window = _setup(body, n, seed, threads)
     finish = _line_pass(body, window, n, seed, stratify, "mc", None)
     auto = functools.partial(_mean_chord_reference, *_measures(body))
     return finish((0.0, 1.0), reference, auto, over=(1.0, 0.0))
@@ -812,7 +807,7 @@ def containment_probability(
     otherwise; nesting is decided exactly for every pair of body types.
     """
     ell = _check_ell(ell)
-    window = _setup(outer, None, n, seed, threads)
+    window = _setup(outer, n, seed, threads)
     if not _nested(inner, outer, _nesting_tol(outer)):
         raise ContainmentError("inner body is not contained in the outer body")
 
@@ -857,7 +852,7 @@ def invariance_check(
     defect rather than noise.  One sample pass per body (seed for the
     body, seed + 1 for its image) serves every quantity."""
     passes = [
-        _line_pass(b, _setup(b, None, n, s, threads), n, s, stratify, "mc", None)
+        _line_pass(b, _setup(b, n, s, threads), n, s, stratify, "mc", None)
         for b, s in ((body, seed), (transform_body(motion, body), seed + 1))
     ]
     rows = []

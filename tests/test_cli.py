@@ -1,6 +1,7 @@
 """Command-line interface: reports, formats, determinism, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -633,6 +634,41 @@ def test_tolerance_exit_codes(capsys, ball_file, monkeypatch, command):
     report = json.loads(out)
     assert "tolerance_failure" in report
     assert "standard errors" in report["tolerance_failure"]
+
+
+def test_grid_estimates_are_gated_by_their_own_error_law(capsys, ball_file, monkeypatch):
+    # a grid z follows Student's t with 15 degrees of freedom: this seed's
+    # z = -4.65 lies past Monte Carlo's gate of 4 but inside the grid's 5.48
+    argv = ["crofton", "--body", ball_file, "--method", "grid", "--resolution", "32"]
+    code, out, _ = run_cli(capsys, [*argv, "--seed", "1685016122"])
+    report = json.loads(out)
+    assert round(report["diagnostics"]["z_score"], 2) == -4.65
+    assert code == 0 and "tolerance_failure" not in report
+
+    real = cli.estimate_line_measure
+
+    def shifted(z):
+        # the estimate with its reference moved to put it z errors off
+        def estimate(*args, **kwargs):
+            est = real(*args, **kwargs)
+            return dataclasses.replace(est, reference=est.value - z * est.std_error)
+
+        return estimate
+
+    for method, z, gate, code_expected in (
+        ("grid", 5.5, 5.48, 4),
+        ("grid", -4.5, 5.48, 0),
+        ("mc", 4.5, 4.0, 4),
+        ("mc", -3.9, 4.0, 0),
+    ):
+        monkeypatch.setattr(cli, "estimate_line_measure", shifted(z))
+        code, out, _ = run_cli(capsys, [*argv, "--method", method, "--n", "4096"])
+        report = json.loads(out)
+        assert code == code_expected, (method, z)
+        if code:
+            assert report["tolerance_failure"].endswith(f"(gate {gate})")
+        else:
+            assert "tolerance_failure" not in report
 
 
 def _reject_constant(name):

@@ -52,6 +52,36 @@ def test_voxel_oracle_grids_the_body_box():
         assert abs(res.value - body.volume_exact()) <= 0.01 * body.volume_exact()
 
 
+def test_voxel_error_estimate_covers_its_error():
+    # the acceptance bodies and three rigid images of each, at the default
+    # resolution: the bar, the volume of the cells whose corners disagree,
+    # covers the trapezoid rule's error (the change from the half-resolution
+    # grid missed on 5 of these 16)
+    rng = np.random.default_rng(9)
+    for name, body in BODIES.items():
+        images = [transform_body(random_motion(rng, 1.0), body) for _ in range(3)]
+        for k, image in enumerate([body, *images]):
+            res = volume_voxel_oracle(image)
+            assert abs(res.value - image.volume_exact()) <= res.error_estimate, (name, k)
+
+
+def test_voxel_error_estimate_covers_thin_and_far_bodies():
+    # thin bodies whose corners mostly miss them, and bodies far from the
+    # t-axis; a box's lattice lies on its faces, so its bar is the floor
+    bodies = [
+        Ellipsoid((0.2, 0.1, 0.0), (2.0, 0.05, 0.05)),
+        Ellipsoid((0.0, 0.0, 0.7), (1.5, 1.5, 0.02)),
+        Box((5.0, 5.0, 0.0), (6.0, 6.0, 1.0)),
+        Ball((10.0, 0.0, 0.0), 1.0),
+    ]
+    for body in bodies:
+        for resolution in (8, 9, 32, 64):
+            res = volume_voxel_oracle(body, resolution)
+            assert abs(res.value - body.volume_exact()) <= res.error_estimate, (body, resolution)
+    res = volume_voxel_oracle(bodies[2], 8)
+    assert res.error_estimate == measures._ROUNDOFF * res.value
+
+
 def test_volume_method_validation():
     # every body has a closed-form volume, and volume takes no method
     with pytest.raises(TypeError):
@@ -215,7 +245,9 @@ def test_p_area_cube_closed_form():
     poly = Polytope(
         np.vstack([np.eye(3), -np.eye(3)]), np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     )
-    assert abs(p_area(poly, method="exact").value - CUBE_P_AREA) <= 1e-14 * CUBE_P_AREA
+    res = p_area(poly)
+    assert res.method == "exact"
+    assert abs(res.value - CUBE_P_AREA) <= 1e-14 * CUBE_P_AREA
 
 
 def test_cube_images_keep_volume_and_p_area_to_round_off():
@@ -277,7 +309,9 @@ def test_polytope_matches_qhull(name, body):
     assert len(v) == len(points)
     assert dist.min(axis=1).max() <= 1e-12 and dist.min(axis=0).max() <= 1e-12
     assert abs(body.volume_exact() - vol) <= 1e-13 * vol
-    assert abs(p_area(body, method="exact").value - exact) <= 1e-13 * exact
+    res = p_area(body)
+    assert res.method == "exact"
+    assert abs(res.value - exact) <= 1e-13 * exact
 
 
 def test_duplicated_and_redundant_halfspaces_leave_the_cube():
@@ -289,7 +323,7 @@ def test_duplicated_and_redundant_halfspaces_leave_the_cube():
     assert len(cube._triangles) == 12
     assert abs(cube.volume_exact() - 1.0) <= 1e-15
     assert abs(p_area(cube).value - CUBE_P_AREA) <= 1e-14 * CUBE_P_AREA
-    assert np.allclose(cube.interior_point(), 0.5, rtol=0.0, atol=1e-15)
+    assert np.allclose(cube.vertices.mean(axis=0), 0.5, rtol=0.0, atol=1e-15)
 
 
 # the planar bodies and the qhull-checked random polytopes and images
@@ -319,7 +353,7 @@ def test_bad_rel_tol_is_rejected_before_any_quadrature(monkeypatch, rel_tol):
 
     monkeypatch.setattr(measures, "_refine", no_quadrature)
     for body in BODIES.values():
-        for method in ("auto", "exact", "line"):
+        for method in ("auto", "line"):
             with pytest.raises(ValueError, match="rel_tol"):
                 p_area(body, method=method, rel_tol=rel_tol)
 
@@ -456,11 +490,11 @@ def test_p_area_of_planar_bodies_builds_no_patch(monkeypatch):
 
 
 def test_p_area_method_validation():
-    with pytest.raises(ValueError):
-        p_area(BODIES["ellipsoid"], method="exact")
-    for method in ("montecarlo", "quadrature"):
-        with pytest.raises(ValueError):
-            p_area(BODIES["box"], method=method)
+    # "auto" is already exact on every planar body: "exact" is no method
+    for method in ("exact", "montecarlo", "quadrature"):
+        for body in (BODIES["box"], BODIES["ellipsoid"]):
+            with pytest.raises(ValueError, match="method"):
+                p_area(body, method=method)
     res = p_area(BODIES["box"], method="line")
     assert res.method == "line-rule" and res.resolution >= 32
 
