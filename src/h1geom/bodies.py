@@ -1,14 +1,15 @@
 """Euclidean-convex bodies and their chords along horizontal lines.
 
 A convex body here is a compact convex subset of R^3 with nonempty
-interior.  The central operation is ``chord``: the parameter interval
-[s_in, s_out] along which a horizontal line (in the (p, theta, t) chart
-of :mod:`h1geom.core`) meets the body.  Because the chart parameter is
-the sub-Riemannian arclength, s_out - s_in is exactly the Levi length of
-the chord, which is what the kinematic identities integrate.
+interior.  The central operation is ``chord_batch``: for arrays of
+horizontal lines (p, theta, t) in the chart of :mod:`h1geom.core`, the
+parameter intervals [s_lo, s_hi] along which they meet the body, and
+which of them do.  Because the chart parameter is the sub-Riemannian
+arclength, s_hi - s_lo is exactly the Levi length of the chord, which is
+what the kinematic identities integrate.
 
-All bodies support vectorized membership and chord queries; ``chord``
-solves one quadratic (ellipsoids, of which a ball is the case
+Membership (``contains_batch``) and chords are vectorized queries.  A
+chord solves one quadratic (ellipsoids, of which a ball is the case
 lin = r I, and their images under rigid motions) or clips the line
 against one halfspace at a time (polytopes, of which a box is the case
 of the six axis halfspaces, and their images), so chords are exact to
@@ -33,11 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HorizontalLine, Point, PshMotion, motion_affine
+from .core import PshMotion, motion_affine
 
 __all__ = [
     "CapabilityError",
-    "ChordInterval",
     "BoundingData",
     "ConvexBody",
     "Ball",
@@ -61,40 +61,6 @@ def _cross(a, b):
 
 class CapabilityError(Exception):
     """Raised when an operation is not supported for a body type."""
-
-
-@dataclass(frozen=True)
-class ChordInterval:
-    """The parameter interval a line spends inside a body.
-
-    ``s_in <= s_out``; tangential contact gives a degenerate interval
-    with sigma == 0.  The empty chord is represented with NaN endpoints
-    (query ``is_empty``, never the fields directly).
-    """
-
-    s_in: float
-    s_out: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.s_in) != math.isnan(self.s_out):
-            raise ValueError("chord endpoints must be both NaN or both finite")
-        if not math.isnan(self.s_in) and self.s_out < self.s_in:
-            raise ValueError(f"chord needs s_in <= s_out, got [{self.s_in}, {self.s_out}]")
-
-    @classmethod
-    def empty(cls) -> "ChordInterval":
-        return cls(math.nan, math.nan)
-
-    @property
-    def is_empty(self) -> bool:
-        return math.isnan(self.s_in)
-
-    @property
-    def sigma(self) -> float:
-        """Chord length in the Levi metric (0 for empty or tangent chords)."""
-        if self.is_empty:
-            return 0.0
-        return self.s_out - self.s_in
 
 
 @dataclass(frozen=True)
@@ -196,18 +162,6 @@ class ConvexBody(abc.ABC):
     @abc.abstractmethod
     def volume_exact(self) -> float:
         """Closed-form Lebesgue volume."""
-
-    def contains(self, pt: Point, tol: float = 0.0) -> bool:
-        mask = self.contains_batch(pt.as_array()[None, :], tol=tol)
-        return bool(mask[0])
-
-    def chord(self, line: HorizontalLine) -> ChordInterval:
-        lo, hi, hit = self.chord_batch(
-            np.array([line.p]), np.array([line.theta]), np.array([line.t])
-        )
-        if not hit[0]:
-            return ChordInterval.empty()
-        return ChordInterval(float(lo[0]), float(hi[0]))
 
 
 class Ellipsoid(ConvexBody):

@@ -25,12 +25,13 @@ Reports are JSON (default) or CSV via --format, written to stdout or
 byte-identical across runs of the same configuration except for the
 wall_time_s field.
 
-Exit codes: 0 success; 2 configuration error (bad JSON/flags, violated
-nesting, no line of the sample hits the body, a grid too large to
-allocate); 3 unsupported body/operation; 4 tolerance failure (estimate
-beyond its method's gate, 4 standard errors of its reference for Monte
-Carlo and 5.48 for the grid, whose z follows Student's t with 15
-degrees of freedom; failed invariance; or non-convergent quadrature).
+Exit codes: 0 success; 2 configuration error (bad JSON/flags, a sampling
+flag the method ignores, violated nesting, no line of the sample meets
+the body, a grid too large to allocate); 3 unsupported body/operation;
+4 tolerance failure (estimate beyond its method's gate, 4 standard
+errors of its reference for Monte Carlo and 5.48 for the grid, whose z
+follows Student's t with 15 degrees of freedom; failed invariance; or
+non-convergent quadrature).
 """
 
 from __future__ import annotations
@@ -472,7 +473,7 @@ def _add_sampling(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=_positive_int, default=100_000, help="sample count")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
     parser.add_argument(
-        "--stratify", action="store_true", help="stratify the angle coordinate"
+        "--stratify", action="store_true", help="stratify the angle coordinate (Monte Carlo only)"
     )
     parser.add_argument(
         "--threads",
@@ -494,7 +495,7 @@ def _add_method(parser: argparse.ArgumentParser) -> None:
         "--resolution",
         type=int,
         default=None,
-        help="per-axis resolution for --method grid, about resolution^3 lines",
+        help="per-axis resolution for --method grid (only), about resolution^3 lines",
     )
 
 

@@ -147,12 +147,6 @@ class PshMotion:
             ]
         )
 
-    def apply(self, pt: Point) -> Point:
-        return psh_apply_point(self, pt)
-
-    def apply_line(self, line: "HorizontalLine") -> "HorizontalLine":
-        return psh_apply_line(self, line)
-
 
 @dataclass(frozen=True)
 class HorizontalLine:
@@ -173,17 +167,6 @@ class HorizontalLine:
         if self.p < 0.0:
             raise ValueError(f"HorizontalLine needs p >= 0, got p={self.p}")
         object.__setattr__(self, "theta", normalize_angle(self.theta))
-
-    def base_point(self) -> Point:
-        return Point(
-            self.p * math.cos(self.theta), self.p * math.sin(self.theta), self.t
-        )
-
-    def direction(self) -> np.ndarray:
-        return line_direction(self)
-
-    def point_at(self, s: float) -> Point:
-        return line_point_at(self, s)
 
 
 @dataclass(frozen=True)

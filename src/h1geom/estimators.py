@@ -35,10 +35,13 @@ gram [[0, 1], [1, 2]] (hit^2 is hit and hit sigma is sigma): (1, 0) is
 the line measure, (0, 1) the chord integral, (ell, 1) the hit measure
 at ell, and the mean chord is (0, 1) over (1, 0).
 
-Adding an identity takes its integrand (or coefficients over the line
-pass), its reference, a zero-argument callable returning (value,
-source), and, for a single-body estimate, a row of the CLI's
-``_ESTIMATES`` table.
+The references follow the same law: R = (2 pA, 2 pi V) is the reference
+of (hit, sigma), so a line estimate with coefficients c has reference
+c.R (and the mean chord c.R over (1, 0).R).  Adding a line identity thus
+takes only its coefficients and a label naming the source of its
+reference.  Any other identity takes its integrand and a zero-argument
+callable returning its reference (value, source).  A single-body
+estimate also takes a row of the CLI's ``_ESTIMATES`` table.
 
 The grid method's blocks are randomly shifted copies of one Kronecker
 point set (randomised QMC): each copy is an unbiased estimate, and
@@ -60,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TWO_PI, HorizontalLine, PshMotion
+from .core import TWO_PI, PshMotion
 from .bodies import CapabilityError, ConvexBody, Ellipsoid, Polytope, transform_body
 from .measures import p_area, volume
 from .rng import uniforms
@@ -70,7 +73,6 @@ __all__ = [
     "BLOCK",
     "ContainmentError",
     "LineWindow",
-    "Segment",
     "EstimateResult",
     "InvarianceRow",
     "InvarianceReport",
@@ -178,34 +180,6 @@ def line_window(body: ConvexBody) -> LineWindow:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """A horizontal segment: the piece of ``line`` with parameter in
-    [h, h + ell]."""
-
-    line: HorizontalLine
-    h: float
-    ell: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.h) and math.isfinite(self.ell)):
-            raise ValueError("Segment needs finite h and ell")
-        if self.ell < 0.0:
-            raise ValueError(f"Segment needs ell >= 0, got {self.ell}")
-
-    def hits(self, body: ConvexBody) -> bool:
-        chord = body.chord(self.line)
-        if chord.is_empty:
-            return False
-        return self.h <= chord.s_out and self.h + self.ell >= chord.s_in
-
-    def contained_in(self, body: ConvexBody) -> bool:
-        chord = body.chord(self.line)
-        if chord.is_empty:
-            return False
-        return chord.s_in <= self.h and self.h + self.ell <= chord.s_out
-
-
-@dataclass(frozen=True)
 class EstimateResult:
     """A Monte Carlo or grid estimate with its standard error and, when a
     closed form or quadrature value exists, a reference.  A grid z score
@@ -232,7 +206,8 @@ class EstimateResult:
 
     def z_score(self, reference: float | None = None) -> float:
         """Standardized deviation from a reference value; without an error
-        bar, 0 on an exact match and infinite otherwise."""
+        bar, 0 on an exact match and otherwise infinite with the sign of
+        value - reference."""
         ref = self.reference if reference is None else reference
         if ref is None:
             raise ValueError("no reference available for z_score")
@@ -249,7 +224,7 @@ class EstimateResult:
 def _z(value: float, reference: float, std_error: float) -> float:
     """The z score of :meth:`EstimateResult.z_score`, for any pair."""
     if std_error == 0.0:
-        return 0.0 if value == reference else math.inf
+        return 0.0 if value == reference else math.copysign(math.inf, value - reference)
     return (value - reference) / std_error
 
 
@@ -297,10 +272,12 @@ class SegmentHitSweep:
     intercept: EstimateResult
 
 
-def _setup(body, n, seed, threads, method="mc") -> LineWindow:
+def _setup(body, n, seed, threads, method="mc", stratify=False, grid_resolution=None) -> LineWindow:
     """Validate the arguments every estimator shares; return the body's
     window.  ``threads`` is checked to be a positive integer and
-    otherwise unused: passes run on the calling thread."""
+    otherwise unused: passes run on the calling thread.  An option the
+    method ignores is an error: ``stratify`` with the grid, whose shifts
+    randomise it, and a ``grid_resolution`` with Monte Carlo."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not isinstance(seed, (int, np.integer)):
@@ -309,6 +286,10 @@ def _setup(body, n, seed, threads, method="mc") -> LineWindow:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
     if method not in ("mc", "grid"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "grid" and stratify:
+        raise ValueError("stratify is for Monte Carlo: the grid's random shifts randomise it")
+    if method == "mc" and grid_resolution is not None:
+        raise ValueError("a grid resolution needs method='grid'")
     return line_window(body)
 
 
@@ -347,8 +328,6 @@ def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, stream
     if method == "grid":
         res = grid_axis_resolution(n, grid_res)
         blocks = [(r, max(1, res**3 // _SHIFTS)) for r in range(_SHIFTS)]
-        # the shifts randomise the grid; it takes no strata
-        stratify = False
         shifts = uniforms(seed, 0, _SHIFTS, 3)
         leaf = _GRID_SUB_BLOCK
 
@@ -452,7 +431,7 @@ def _ratio(rows, a, b, gram, n):
     s = sum(rows)[: len(a)]
     mx, my = np.dot(a, s) / n, np.dot(b, s) / n
     if my <= 0.0:
-        raise ValueError("no hits in the sample; enlarge n or check the window")
+        raise ValueError("no line of the sample meets the body; enlarge n")
     r = mx / my
     _, se = _linear(rows, np.subtract(a, np.multiply(r, b)), gram, n, 1.0, "mc")
     return r, se / my
@@ -488,34 +467,33 @@ def _result(value, se, n, hits, seed, method, reference, auto, clamp_fraction=No
     )
 
 
-def _measures(body):
-    """Volume and p-Area of the body, each computed on first use.  The
-    references below take these two; bound to them by functools.partial,
-    each becomes the zero-argument ``auto`` that ``_result`` calls."""
+def _references(body):
+    """R = (2 pA, 2 pi V), the references of a line pass's (hit, sigma):
+    the line estimate with coefficients c has reference c.R.  Each entry
+    is a zero-argument callable that computes its quadrature or closed
+    form on first use."""
     return (
-        functools.cache(lambda: volume(body).value),
-        functools.cache(lambda: p_area(body).value),
+        functools.cache(lambda: 2.0 * p_area(body).value),
+        functools.cache(lambda: TWO_PI * volume(body).value),
     )
 
 
-def _line_reference(vol, pa):
-    return 2.0 * pa(), "2 * measures.p_area(body)"
+def _dot(c, refs):
+    """c.R in Python floats, c0 R0 + c1 R1: a zero coefficient's entry is
+    never computed, so the line measure reads no volume and the chord
+    integral no p-Area."""
+    value = 0.0
+    for ci, ref in zip(c, refs):
+        if ci:
+            value += ci * ref()
+    return value
 
 
-def _chord_reference(vol, pa):
-    return TWO_PI * vol(), "2*pi * measures.volume(body)"
-
-
-def _hit_reference(vol, pa, ell):
-    return (
-        TWO_PI * vol() + 2.0 * ell * pa(),
-        "2*pi*measures.volume + 2*ell*measures.p_area",
-    )
-
-
-def _mean_chord_reference(vol, pa):
-    return math.pi * vol() / pa(), "pi * measures.volume / measures.p_area"
-
+# the reference sources of the line measure, the chord integral and the
+# segment hit measure, each named by what computes it
+_LINE_SOURCE = "2 * measures.p_area(body)"
+_CHORD_SOURCE = "2*pi * measures.volume(body)"
+_HIT_SOURCE = "2*pi*measures.volume + 2*ell*measures.p_area"
 
 # the products of the line pass's (hit, sigma) among its sums (hit,
 # sigma, sigma^2): hit^2 is hit and hit sigma is sigma (``_sigma`` zeroes
@@ -526,22 +504,30 @@ _LINE_GRAM = [[0, 1], [1, 2]]
 def _line_pass(body, window, n, seed, stratify, method, grid_res):
     """Every line estimate from one pass over ``window`` (as ``_setup``
     returns it) whose integrand yields (hit, sigma, sigma^2) per line.
-    Returns ``finish(c, reference, auto, over=None)``, which builds the
+    Returns ``finish(c, reference, source, over=None)``, which builds the
     mean of c.(hit, sigma) ((1, 0) the line measure, (0, 1) the chord
     integral, (ell, 1) the hit measure at ell) or, given ``over``, its
-    ratio to the mean of over.(hit, sigma)."""
+    ratio to the mean of over.(hit, sigma).  Its automatic reference is
+    c.R, or c.R / over.R, with R the body's ``_references``, labelled
+    ``source``."""
 
     def integrand(chords, u):
         sigma, hit = _sigma(chords[0])
         yield from (hit, sigma, sigma * sigma)
 
     rows, n_lines = _pass((body,), window, n, seed, stratify, method, grid_res, integrand)
+    refs = _references(body)
 
-    def finish(c, reference, auto, over=None):
+    def finish(c, reference, source, over=None):
         if over is None:
             value, se = _linear(rows, c, _LINE_GRAM, n_lines, window.measure, method)
         else:
             value, se = _ratio(rows, c, over, _LINE_GRAM, n_lines)
+
+        def auto():
+            ref = _dot(c, refs)
+            return (ref if over is None else ref / _dot(over, refs)), source
+
         return _result(value, se, n_lines, sum(rows[:, 0]), seed, method, reference, auto)
 
     return finish
@@ -564,9 +550,9 @@ def estimate_line_measure(
     computes it by quadrature; pass a float to supply your own or None
     to skip.
     """
-    window = _setup(body, n, seed, threads, method)
+    window = _setup(body, n, seed, threads, method, stratify, grid_resolution)
     finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
-    return finish((1.0, 0.0), reference, functools.partial(_line_reference, *_measures(body)))
+    return finish((1.0, 0.0), reference, _LINE_SOURCE)
 
 
 def estimate_chord_integral(
@@ -582,9 +568,9 @@ def estimate_chord_integral(
 ) -> EstimateResult:
     """Integral of the chord length over oriented lines; equals
     2 pi V(body)."""
-    window = _setup(body, n, seed, threads, method)
+    window = _setup(body, n, seed, threads, method, stratify, grid_resolution)
     finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
-    return finish((0.0, 1.0), reference, functools.partial(_chord_reference, *_measures(body)))
+    return finish((0.0, 1.0), reference, _CHORD_SOURCE)
 
 
 def estimate_segment_hit_sweep(
@@ -603,15 +589,11 @@ def estimate_segment_hit_sweep(
     ells = [_check_ell(ell) for ell in ells]
     window = _setup(body, n, seed, threads)
     finish = _line_pass(body, window, n, seed, stratify, "mc", None)
-    measures = _measures(body)
     return SegmentHitSweep(
         ells=ells,
-        rows=[
-            finish((ell, 1.0), "auto", functools.partial(_hit_reference, *measures, ell))
-            for ell in ells
-        ],
-        slope=finish((1.0, 0.0), "auto", functools.partial(_line_reference, *measures)),
-        intercept=finish((0.0, 1.0), "auto", functools.partial(_chord_reference, *measures)),
+        rows=[finish((ell, 1.0), "auto", _HIT_SOURCE) for ell in ells],
+        slope=finish((1.0, 0.0), "auto", _LINE_SOURCE),
+        intercept=finish((0.0, 1.0), "auto", _CHORD_SOURCE),
     )
 
 
@@ -639,11 +621,10 @@ def estimate_segment_hit_measure(
     dK = dG dh factorization.
     """
     ell = _check_ell(ell)
-    window = _setup(body, n, seed, threads, method)
-    auto = functools.partial(_hit_reference, *_measures(body), ell)
+    window = _setup(body, n, seed, threads, method, stratify, grid_resolution)
     if marginalize_h:
         finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
-        return finish((ell, 1.0), reference, auto)
+        return finish((ell, 1.0), reference, _HIT_SOURCE)
 
     # direct 4D sampling over (p, theta, t, h); any chord parameter
     # satisfies p^2 + s^2 <= r_xy^2, so h in [-(r + ell), r] covers every
@@ -661,6 +642,10 @@ def estimate_segment_hit_measure(
     rows, _ = _pass((body,), window, n, seed, stratify, "mc", None, integrand, streams=4)
     # the indicator is its own square
     value, se = _linear(rows, (1.0,), [[0]], n, window.measure * h_len, "mc")
+
+    def auto():
+        return _dot((ell, 1.0), _references(body)), _HIT_SOURCE
+
     return _result(value, se, n, sum(rows[:, 0]), seed, "mc-4d", reference, auto)
 
 
@@ -686,7 +671,7 @@ def estimate_segment_containment_measure(
     measure is the chord integral 2 pi V.
     """
     ell = _check_ell(ell)
-    window = _setup(body, n, seed, threads, method)
+    window = _setup(body, n, seed, threads, method, stratify, grid_resolution)
 
     def integrand(chords, u):
         sigma, hit = _sigma(chords[0])
@@ -699,7 +684,7 @@ def estimate_segment_containment_measure(
     clamp_fraction = clamped / hits if hits > 0 else 0.0
 
     def auto():
-        return _chord_reference(*_measures(body)) if ell == 0.0 else (None, None)
+        return (_dot((0.0, 1.0), _references(body)), _CHORD_SOURCE) if ell == 0.0 else (None, None)
 
     return _result(
         value, se, n_lines, hits, seed, method, reference, auto, clamp_fraction
@@ -720,8 +705,8 @@ def estimate_mean_chord(
     a delta-method standard error.  Reference: pi V / pA."""
     window = _setup(body, n, seed, threads)
     finish = _line_pass(body, window, n, seed, stratify, "mc", None)
-    auto = functools.partial(_mean_chord_reference, *_measures(body))
-    return finish((0.0, 1.0), reference, auto, over=(1.0, 0.0))
+    source = "pi * measures.volume / measures.p_area"
+    return finish((0.0, 1.0), reference, source, over=(1.0, 0.0))
 
 
 def _ellipsoid_reach_sq(inner: Ellipsoid, outer: Ellipsoid) -> float:
@@ -820,8 +805,7 @@ def containment_probability(
     value, se = _ratio(rows, (1.0, 0.0), (0.0, 1.0), [[3, 4], [4, 5]], n)
 
     def auto():
-        num = _hit_reference(*_measures(inner), ell)[0]
-        den = _hit_reference(*_measures(outer), ell)[0]
+        num, den = (_dot((ell, 1.0), _references(b)) for b in (inner, outer))
         return num / den, "(2*pi*V + 2*ell*pA) inner over outer [measures]"
 
     return _result(value, se, n, sum(rows)[2], seed, "mc", reference, auto)

@@ -11,10 +11,8 @@ from h1geom import (
     Ball,
     Box,
     CapabilityError,
-    ChordInterval,
     Ellipsoid,
     HorizontalLine,
-    Point,
     Polytope,
     PshMotion,
     line_point_at,
@@ -39,19 +37,6 @@ def unit_cube_polytope() -> Polytope:
     normals = np.vstack([np.eye(3), -np.eye(3)])
     offsets = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     return Polytope(normals, offsets)
-
-
-def test_chord_interval():
-    empty = ChordInterval.empty()
-    assert empty.is_empty and empty.sigma == 0.0
-    full = ChordInterval(-1.0, 2.0)
-    assert not full.is_empty and full.sigma == 3.0
-    grazing = ChordInterval(0.5, 0.5)
-    assert grazing.sigma == 0.0 and not grazing.is_empty
-    with pytest.raises(ValueError):
-        ChordInterval(1.0, 0.0)
-    with pytest.raises(ValueError):
-        ChordInterval(math.nan, 0.0)
 
 
 def test_direction_is_cos_and_sin_within_a_few_ulp():
@@ -101,26 +86,24 @@ def test_chord_kernels_call_no_sin_or_cos(monkeypatch):
     monkeypatch.setattr(np, "sin", refuse)
     for name, body in bodies.items():
         assert body.chord_batch(p, theta, t)[2].any(), name
-        assert not body.chord(HorizontalLine(0.0, 0.3, 0.0)).is_empty, name
+        assert body.chord_batch(np.zeros(1), np.full(1, 0.3), np.zeros(1))[2][0], name
 
 
 def test_ball_chord_examples():
     ball = Ball((0.0, 0.0, 0.0), 1.0)
-    for theta in (0.0, 0.9, math.pi / 2, 4.0):
-        chord = ball.chord(HorizontalLine(0.0, theta, 0.0))
-        assert abs(chord.s_in + 1.0) < 1e-12 and abs(chord.s_out - 1.0) < 1e-12
-    assert ball.chord(HorizontalLine(2.0, 0.0, 0.0)).is_empty
-    # chords above or below the equator never hit
-    assert ball.chord(HorizontalLine(0.0, 0.0, 1.5)).is_empty
+    theta = np.array([0.0, 0.9, math.pi / 2, 4.0])
+    s_lo, s_hi, hit = ball.chord_batch(np.zeros(4), theta, np.zeros(4))
+    assert hit.all() and np.all(np.abs(s_lo + 1.0) < 1e-12) and np.all(np.abs(s_hi - 1.0) < 1e-12)
+    # lines off the ball, or above or below the equator, never hit
+    assert not ball.chord_batch(np.array([2.0, 0.0]), np.zeros(2), np.array([0.0, 1.5]))[2].any()
 
 
 def test_ball_tangent_line_is_degenerate_hit():
     ball = Ball((0.0, 0.0, 0.0), 1.0)
-    # at t = 0 the line with p = 1 grazes the equator
-    chord = ball.chord(HorizontalLine(1.0, 0.3, 0.0))
-    assert not chord.is_empty
-    assert chord.sigma == 0.0
-    assert ball.chord(HorizontalLine(1.0 + 1e-5, 0.3, 0.0)).is_empty
+    # at t = 0 the line with p = 1 grazes the equator, and p = 1 + 1e-5 misses
+    s_lo, s_hi, hit = ball.chord_batch(np.array([1.0, 1.0 + 1e-5]), np.full(2, 0.3), np.zeros(2))
+    assert hit.tolist() == [True, False]
+    assert s_hi[0] - s_lo[0] == 0.0
     # at every angle, however cos^2 + sin^2 rounds: the tangent point is
     # the base point (b = 0), so only the tolerance on c keeps the hit
     theta = np.linspace(0.0, 2.0 * math.pi, 10_000, endpoint=False)
@@ -133,19 +116,20 @@ def test_ball_tangent_line_is_degenerate_hit():
     # same contact through the scaled chart of an ellipsoid; rounding may
     # leave a sliver of chord no larger than sqrt(tolerance)
     ell = Ellipsoid((0.0, 0.0, 0.0), (2.0, 2.0, 1.0))
-    chord = ell.chord(HorizontalLine(2.0, 0.9, 0.0))
-    assert not chord.is_empty and chord.sigma <= 1e-6
+    s_lo, s_hi, hit = ell.chord_batch(np.array([2.0]), np.array([0.9]), np.zeros(1))
+    assert hit[0] and s_hi[0] - s_lo[0] <= 1e-6
 
 
 def test_box_chord_example():
     box = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
-    chord = box.chord(HorizontalLine(0.0, math.pi / 2, 0.0))
-    assert abs(chord.s_in + 1.0) < 1e-12 and abs(chord.s_out - 1.0) < 1e-12
-    # the line through x = p >= 0 along -y at height t
-    chord = box.chord(HorizontalLine(0.5, 0.0, 0.25))
-    assert not chord.is_empty
-    mid = line_point_at(HorizontalLine(0.5, 0.0, 0.25), 0.5 * (chord.s_in + chord.s_out))
-    assert box.contains(mid)
+    # the second line runs through x = p >= 0 along -y at height t
+    s_lo, s_hi, hit = box.chord_batch(
+        np.array([0.0, 0.5]), np.array([math.pi / 2, 0.0]), np.array([0.0, 0.25])
+    )
+    assert hit.all()
+    assert abs(s_lo[0] + 1.0) < 1e-12 and abs(s_hi[0] - 1.0) < 1e-12
+    mid = line_point_at(HorizontalLine(0.5, 0.0, 0.25), 0.5 * (s_lo[1] + s_hi[1]))
+    assert box.contains_batch(mid.as_array()[None])[0]
 
 
 def test_constructor_validation():
@@ -232,7 +216,7 @@ def test_interior_points_and_bounds():
     rng = np.random.default_rng(555)
     for name, body in BODIES.items():
         c = inner_point(body)
-        assert body.contains(Point(*c))
+        assert body.contains_batch(c[None])[0]
         b = body.bounds()
         pts = c + rng.uniform(-3.0, 3.0, size=(4000, 3))
         inside = pts[body.contains_batch(pts)]
@@ -288,16 +272,16 @@ def test_polytope_chord_against_dense_sampling():
             axis=-1,
         )
         mask = poly.contains_batch(pts)
-        chord = poly.chord(g)
+        (s_lo,), (s_hi,), (hit,) = poly.chord_batch(
+            np.array([g.p]), np.array([g.theta]), np.array([g.t])
+        )
         if not mask.any():
-            assert chord.is_empty or chord.sigma <= 2.0 * step
+            assert not hit or s_hi - s_lo <= 2.0 * step
             continue
         checked += 1
-        s_in_dense = grid[mask][0]
-        s_out_dense = grid[mask][-1]
-        assert not chord.is_empty
-        assert abs(chord.s_in - s_in_dense) <= 2.0 * step
-        assert abs(chord.s_out - s_out_dense) <= 2.0 * step
+        assert hit
+        assert abs(s_lo - grid[mask][0]) <= 2.0 * step
+        assert abs(s_hi - grid[mask][-1]) <= 2.0 * step
     assert checked > 20
 
 
@@ -417,14 +401,15 @@ def test_quadratic_form_of_rigid_image():
     assert np.all(np.abs(vals) < 1e-10)
 
 
-def test_scalar_wrappers():
+def test_single_point_and_line_queries():
     ball = Ball((0.0, 0.0, 0.0), 1.0)
-    assert ball.contains(Point(0.0, 0.0, 0.0))
-    assert not ball.contains(Point(2.0, 0.0, 0.0))
-    assert ball.contains(Point(1.0 + 1e-7, 0.0, 0.0), tol=1e-6)
-    chord = ball.chord(HorizontalLine(0.5, 1.0, 0.0))
-    assert isinstance(chord, ChordInterval)
-    assert abs(chord.sigma - 2.0 * math.sqrt(1.0 - 0.25) / math.sqrt(1.25)) < 1e-12
+    points = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0 + 1e-7, 0.0, 0.0]])
+    assert ball.contains_batch(points).tolist() == [True, False, False]
+    assert ball.contains_batch(points[2:], tol=1e-6)[0]
+    # at t = 0 the line meets the unit ball where p^2 + s^2 (1 + p^2) <= 1
+    s_lo, s_hi, hit = ball.chord_batch(np.array([0.5]), np.array([1.0]), np.zeros(1))
+    assert hit[0]
+    assert abs(s_hi[0] - s_lo[0] - 2.0 * math.sqrt(1.0 - 0.25) / math.sqrt(1.25)) < 1e-12
 
 
 def line_rays(p, theta, t) -> tuple[np.ndarray, np.ndarray]:

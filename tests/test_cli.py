@@ -490,12 +490,12 @@ def test_config_errors(capsys, tmp_path, ball_file):
 
     # a sample where no line hits the body has no ratio estimate
     code, _, err = run_cli(capsys, ["mean-chord", "--body", ball_file, "--n", "1"])
-    assert code == 2 and "no hits" in err
+    assert code == 2 and "no line of the sample meets the body" in err
     code, _, err = run_cli(
         capsys,
         ["containment", "--inner", ball_file, "--outer", ball_file, "--n", "1"],
     )
-    assert code == 2 and "no hits" in err
+    assert code == 2 and "no line of the sample meets the body" in err
 
     with pytest.raises(SystemExit) as exc:
         main(["crofton", "--body", ball_file, "--n", "0"])
@@ -530,6 +530,9 @@ _BAD_INPUTS = {
     "motion-of-letters": (None, ["invariance", "--n", "1000", "--motion", "a,b,c,d"]),
     "ell-list-letter": (None, ["sweep", "--n", "1000", "--ell-list", "x"]),
     "ell-list-negative": (None, ["sweep", "--n", "1000", "--ell-list", "-1"]),
+    # options the method would ignore
+    "grid-stratify": (None, ["crofton", "--method", "grid", "--resolution", "16", "--stratify"]),
+    "mc-resolution": (None, ["crofton", "--n", "5000", "--resolution", "-3"]),
 }
 
 
@@ -639,8 +642,9 @@ def test_tolerance_exit_codes(capsys, ball_file, monkeypatch, command):
 def test_grid_estimates_are_gated_by_their_own_error_law(capsys, ball_file, monkeypatch):
     # a grid z follows Student's t with 15 degrees of freedom: this seed's
     # z = -4.65 lies past Monte Carlo's gate of 4 but inside the grid's 5.48
-    argv = ["crofton", "--body", ball_file, "--method", "grid", "--resolution", "32"]
-    code, out, _ = run_cli(capsys, [*argv, "--seed", "1685016122"])
+    grid = ["--method", "grid", "--resolution", "32"]
+    argv = ["crofton", "--body", ball_file]
+    code, out, _ = run_cli(capsys, [*argv, *grid, "--seed", "1685016122"])
     report = json.loads(out)
     assert round(report["diagnostics"]["z_score"], 2) == -4.65
     assert code == 0 and "tolerance_failure" not in report
@@ -662,7 +666,8 @@ def test_grid_estimates_are_gated_by_their_own_error_law(capsys, ball_file, monk
         ("mc", -3.9, 4.0, 0),
     ):
         monkeypatch.setattr(cli, "estimate_line_measure", shifted(z))
-        code, out, _ = run_cli(capsys, [*argv, "--method", method, "--n", "4096"])
+        sampling = grid if method == "grid" else ["--method", "mc"]
+        code, out, _ = run_cli(capsys, [*argv, *sampling, "--n", "4096"])
         report = json.loads(out)
         assert code == code_expected, (method, z)
         if code:
@@ -713,6 +718,15 @@ def test_reports_are_strict_json(capsys, ball_file, monkeypatch):
     assert code == 4
     report = json.loads(out, parse_constant=_reject_constant)
     assert report["rows"][0]["z"] is None and report["passed"] is False
+
+
+def test_a_missed_estimate_without_an_error_bar_has_the_sign_of_its_miss(capsys, ball_file):
+    # one line, which misses the ball: 0 against 21.9665, with no error bar
+    code, out, _ = run_cli(capsys, ["crofton", "--body", ball_file, "--n", "1"])
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert code == 4 and report["result"]["value"] == 0.0
+    assert report["diagnostics"]["z_score"] is None
+    assert " by -inf standard errors " in report["tolerance_failure"]
 
 
 def test_overflowing_estimates_leave_a_strict_report(capsys, ball_file):

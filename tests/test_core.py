@@ -177,9 +177,9 @@ def test_line_point_at_examples():
 
 def test_line_accessors():
     g = HorizontalLine(1.5, 0.25, -0.5)
-    assert pt_close(g.base_point(), line_point_at(g, 0.0), 0.0)
-    assert np.array_equal(g.direction(), line_direction(g))
-    assert pt_close(g.point_at(0.75), line_point_at(g, 0.75), 0.0)
+    # s = 0 is the base point (p cos theta, p sin theta, t), exactly
+    assert line_point_at(g, 0.0) == Point(1.5 * math.cos(0.25), 1.5 * math.sin(0.25), -0.5)
+    assert np.array_equal(line_direction(g), [math.sin(0.25), -math.cos(0.25), 1.5])
 
 
 def test_horizontality():
@@ -218,12 +218,10 @@ def test_apply_line_matches_pointwise_action():
         m = random_motion(rng, 2.0)
         g = random_line(rng)
         img = psh_apply_line(m, g)
-        assert m.apply_line(g) == img
         assert img.p >= 0.0
         ct, st = math.cos(img.theta), math.sin(img.theta)
         for s in rng.uniform(-3.0, 3.0, 10):
             q = psh_apply_point(m, line_point_at(g, s))
-            assert m.apply(line_point_at(g, s)) == q
             # recover the parameter of q on the image line by projecting
             # its xy-offset from the base point onto the unit direction
             s_img = (q.x - img.p * ct) * st - (q.y - img.p * st) * ct

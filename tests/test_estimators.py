@@ -17,8 +17,6 @@ from h1geom import (
     Ellipsoid,
     LineWindow,
     PshMotion,
-    Segment,
-    HorizontalLine,
     containment_probability,
     estimate_chord_integral,
     estimate_line_measure,
@@ -417,7 +415,9 @@ def test_grid_estimators(acceptance_bodies, acceptance_references):
         estimate_line_measure(BALL, 1, method="grid", grid_resolution=1)
 
     # the shifts are the blocks of the pass: bitwise the same at any
-    # thread count, stratified or not
+    # thread count.  The shifts randomise the grid, which takes no strata,
+    # and a resolution is for the grid alone: each asked of the other
+    # method is an error, not an option silently ignored
     kw = dict(method="grid", grid_resolution=51, reference=None)
     for estimate in (
         lambda **k: estimate_line_measure(BOX, 1, **k),
@@ -425,11 +425,13 @@ def test_grid_estimators(acceptance_bodies, acceptance_references):
         lambda **k: estimate_segment_hit_measure(BOX, 0.5, 1, **k),
         lambda **k: estimate_segment_containment_measure(BOX, 0.5, 1, **k),
     ):
-        runs = [
-            estimate(seed=7, threads=t, stratify=t == 3, **kw) for t in (1, 2, 3)
-        ]
+        runs = [estimate(seed=7, threads=t, **kw) for t in (1, 2, 3)]
         assert len({(*_bits(e), e.clamp_fraction) for e in runs}) == 1
         assert runs[0].std_error > 0.0 and runs[0].n_samples == 132640
+        with pytest.raises(ValueError, match="stratify"):
+            estimate(seed=7, stratify=True, **kw)
+        with pytest.raises(ValueError, match="resolution"):
+            estimate(seed=7, grid_resolution=51)
     assert 0.0 < runs[0].clamp_fraction < 1.0
 
     # coverage: the spread of the 16 shift estimates is an honest error
@@ -691,6 +693,15 @@ def test_estimate_result_api():
     assert fixed.reference == 20.0 and fixed.reference_source == "caller"
 
 
+def test_z_score_without_an_error_bar_has_the_sign_of_its_miss():
+    # one line, which misses the ball: the estimate is 0 with no error bar
+    est = estimate_line_measure(BALL, 1)
+    assert est.value == 0.0 and est.std_error == 0.0
+    assert est.z_score() == -math.inf
+    assert est.z_score(-1.0) == math.inf
+    assert est.z_score(0.0) == 0.0
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         estimate_line_measure(BALL, 0)
@@ -707,17 +718,3 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         containment_probability(BALL, BALL, -0.5, 1000)
 
-
-def test_segment_class():
-    g = HorizontalLine(0.0, 0.5, 0.0)
-    assert Segment(g, -0.2, 0.4).hits(BALL)
-    assert Segment(g, -0.2, 0.4).contained_in(BALL)
-    assert Segment(g, 0.9, 0.4).hits(BALL)
-    assert not Segment(g, 0.9, 0.4).contained_in(BALL)
-    assert not Segment(g, 1.5, 0.4).hits(BALL)
-    assert not Segment(HorizontalLine(2.0, 0.0, 0.0), 0.0, 1.0).hits(BALL)
-    assert not Segment(HorizontalLine(2.0, 0.0, 0.0), 0.0, 1.0).contained_in(BALL)
-    with pytest.raises(ValueError):
-        Segment(g, 0.0, -1.0)
-    with pytest.raises(ValueError):
-        Segment(g, math.nan, 1.0)
