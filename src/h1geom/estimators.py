@@ -45,14 +45,15 @@ estimate also takes a row of the CLI's ``_ESTIMATES`` table.
 
 The grid method's blocks are randomly shifted copies of one Kronecker
 point set (randomised QMC): each copy is an unbiased estimate, and
-their spread is the standard error.  Randomness is counter-based (see
-:mod:`h1geom.rng`) and work is split into fixed blocks whose sums are
-added in block order, so results are bit-identical for a given
-(seed, n).  Every pass runs its blocks one after another on the calling
-thread: the estimators' ``threads`` keyword is validated and kept for
-callers that pass it, but starts no threads, because on short numpy
-calls two threads spent their time handing the interpreter lock back
-and forth and ran slower than one.
+their spread is the standard error.  Each uniform is addressed by
+(seed, sample index, stream): a block jumps its PCG64 streams ahead to
+its first index (see :mod:`h1geom.rng`).  Work is split into fixed
+blocks whose sums are added in block order, so results are
+bit-identical for a given (seed, n).  Every pass runs its blocks one
+after another on the calling thread: the estimators' ``threads``
+keyword is validated and kept for callers that pass it, but starts no
+threads, because on short numpy calls two threads spent their time
+handing the interpreter lock back and forth and ran slower than one.
 """
 
 from __future__ import annotations

@@ -138,11 +138,14 @@ def test_hit_containment_consistency_on_common_samples():
 
 def test_containment_measure_near_linear_for_short_segments():
     ell = 0.01
-    est = estimate_segment_containment_measure(BALL, ell, 400_000, seed=37)
+    est = estimate_segment_containment_measure(BALL, ell, 7_000_000, seed=37)
     linear = TWO_PI * volume(BALL).value - 2.0 * ell * p_area(BALL).value
     assert est.clamp_fraction is not None
     assert est.clamp_fraction < 1e-3
-    assert abs(est.value - linear) < 0.002 * linear
+    # gated by the estimate's own error, at an n where the gate is
+    # tighter than 0.2% of the linear value
+    assert estimators.Z_GATE * est.std_error < 0.002 * linear
+    assert abs(est.value - linear) < estimators.Z_GATE * est.std_error
 
 
 def test_clamp_fraction_is_a_python_float():
@@ -449,6 +452,31 @@ def test_grid_estimators(acceptance_bodies, acceptance_references):
         for key, scores in z.items():
             rms = math.sqrt(np.mean(np.square(scores)))
             assert 0.75 <= rms <= 1.4, (name, key, rms)
+
+
+def test_monte_carlo_error_bars_cover(acceptance_bodies, acceptance_references):
+    # 300 fixed seeds at n = 1000 per body and estimate: a z of an honest
+    # error bar has rms near 1 (0.92 to 1.08 at two standard errors of
+    # the rms when z is normal) and stays well inside 5
+    for name, body in acceptance_bodies.items():
+        vol, pa = acceptance_references[name]
+        estimates = {
+            "line": lambda seed: estimate_line_measure(body, 1000, seed, reference=2.0 * pa),
+            "chord": lambda seed: estimate_chord_integral(
+                body, 1000, seed, reference=TWO_PI * vol
+            ),
+            "hit at 1": lambda seed: estimate_segment_hit_measure(
+                body, 1.0, 1000, seed, reference=TWO_PI * vol + 2.0 * pa
+            ),
+            "mean chord": lambda seed: estimate_mean_chord(
+                body, 1000, seed, reference=math.pi * vol / pa
+            ),
+        }
+        for key, estimate in estimates.items():
+            z = np.array([estimate(seed).z_score() for seed in range(300)])
+            rms = math.sqrt(np.mean(np.square(z)))
+            assert 0.75 <= rms <= 1.4, (name, key, rms)
+            assert np.max(np.abs(z)) < 5.0, (name, key, np.max(np.abs(z)))
 
 
 def test_direct_h_sampling_agrees_with_marginalized():

@@ -1,23 +1,51 @@
-"""Counter-based RNG: shape, range, determinism, and block splitting."""
+"""Counter-addressed RNG: shape, range, determinism, and block splitting."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from h1geom.rng import _GAMMA, _MASK, _mix_int, uniforms
+from h1geom.rng import uniforms
+
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _lcg_jump(state, inc, delta):
+    """The 128-bit LCG state after ``delta`` steps x -> MULT x + inc, in
+    O(log delta) squarings (Brown 1994, as in PCG's advance)."""
+    mult, plus, acc_mult, acc_plus = _MULT, inc, 1, 0
+    while delta:
+        if delta & 1:
+            acc_mult = acc_mult * mult & _M128
+            acc_plus = (acc_plus * mult + plus) & _M128
+        plus = (mult + 1) * plus & _M128
+        mult = mult * mult & _M128
+        delta >>= 1
+    return (acc_mult * state + acc_plus) & _M128
 
 
 def reference_uniforms(seed, start, count, streams):
-    """splitmix64 in Python integers: entry (k, i) is the top 53 bits of
-    mix(mix(key + (start + i) gamma) + (k + 1) gamma) over 2^53, with
-    key = mix(seed gamma + 0x85EBCA6B), every sum modulo 2^64."""
-    key = _mix_int((seed & _MASK) * _GAMMA + 0x85EBCA6B)
+    """PCG64 in Python integers.  Stream k is seeded by numpy's rule from
+    ``SeedSequence(seed mod 2^64, spawn_key=(k,)).generate_state(4,
+    uint64)`` = (s1, s0, i1, i0): increment 2 (i1 i0) + 1, state stepped
+    from 0, plus (s1 s0), stepped again.  It jumps ``start`` steps ahead,
+    and each draw steps the LCG and takes the XSL-RR output of the new
+    state, whose top 53 bits over 2^53 are the uniform."""
     out = np.empty((streams, count))
-    for i in range(count):
-        base = _mix_int(key + (start + i) * _GAMMA)
-        for k in range(streams):
-            out[k, i] = (_mix_int(base + (k + 1) * _GAMMA) >> 11) * 2.0**-53
+    for k in range(streams):
+        words = np.random.SeedSequence(seed % 2**64, spawn_key=(k,)).generate_state(4, np.uint64)
+        s1, s0, i1, i0 = (int(w) for w in words)
+        inc = ((i1 << 64 | i0) << 1 | 1) & _M128
+        state = ((inc + (s1 << 64 | s0)) * _MULT + inc) & _M128
+        state = _lcg_jump(state, inc, start)
+        for i in range(count):
+            state = (state * _MULT + inc) & _M128
+            hi, lo = state >> 64, state & _M64
+            x, rot = hi ^ lo, hi >> 58
+            x = (x >> rot | x << (64 - rot)) & _M64
+            out[k, i] = (x >> 11) * 2.0**-53
     return out
 
 
@@ -38,16 +66,15 @@ def test_zero_count():
     [
         (-7, 0, 300),
         (2**70 + 3, 123_456_789, 300),
-        # idx gamma and base + offset wrap modulo 2^64 near the top
+        # starts near 2^64 take a long jump
         (11, 2**64 - 2**14, 300),
-        # one draw across the boundary of the 8192-index hashing chunks
         (-7, 2**64 - 2**14, 8200),
     ],
 )
 @pytest.mark.parametrize("streams", [1, 4])
 def test_values_are_the_integer_splitmix64_reference(seed, start, count, streams):
     with warnings.catch_warnings():
-        # the wrapping uint64 arithmetic must not warn
+        # seeding, jumping and filling must not warn
         warnings.simplefilter("error")
         got = uniforms(seed, start, count, streams)
     want = reference_uniforms(seed, start, count, streams)
@@ -71,8 +98,7 @@ def test_counter_splits_into_blocks():
 
 
 def test_long_draws_match_single_samples():
-    # long draws are hashed in internal chunks; a sample must not depend
-    # on which chunk of which call it falls in
+    # a sample must not depend on how far into which call it falls
     whole = uniforms(seed=9, start=5, count=20_000, streams=3)
     for i in (0, 8191, 8192, 8193, 16383, 16384, 19_999):
         one = uniforms(seed=9, start=5 + i, count=1, streams=3)
@@ -98,6 +124,15 @@ def test_adjacent_seeds_are_not_shifted_copies():
     b = uniforms(seed=1001, start=0, count=4096, streams=1)
     assert not np.array_equal(a[0, 1:], b[0, :-1])
     assert np.count_nonzero(a == b) == 0
+
+
+def test_streams_of_seeds_2_to_the_32_apart_differ():
+    # with (seed, k) as two entropy words, SeedSequence would read seed
+    # s + 2^32 as (s, 1) and pad (s, 1) with a zero stream: stream 0 of
+    # one seed would be stream 1 of the other
+    a = uniforms(seed=5 + 2**32, start=0, count=64, streams=1)
+    b = uniforms(seed=5, start=0, count=64, streams=2)
+    assert np.count_nonzero(a[0] == b[1]) == 0
 
 
 def test_streams_differ():
