@@ -10,17 +10,14 @@ quasi-Monte Carlo (the grid method) integration, each with an error bar.
 
 from .core import (
     TWO_PI,
-    FramePose,
     HorizontalLine,
     Point,
     PshMotion,
     contact_form_at,
-    frame_from_line,
     levi_length,
     levi_length_fixed_plane,
     line_chart_image,
     line_direction,
-    line_from_frame,
     line_point_at,
     line_through,
     motion_affine,
@@ -49,13 +46,11 @@ from .measures import (
     volume_voxel_oracle,
 )
 from .estimators import (
-    BLOCK,
     DEFAULT_SEED,
     ContainmentError,
     EstimateResult,
     InvarianceReport,
     InvarianceRow,
-    LineWindow,
     SegmentHitSweep,
     containment_probability,
     estimate_chord_integral,
@@ -65,7 +60,6 @@ from .estimators import (
     estimate_segment_hit_measure,
     estimate_segment_hit_sweep,
     invariance_check,
-    line_window,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +70,6 @@ __all__ = [
     "Point",
     "PshMotion",
     "HorizontalLine",
-    "FramePose",
     "normalize_angle",
     "psh_apply_point",
     "psh_compose",
@@ -88,8 +81,6 @@ __all__ = [
     "line_chart_image",
     "psh_apply_line",
     "contact_form_at",
-    "line_from_frame",
-    "frame_from_line",
     "levi_length",
     "levi_length_fixed_plane",
     "CapabilityError",
@@ -107,14 +98,11 @@ __all__ = [
     "p_area",
     "volume_voxel_oracle",
     "DEFAULT_SEED",
-    "BLOCK",
     "ContainmentError",
-    "LineWindow",
     "EstimateResult",
     "InvarianceRow",
     "InvarianceReport",
     "SegmentHitSweep",
-    "line_window",
     "estimate_line_measure",
     "estimate_chord_integral",
     "estimate_segment_hit_measure",

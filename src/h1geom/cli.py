@@ -7,7 +7,9 @@ Bodies are described by JSON files::
     {"kind": "box", "min": [0, 0, 0], "max": [1, 1, 1]}
     {"kind": "polytope", "halfspaces": [[nx, ny, nz, d], ...]}
 
-Unknown keys are rejected.  Commands::
+Every number is a JSON number: a string, true or false, NaN, Infinity
+or an integer too large for a float is rejected, and so are unknown
+keys.  Commands::
 
     volume          Lebesgue volume (closed form, or the voxel oracle)
     p-area          sub-Riemannian perimeter; --oracle reports the
@@ -25,13 +27,14 @@ Reports are JSON (default) or CSV via --format, written to stdout or
 byte-identical across runs of the same configuration except for the
 wall_time_s field.
 
-Exit codes: 0 success; 2 configuration error (bad JSON/flags, a sampling
-flag the method ignores, violated nesting, no line of the sample meets
-the body, a grid too large to allocate); 3 unsupported body/operation;
-4 tolerance failure (estimate beyond its method's gate, 4 standard
-errors of its reference for Monte Carlo and 5.48 for the grid, whose z
-follows Student's t with 15 degrees of freedom; failed invariance; or
-non-convergent quadrature).
+Exit codes: 0 success; 2 configuration error (bad JSON/flags, a body
+file number that is not a finite JSON number, a sampling flag the
+method ignores, violated nesting, no line of the sample meets the body,
+a grid of more than 2^32 lines or a voxel lattice of more than 2^32
+points); 3 unsupported body/operation; 4 tolerance failure (estimate
+beyond its method's gate, 4 standard errors of its reference for Monte
+Carlo and 5.48 for the grid, whose z follows Student's t with 15
+degrees of freedom; failed invariance; or non-convergent quadrature).
 """
 
 from __future__ import annotations
@@ -102,25 +105,31 @@ def _require_fields(spec: dict, kind: str, fields: dict) -> dict:
     return out
 
 
+def _number(name: str, value) -> float:
+    """A JSON number as a finite float.  A string, a boolean (true is an
+    int to Python) or any other value is rejected, and so is a number
+    that overflows a float or is not finite (NaN, Infinity)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, not {type(value).__name__}")
+    try:
+        v = float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} is too large for a float") from exc
+    if not math.isfinite(v):
+        raise ConfigError(f"{name} must be finite")
+    return v
+
+
 def _vec3(name: str, value) -> list[float]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"{name} must be a list of 3 numbers")
-    try:
-        vec = [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must contain numbers: {exc}") from exc
-    if not all(math.isfinite(v) for v in vec):
-        raise ConfigError(f"{name} must be finite")
-    return vec
+    return [_number(f"{name}[{i}]", v) for i, v in enumerate(value)]
 
 
 def _positive(name: str, value) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number: {exc}") from exc
-    if not math.isfinite(v) or v <= 0.0:
-        raise ConfigError(f"{name} must be finite and positive")
+    v = _number(name, value)
+    if v <= 0.0:
+        raise ConfigError(f"{name} must be positive")
     return v
 
 
@@ -138,12 +147,7 @@ def _halfspaces(name: str, value) -> list[list[float]]:
     for i, row in enumerate(value):
         if not isinstance(row, (list, tuple)) or len(row) != 4:
             raise ConfigError(f"{name}[{i}] must have 4 numbers [nx, ny, nz, d]")
-        try:
-            rows.append([float(v) for v in row])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{name}[{i}] must contain numbers: {exc}") from exc
-        if not all(math.isfinite(v) for v in rows[-1]):
-            raise ConfigError(f"{name}[{i}] must be finite")
+        rows.append([_number(f"{name}[{i}]", v) for v in row])
     return rows
 
 

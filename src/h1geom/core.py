@@ -44,7 +44,6 @@ __all__ = [
     "Point",
     "PshMotion",
     "HorizontalLine",
-    "FramePose",
     "normalize_angle",
     "psh_apply_point",
     "psh_compose",
@@ -56,8 +55,6 @@ __all__ = [
     "line_chart_image",
     "psh_apply_line",
     "contact_form_at",
-    "line_from_frame",
-    "frame_from_line",
     "levi_length",
     "levi_length_fixed_plane",
 ]
@@ -167,19 +164,6 @@ class HorizontalLine:
         if self.p < 0.0:
             raise ValueError(f"HorizontalLine needs p >= 0, got p={self.p}")
         object.__setattr__(self, "theta", normalize_angle(self.theta))
-
-
-@dataclass(frozen=True)
-class FramePose:
-    """A point together with a horizontal direction: q and the angle phi of
-    the unit horizontal vector cos(phi) X1 + sin(phi) X2 at q."""
-
-    q: Point
-    phi: float
-
-    def __post_init__(self) -> None:
-        _check_finite("FramePose", self.phi)
-        object.__setattr__(self, "phi", normalize_angle(self.phi))
 
 
 def psh_apply_point(m: PshMotion, pt: Point) -> Point:
@@ -312,26 +296,6 @@ def contact_form_at(pt: Point, velocity) -> float:
     gives one."""
     vx, vy, vt = (float(v) for v in velocity)
     return vt + pt.x * vy - pt.y * vx
-
-
-def line_from_frame(pose: FramePose) -> tuple[HorizontalLine, float]:
-    """The horizontal line through pose.q with velocity direction phi.
-
-    The chart velocity (sin theta, -cos theta, p) has xy-angle phi when
-    theta = phi - pi/2, which fixes theta up to the canonical fold.
-    Returns (line, h) with h the parameter of q on the line; when
-    canonicalization flips the sheet, the returned line runs through the
-    same points with reversed orientation (h changes sign, phi gains pi).
-    """
-    return line_through(pose.q, pose.phi - 0.5 * math.pi)
-
-
-def frame_from_line(line: HorizontalLine, h: float) -> FramePose:
-    """The frame pose of a line at parameter h: the point gamma(h) together
-    with the direction angle of the velocity, phi = theta + pi/2."""
-    return FramePose(
-        line_point_at(line, h), normalize_angle(line.theta + 0.5 * math.pi)
-    )
 
 
 def levi_length(line: HorizontalLine, s0: float, s1: float) -> float:

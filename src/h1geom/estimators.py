@@ -205,14 +205,13 @@ class EstimateResult:
     reference_source: str | None = None
     clamp_fraction: float | None = None
 
-    def z_score(self, reference: float | None = None) -> float:
-        """Standardized deviation from a reference value; without an error
+    def z_score(self) -> float:
+        """Standardized deviation from the reference; without an error
         bar, 0 on an exact match and otherwise infinite with the sign of
         value - reference."""
-        ref = self.reference if reference is None else reference
-        if ref is None:
+        if self.reference is None:
             raise ValueError("no reference available for z_score")
-        return _z(self.value, ref, self.std_error)
+        return _z(self.value, self.reference, self.std_error)
 
     @property
     def z_gate(self) -> float:
@@ -273,12 +272,12 @@ class SegmentHitSweep:
     intercept: EstimateResult
 
 
-def _setup(body, n, seed, threads, method="mc", stratify=False, grid_resolution=None) -> LineWindow:
-    """Validate the arguments every estimator shares; return the body's
-    window.  ``threads`` is checked to be a positive integer and
-    otherwise unused: passes run on the calling thread.  An option the
-    method ignores is an error: ``stratify`` with the grid, whose shifts
-    randomise it, and a ``grid_resolution`` with Monte Carlo."""
+def _setup(n, seed, threads, method="mc", stratify=False, grid_resolution=None) -> None:
+    """Validate the arguments every estimator shares.  ``threads`` is
+    checked to be a positive integer and otherwise unused: passes run on
+    the calling thread.  An option the method ignores is an error:
+    ``stratify`` with the grid, whose shifts randomise it, and a
+    ``grid_resolution`` with Monte Carlo."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not isinstance(seed, (int, np.integer)):
@@ -291,7 +290,6 @@ def _setup(body, n, seed, threads, method="mc", stratify=False, grid_resolution=
         raise ValueError("stratify is for Monte Carlo: the grid's random shifts randomise it")
     if method == "mc" and grid_resolution is not None:
         raise ValueError("a grid resolution needs method='grid'")
-    return line_window(body)
 
 
 def _check_ell(ell) -> float:
@@ -313,19 +311,22 @@ def grid_axis_resolution(n: int, resolution: int | None = None) -> int:
     return res
 
 
-def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, streams=3):
+def _pass(bodies, n, seed, stratify, method, grid_res, integrand):
     """The one sample-and-sum pass behind every estimator.
 
-    Lines come in fixed blocks of uniforms u: BLOCK consecutive Monte
-    Carlo draws, or the grid's _SHIFTS shifts of max(1, res^3 // _SHIFTS)
-    points, point i of shift r being frac(i alpha + U_r) with U_r drawn
-    at counter r.  Per sub-block (see ``_split_sum``), ``integrand`` gets
-    each body's ``chord_batch`` triple and the uniforms of its lines and
-    yields the per-line arrays, float or boolean, whose sums the estimate
-    reads; a boolean one is summed by counting, bitwise its sum as
-    floats.  Returns the sums, one row per block in block order, and the
-    line count.  The blocks run one after another on the calling thread.
+    Lines map three uniforms each into the window of the last of
+    ``bodies`` (the outer body of a containment pair) and come in fixed
+    blocks: BLOCK consecutive Monte Carlo draws, or the grid's _SHIFTS
+    shifts of max(1, res^3 // _SHIFTS) points, point i of shift r being
+    frac(i alpha + U_r) with U_r drawn at counter r.  Per sub-block (see
+    ``_split_sum``), ``integrand`` gets each body's ``chord_batch``
+    triple and yields the per-line arrays, float or boolean, whose sums
+    the estimate reads; a boolean one is summed by counting, bitwise its
+    sum as floats.  Returns the sums, one row per block in block order,
+    the line count and the window's measure.  The blocks run one after
+    another on the calling thread.
     """
+    window = line_window(bodies[-1])
     if method == "grid":
         res = grid_axis_resolution(n, grid_res)
         blocks = [(r, max(1, res**3 // _SHIFTS)) for r in range(_SHIFTS)]
@@ -350,7 +351,7 @@ def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, stream
         def draw(lo, size):
             # drawn whole: this array is what raises glibc's trim
             # threshold (see _SUB_BLOCK)
-            u = uniforms(seed, lo, size, streams)
+            u = uniforms(seed, lo, size, 3)
             return lambda part: u[:, part]
 
     def block_sums(block):
@@ -375,14 +376,14 @@ def _pass(bodies, window, n, seed, stratify, method, grid_res, integrand, stream
             with np.errstate(over="ignore", invalid="ignore"):
                 f = [
                     np.count_nonzero(a) if a.dtype == bool else np.sum(a)
-                    for a in integrand(chords, v)
+                    for a in integrand(chords)
                 ]
             return np.array(f, dtype=float)
 
         return _split_sum(sums, 0, size, leaf)
 
     rows = list(map(block_sums, blocks))
-    return np.array(rows), sum(size for _, size in blocks)
+    return np.array(rows), sum(size for _, size in blocks), window.measure
 
 
 def _split_sum(sums, lo, n, leaf):
@@ -502,9 +503,9 @@ _HIT_SOURCE = "2*pi*measures.volume + 2*ell*measures.p_area"
 _LINE_GRAM = [[0, 1], [1, 2]]
 
 
-def _line_pass(body, window, n, seed, stratify, method, grid_res):
-    """Every line estimate from one pass over ``window`` (as ``_setup``
-    returns it) whose integrand yields (hit, sigma, sigma^2) per line.
+def _line_pass(body, n, seed, stratify, method, grid_res):
+    """Every line estimate from one pass over the body's window whose
+    integrand yields (hit, sigma, sigma^2) per line.
     Returns ``finish(c, reference, source, over=None)``, which builds the
     mean of c.(hit, sigma) ((1, 0) the line measure, (0, 1) the chord
     integral, (ell, 1) the hit measure at ell) or, given ``over``, its
@@ -512,16 +513,16 @@ def _line_pass(body, window, n, seed, stratify, method, grid_res):
     c.R, or c.R / over.R, with R the body's ``_references``, labelled
     ``source``."""
 
-    def integrand(chords, u):
+    def integrand(chords):
         sigma, hit = _sigma(chords[0])
         yield from (hit, sigma, sigma * sigma)
 
-    rows, n_lines = _pass((body,), window, n, seed, stratify, method, grid_res, integrand)
+    rows, n_lines, w = _pass((body,), n, seed, stratify, method, grid_res, integrand)
     refs = _references(body)
 
     def finish(c, reference, source, over=None):
         if over is None:
-            value, se = _linear(rows, c, _LINE_GRAM, n_lines, window.measure, method)
+            value, se = _linear(rows, c, _LINE_GRAM, n_lines, w, method)
         else:
             value, se = _ratio(rows, c, over, _LINE_GRAM, n_lines)
 
@@ -551,8 +552,8 @@ def estimate_line_measure(
     computes it by quadrature; pass a float to supply your own or None
     to skip.
     """
-    window = _setup(body, n, seed, threads, method, stratify, grid_resolution)
-    finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
+    _setup(n, seed, threads, method, stratify, grid_resolution)
+    finish = _line_pass(body, n, seed, stratify, method, grid_resolution)
     return finish((1.0, 0.0), reference, _LINE_SOURCE)
 
 
@@ -569,8 +570,8 @@ def estimate_chord_integral(
 ) -> EstimateResult:
     """Integral of the chord length over oriented lines; equals
     2 pi V(body)."""
-    window = _setup(body, n, seed, threads, method, stratify, grid_resolution)
-    finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
+    _setup(n, seed, threads, method, stratify, grid_resolution)
+    finish = _line_pass(body, n, seed, stratify, method, grid_resolution)
     return finish((0.0, 1.0), reference, _CHORD_SOURCE)
 
 
@@ -588,8 +589,8 @@ def estimate_segment_hit_sweep(
     one Monte Carlo sample pass.  Every estimate carries its reference,
     from one volume and one p-Area computation."""
     ells = [_check_ell(ell) for ell in ells]
-    window = _setup(body, n, seed, threads)
-    finish = _line_pass(body, window, n, seed, stratify, "mc", None)
+    _setup(n, seed, threads)
+    finish = _line_pass(body, n, seed, stratify, "mc", None)
     return SegmentHitSweep(
         ells=ells,
         rows=[finish((ell, 1.0), "auto", _HIT_SOURCE) for ell in ells],
@@ -609,45 +610,17 @@ def estimate_segment_hit_measure(
     method: str = "mc",
     grid_resolution: int | None = None,
     reference="auto",
-    marginalize_h: bool = True,
 ) -> EstimateResult:
     """Kinematic measure of segments of length ell meeting the body;
-    equals 2 pi V + 2 ell pA.
-
-    With ``marginalize_h`` (default) the segment offset h is integrated
+    equals 2 pi V + 2 ell pA.  The segment offset h is integrated
     exactly: a segment meets the body iff h lies in an interval of
     length sigma + ell.  This is the one-length case of
-    :func:`estimate_segment_hit_sweep`.  Setting it False samples h
-    uniformly as a fourth coordinate, a slower direct check of the
-    dK = dG dh factorization.
+    :func:`estimate_segment_hit_sweep`.
     """
     ell = _check_ell(ell)
-    window = _setup(body, n, seed, threads, method, stratify, grid_resolution)
-    if marginalize_h:
-        finish = _line_pass(body, window, n, seed, stratify, method, grid_resolution)
-        return finish((ell, 1.0), reference, _HIT_SOURCE)
-
-    # direct 4D sampling over (p, theta, t, h); any chord parameter
-    # satisfies p^2 + s^2 <= r_xy^2, so h in [-(r + ell), r] covers every
-    # hitting segment
-    if method != "mc":
-        raise ValueError("direct h sampling is Monte Carlo only")
-    h_lo, h_hi = -(window.p_max + ell), window.p_max
-    h_len = h_hi - h_lo
-
-    def integrand(chords, u):
-        s_lo, s_hi, hit = chords[0]
-        h = h_lo + u[3] * h_len
-        yield hit & (h <= s_hi) & (h + ell >= s_lo)
-
-    rows, _ = _pass((body,), window, n, seed, stratify, "mc", None, integrand, streams=4)
-    # the indicator is its own square
-    value, se = _linear(rows, (1.0,), [[0]], n, window.measure * h_len, "mc")
-
-    def auto():
-        return _dot((ell, 1.0), _references(body)), _HIT_SOURCE
-
-    return _result(value, se, n, sum(rows[:, 0]), seed, "mc-4d", reference, auto)
+    _setup(n, seed, threads, method, stratify, grid_resolution)
+    finish = _line_pass(body, n, seed, stratify, method, grid_resolution)
+    return finish((ell, 1.0), reference, _HIT_SOURCE)
 
 
 def estimate_segment_containment_measure(
@@ -672,15 +645,15 @@ def estimate_segment_containment_measure(
     measure is the chord integral 2 pi V.
     """
     ell = _check_ell(ell)
-    window = _setup(body, n, seed, threads, method, stratify, grid_resolution)
+    _setup(n, seed, threads, method, stratify, grid_resolution)
 
-    def integrand(chords, u):
+    def integrand(chords):
         sigma, hit = _sigma(chords[0])
         f = np.maximum(sigma - ell, 0.0)
         yield from (f, f * f, hit, hit & (f == 0.0))
 
-    rows, n_lines = _pass((body,), window, n, seed, stratify, method, grid_resolution, integrand)
-    value, se = _linear(rows, (1.0,), [[1]], n_lines, window.measure, method)
+    rows, n_lines, w = _pass((body,), n, seed, stratify, method, grid_resolution, integrand)
+    value, se = _linear(rows, (1.0,), [[1]], n_lines, w, method)
     _, _, hits, clamped = sum(rows)
     clamp_fraction = clamped / hits if hits > 0 else 0.0
 
@@ -704,8 +677,8 @@ def estimate_mean_chord(
     """Mean chord length over lines meeting the body: the ratio of the
     chord integral to the line measure, estimated on common samples with
     a delta-method standard error.  Reference: pi V / pA."""
-    window = _setup(body, n, seed, threads)
-    finish = _line_pass(body, window, n, seed, stratify, "mc", None)
+    _setup(n, seed, threads)
+    finish = _line_pass(body, n, seed, stratify, "mc", None)
     source = "pi * measures.volume / measures.p_area"
     return finish((0.0, 1.0), reference, source, over=(1.0, 0.0))
 
@@ -793,16 +766,16 @@ def containment_probability(
     otherwise; nesting is decided exactly for every pair of body types.
     """
     ell = _check_ell(ell)
-    window = _setup(outer, n, seed, threads)
+    _setup(n, seed, threads)
     if not _nested(inner, outer, _nesting_tol(outer)):
         raise ContainmentError("inner body is not contained in the outer body")
 
-    def integrand(chords, u):
+    def integrand(chords):
         (sig_in, hit_in), (sig_out, hit_out) = map(_sigma, chords)
         a, b = (sig_in + ell) * hit_in, (sig_out + ell) * hit_out
         yield from (a, b, hit_out, a * a, a * b, b * b)
 
-    rows, _ = _pass((inner, outer), window, n, seed, stratify, "mc", None, integrand)
+    rows, _, _ = _pass((inner, outer), n, seed, stratify, "mc", None, integrand)
     value, se = _ratio(rows, (1.0, 0.0), (0.0, 1.0), [[3, 4], [4, 5]], n)
 
     def auto():
@@ -836,8 +809,9 @@ def invariance_check(
     invariant, so |z| at or beyond ``Z_GATE`` signals an implementation
     defect rather than noise.  One sample pass per body (seed for the
     body, seed + 1 for its image) serves every quantity."""
+    _setup(n, seed, threads)
     passes = [
-        _line_pass(b, _setup(b, n, s, threads), n, s, stratify, "mc", None)
+        _line_pass(b, n, s, stratify, "mc", None)
         for b, s in ((body, seed), (transform_body(motion, body), seed + 1))
     ]
     rows = []

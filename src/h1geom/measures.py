@@ -541,9 +541,12 @@ def volume_voxel_oracle(body, resolution: int = 128) -> MeasureResult:
     whose corners all lie outside it adds nothing unless the body enters
     it between its corners, so the error estimate is the volume of the
     cells whose corners disagree, never taken below the round-off
-    floor."""
+    floor.  A lattice of more than 2^32 points (resolution above 1624),
+    as the grid method's cap, is refused before anything is allocated."""
     if resolution < 8:
         raise ValueError("volume_voxel_oracle needs resolution >= 8")
+    if (resolution + 1) ** 3 > 1 << 32:
+        raise ValueError(f"voxel resolution {resolution} asks for more than 2^32 lattice points")
     lo, hi = _bounding_box(body)
     xs, ys, zs = (np.linspace(a, b, resolution + 1) for a, b in zip(lo, hi))
     xx, yy = np.meshgrid(xs, ys, indexing="ij")

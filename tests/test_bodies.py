@@ -16,13 +16,13 @@ from h1geom import (
     Polytope,
     PshMotion,
     line_point_at,
-    line_window,
     motion_affine,
     p_area,
     psh_apply_line,
     transform_body,
 )
 from h1geom.bodies import _direction, _solve_chord_quadratic
+from h1geom.estimators import line_window
 
 BODIES = make_acceptance_bodies()
 

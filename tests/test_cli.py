@@ -533,7 +533,28 @@ _BAD_INPUTS = {
     # options the method would ignore
     "grid-stratify": (None, ["crofton", "--method", "grid", "--resolution", "16", "--stratify"]),
     "mc-resolution": (None, ["crofton", "--n", "5000", "--resolution", "-3"]),
+    # 1e6^3 lattice points, refused before any allocation
+    "voxel-resolution-huge": (None, ["volume", "--method", "voxel", "--resolution", "1000000"]),
 }
+
+# every body-file number is a JSON number: a numeric string, a boolean
+# (an int to Python) and an integer beyond the float range are each
+# rejected in every body kind, not converted
+_BAD_NUMBERS = {"string": '"1e1"', "boolean": "true", "huge-integer": "1" + "0" * 400}
+_BODY_TEMPLATES = {
+    "ball": '{{"kind": "ball", "center": [0, 0, 0], "radius": {}}}',
+    "ellipsoid": '{{"kind": "ellipsoid", "center": [{}, 0, 0], "semi_axes": [1, 1, 1]}}',
+    "box": '{{"kind": "box", "min": [0, 0, 0], "max": [1, {}, 1]}}',
+    "polytope": (
+        '{{"kind": "polytope", "halfspaces": [[1, 0, 0, 1], [-1, 0, 0, 1], '
+        '[0, 1, 0, 1], [0, -1, 0, 1], [0, 0, 1, {}], [0, 0, -1, 1]]}}'
+    ),
+}
+_BAD_INPUTS.update(
+    (f"{kind}-{label}", (template.format(number), ["volume"]))
+    for kind, template in _BODY_TEMPLATES.items()
+    for label, number in _BAD_NUMBERS.items()
+)
 
 
 @pytest.mark.parametrize("case", list(_BAD_INPUTS))

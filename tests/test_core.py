@@ -7,17 +7,14 @@ import pytest
 
 from conftest import random_line, random_motion
 from h1geom import (
-    FramePose,
     HorizontalLine,
     Point,
     PshMotion,
     contact_form_at,
-    frame_from_line,
     levi_length,
     levi_length_fixed_plane,
     line_chart_image,
     line_direction,
-    line_from_frame,
     line_point_at,
     line_through,
     motion_affine,
@@ -290,36 +287,6 @@ def test_segment_density_is_invariant():
         )
         jac = _fd_jacobian(chart, x0)
         assert abs(np.linalg.det(jac) - 1.0) < 1e-6
-
-
-def test_frame_examples():
-    pose = frame_from_line(HorizontalLine(1.0, 0.0, 2.0), 3.0)
-    assert (pose.q.x, pose.q.y, pose.q.t) == (1.0, -3.0, 5.0)
-    assert abs(pose.phi - math.pi / 2) < 1e-15
-    g, h = line_from_frame(FramePose(Point(1.0, 0.0, 0.0), math.pi / 2))
-    assert (g.p, g.theta, g.t, h) == (1.0, 0.0, 0.0, 0.0)
-
-
-def test_frame_round_trip():
-    rng = np.random.default_rng(2024)
-    for _ in range(1000):
-        g = random_line(rng)
-        h = rng.uniform(-2.0, 2.0)
-        g2, h2 = line_from_frame(frame_from_line(g, h))
-        if g.p > 1e-9:
-            assert abs(g2.p - g.p) < 1e-12 * (1.0 + g.p)
-            d = (g2.theta - g.theta) % (2.0 * math.pi)
-            assert min(d, 2.0 * math.pi - d) < 1e-9
-            assert abs(g2.t - g.t) < 1e-12 * (1.0 + abs(g.t) + abs(h))
-            assert abs(h2 - h) < 1e-12 * (1.0 + abs(h))
-        else:
-            # lines through the axis: same point set either orientation
-            assert pt_close(line_point_at(g2, h2), line_point_at(g, h), 1e-10)
-
-
-def test_frame_pose_validation():
-    with pytest.raises(ValueError):
-        FramePose(Point(0.0, 0.0, 0.0), math.nan)
 
 
 def test_levi_length():

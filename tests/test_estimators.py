@@ -1,5 +1,7 @@
 """Monte Carlo and grid estimators for the kinematic identities."""
 
+import dataclasses
+import functools
 import math
 import threading
 import tracemalloc
@@ -10,12 +12,10 @@ import pytest
 import h1geom.estimators as estimators
 from conftest import make_acceptance_bodies, random_motion
 from h1geom import (
-    BLOCK,
     Ball,
     Box,
     ContainmentError,
     Ellipsoid,
-    LineWindow,
     PshMotion,
     containment_probability,
     estimate_chord_integral,
@@ -26,11 +26,11 @@ from h1geom import (
     estimate_segment_hit_sweep,
     invariance_check,
     line_through,
-    line_window,
     p_area,
     transform_body,
     volume,
 )
+from h1geom.estimators import BLOCK, LineWindow, line_window
 from h1geom.rng import uniforms
 
 BALL = Ball((0.0, 0.0, 0.0), 1.0)
@@ -369,9 +369,6 @@ def test_passes_run_on_the_calling_thread(monkeypatch):
         lambda **k: estimate_line_measure(BALL, 10, **k),
         lambda **k: estimate_chord_integral(BALL, 10, **k),
         lambda **k: estimate_segment_hit_measure(BALL, 0.5, 10, **k),
-        lambda **k: estimate_segment_hit_measure(
-            BALL, 0.5, 10, marginalize_h=False, **k
-        ),
         lambda **k: estimate_segment_hit_sweep(BALL, [0.0, 1.0], 10, **k),
         lambda **k: estimate_segment_containment_measure(BALL, 0.5, 10, **k),
         lambda **k: estimate_mean_chord(BALL, 10, **k),
@@ -458,40 +455,63 @@ def test_monte_carlo_error_bars_cover(acceptance_bodies, acceptance_references):
     # 300 fixed seeds at n = 1000 per body and estimate: a z of an honest
     # error bar has rms near 1 (0.92 to 1.08 at two standard errors of
     # the rms when z is normal) and stays well inside 5
+    estimates = {}
     for name, body in acceptance_bodies.items():
         vol, pa = acceptance_references[name]
-        estimates = {
-            "line": lambda seed: estimate_line_measure(body, 1000, seed, reference=2.0 * pa),
-            "chord": lambda seed: estimate_chord_integral(
-                body, 1000, seed, reference=TWO_PI * vol
-            ),
-            "hit at 1": lambda seed: estimate_segment_hit_measure(
-                body, 1.0, 1000, seed, reference=TWO_PI * vol + 2.0 * pa
-            ),
-            "mean chord": lambda seed: estimate_mean_chord(
-                body, 1000, seed, reference=math.pi * vol / pa
-            ),
-        }
-        for key, estimate in estimates.items():
-            z = np.array([estimate(seed).z_score() for seed in range(300)])
-            rms = math.sqrt(np.mean(np.square(z)))
-            assert 0.75 <= rms <= 1.4, (name, key, rms)
-            assert np.max(np.abs(z)) < 5.0, (name, key, np.max(np.abs(z)))
+        for stratify in (False, True):
+            tag = " stratified" if stratify else ""
+            estimates[name, "line" + tag] = functools.partial(
+                estimate_line_measure, body, 1000, reference=2.0 * pa, stratify=stratify
+            )
+            estimates[name, "chord" + tag] = functools.partial(
+                estimate_chord_integral, body, 1000, reference=TWO_PI * vol, stratify=stratify
+            )
+        estimates[name, "hit at 1"] = functools.partial(
+            estimate_segment_hit_measure, body, 1.0, 1000, reference=TWO_PI * vol + 2.0 * pa
+        )
+        estimates[name, "mean chord"] = functools.partial(
+            estimate_mean_chord, body, 1000, reference=math.pi * vol / pa
+        )
+    # a ball well inside the unit ball: every segment meeting it meets
+    # the outer one, so the ratio of their hit measures is exact
+    inner = Ball((0.1, 0.05, 0.1), 0.3)
+    for ell in (0.0, 0.5):
+        hit_in, hit_out = (
+            TWO_PI * volume(b).value + 2.0 * ell * p_area(b).value for b in (inner, BALL)
+        )
+        estimates["ball in ball", f"containment at {ell}"] = functools.partial(
+            containment_probability, inner, BALL, ell, 1000, reference=hit_in / hit_out
+        )
+    for key, estimate in estimates.items():
+        z = np.array([estimate(seed).z_score() for seed in range(300)])
+        rms = math.sqrt(np.mean(np.square(z)))
+        assert 0.75 <= rms <= 1.4, (key, rms)
+        assert np.max(np.abs(z)) < 5.0, (key, np.max(np.abs(z)))
 
 
 def test_direct_h_sampling_agrees_with_marginalized():
-    ell = 0.7
-    marg = estimate_segment_hit_measure(BALL, ell, 200_000, seed=71)
-    direct = estimate_segment_hit_measure(
-        BALL, ell, 200_000, seed=73, marginalize_h=False
-    )
-    assert direct.method == "mc-4d"
-    gap = abs(direct.value - marg.value)
-    assert gap < 4.0 * math.hypot(direct.std_error, marg.std_error)
-    with pytest.raises(ValueError):
-        estimate_segment_hit_measure(
-            BALL, ell, 1000, seed=73, marginalize_h=False, method="grid"
-        )
+    # dK = dG dh checked directly on the lines the estimator draws (the
+    # first three streams of a four-stream draw): h drawn as the fourth
+    # uniform over [-(p_max + ell), p_max], which covers every segment
+    # meeting the body since a chord parameter s has p^2 + s^2 <= r_xy^2,
+    # scores the segment's hit indicator, whose mean over h is the
+    # marginalized integrand (sigma + ell) 1_hit; a paired z compares them
+    ell, n = 0.7, 200_000
+    for body in (BALL, BOX):
+        window = line_window(body)
+        h_len = 2.0 * window.p_max + ell
+        for seed in (73, 74, 75):
+            u = uniforms(seed, 0, n, 4)
+            p, t = u[1] * window.p_max, window.t_lo + u[2] * (window.t_hi - window.t_lo)
+            s_lo, s_hi, hit = body.chord_batch(p, u[0] * TWO_PI, t)
+            marginal = window.measure * np.where(hit, s_hi - s_lo + ell, 0.0)
+            est = estimate_segment_hit_measure(body, ell, n, seed)
+            assert est.value == pytest.approx(marginal.mean(), rel=1e-12)
+            h = -(window.p_max + ell) + u[3] * h_len
+            direct = window.measure * h_len * (hit & (h <= s_hi) & (h + ell >= s_lo))
+            d = direct - marginal
+            z = d.mean() / (d.std(ddof=1) / math.sqrt(n))
+            assert abs(z) < 4.0, (body, seed, z)
 
 
 def test_invariance_check():
@@ -523,7 +543,7 @@ def test_pass_moments_match_line_by_line_formulas(name):
     body = make_acceptance_bodies()[name]
     n, seed, ell = BLOCK + 4321, 29, 0.7
     window = line_window(body)
-    u = uniforms(seed, 0, n, 4)
+    u = uniforms(seed, 0, n, 3)
     p, t = u[1] * window.p_max, window.t_lo + u[2] * (window.t_hi - window.t_lo)
     theta = u[0] * TWO_PI
 
@@ -556,14 +576,6 @@ def test_pass_moments_match_line_by_line_formulas(name):
     clamped = np.count_nonzero(hit & (inside == 0.0))
     assert est.clamp_fraction == clamped / np.count_nonzero(hit) and clamped > 0
 
-    # direct 4D sampling: h is the fourth uniform over [-(p_max + ell), p_max]
-    h_len = 2.0 * window.p_max + ell
-    h = -(window.p_max + ell) + u[3] * h_len
-    meets = hit & (h <= s_hi) & (h + ell >= s_lo)
-    est = estimate_segment_hit_measure(body, ell, n, seed, marginalize_h=False)
-    check_mean(est, window.measure * h_len * meets)
-    assert est.n_hits == np.count_nonzero(meets)
-
     # the outer body's window and lines serve both bodies
     inner = Ball((0.1, 0.05, 0.1), 0.3)
     *_, hit_in, sigma_in = chords(inner)
@@ -586,9 +598,6 @@ def test_passes_forming_only_read_products_match_all_products(monkeypatch):
         lambda: estimate_segment_containment_measure(BALL, 0.0, n, seed, reference=None),
         lambda: estimate_mean_chord(BOX, n, seed, reference=None),
         lambda: estimate_segment_hit_measure(BALL, 0.5, n, seed, reference=None),
-        lambda: estimate_segment_hit_measure(
-            BALL, 0.5, n, seed, reference=None, marginalize_h=False
-        ),
     ]
 
     def fields(est):
@@ -602,19 +611,19 @@ def test_passes_forming_only_read_products_match_all_products(monkeypatch):
     def pairs(k):
         return [(i, j) for i in range(k) for j in range(i, k)]
 
-    def all_products_pass(*args, **kwargs):
+    def all_products_pass(*args):
         *head, integrand = args
         width = []
 
-        def every_product(chords, u):
-            f = list(integrand(chords, u))
+        def every_product(chords):
+            f = list(integrand(chords))
             width[:] = [len(f)]
             return f + [f[i] * f[j] for i, j in pairs(len(f))]
 
-        rows, n_lines = real_pass(*head, every_product, **kwargs)
+        rows, n_lines, w = real_pass(*head, every_product)
         values = rows[:, : width[0]]
         full[id(values)] = (values, rows)
-        return values, n_lines
+        return values, n_lines, w
 
     def all_products_linear(rows, c, gram, n, w, method):
         k = rows.shape[1]
@@ -712,7 +721,7 @@ def test_estimate_result_api():
     assert grid.value - lo == pytest.approx(2.131449545559776 * grid.std_error)
     assert est.n_samples == 50_000
     assert 0 < est.n_hits < est.n_samples
-    assert est.z_score(est.value) == 0.0
+    assert dataclasses.replace(est, reference=est.value).z_score() == 0.0
     bare = estimate_line_measure(BALL, 10_000, seed=97, reference=None)
     assert bare.reference is None
     with pytest.raises(ValueError):
@@ -726,8 +735,8 @@ def test_z_score_without_an_error_bar_has_the_sign_of_its_miss():
     est = estimate_line_measure(BALL, 1)
     assert est.value == 0.0 and est.std_error == 0.0
     assert est.z_score() == -math.inf
-    assert est.z_score(-1.0) == math.inf
-    assert est.z_score(0.0) == 0.0
+    assert estimate_line_measure(BALL, 1, reference=-1.0).z_score() == math.inf
+    assert estimate_line_measure(BALL, 1, reference=0.0).z_score() == 0.0
 
 
 def test_validation_errors():

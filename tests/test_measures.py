@@ -88,12 +88,22 @@ def test_volume_method_validation():
         volume(BODIES["ball"], method="quadrature")
 
 
-def test_voxel_oracle():
+def test_voxel_oracle(monkeypatch):
     res = volume_voxel_oracle(BODIES["ball"], resolution=200)
     assert res.method == "voxel-oracle"
     assert abs(res.value - 4.0 * math.pi / 3.0) < 0.01 * 4.0 * math.pi / 3.0
     with pytest.raises(ValueError):
         volume_voxel_oracle(BODIES["ball"], resolution=4)
+
+    # a lattice of more than 2^32 points (1626^3 at resolution 1625) is
+    # refused before the lattice's bounding box is even computed
+    def no_lattice(body):
+        raise AssertionError("an oversized lattice reached the allocation")
+
+    monkeypatch.setattr(measures, "_bounding_box", no_lattice)
+    for resolution in (1625, 20_000):
+        with pytest.raises(ValueError, match="2\\^32"):
+            volume_voxel_oracle(BODIES["ball"], resolution=resolution)
 
 
 def test_voxel_oracle_refines():
