@@ -59,6 +59,13 @@ def _cross(a, b):
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
+def _freeze(*arrays) -> None:
+    """Make a body's own arrays read-only: a body is a value, which the
+    estimators' last line pass is keyed on by identity."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 class CapabilityError(Exception):
     """Raised when an operation is not supported for a body type."""
 
@@ -142,7 +149,8 @@ def _solve_chord_quadratic(a, b, c):
 
 class ConvexBody(abc.ABC):
     """Interface shared by all bodies: membership, chords, bounds and
-    closed-form volume."""
+    closed-form volume.  A body is a value: it keeps read-only copies of
+    the arrays it is built from and of those it derives."""
 
     @abc.abstractmethod
     def contains_batch(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
@@ -188,8 +196,8 @@ class Ellipsoid(ConvexBody):
 
     def _init_linear(self, center, lin) -> None:
         name = type(self).__name__
-        self.center = np.asarray(center, dtype=float).reshape(3)
-        self.lin = np.asarray(lin, dtype=float).reshape(3, 3)
+        self.center = np.array(center, dtype=float).reshape(3)
+        self.lin = np.array(lin, dtype=float).reshape(3, 3)
         if not (np.isfinite(self.center).all() and np.isfinite(self.lin).all()):
             raise ValueError(f"{name} needs finite data")
         scale = np.linalg.norm(self.lin)
@@ -198,6 +206,7 @@ class Ellipsoid(ConvexBody):
         self._lin_inv = np.linalg.inv(self.lin)
         # the metric M of the body {x : (x - c)^T M (x - c) <= 1}
         self._metric = self._lin_inv.T @ self._lin_inv
+        _freeze(self.center, self.lin, self._lin_inv, self._metric)
 
     def contains_batch(self, points, tol=0.0):
         y = (np.asarray(points, dtype=float) - self.center) @ self._lin_inv.T
@@ -421,6 +430,7 @@ class Polytope(ConvexBody):
         # fan tetrahedron on the centroid has a positive volume
         a, b, c = (self._triangles - centroid).transpose(1, 0, 2)
         self._volume = float(np.sum(a * _cross(b, c)) / 6.0)
+        _freeze(self.normals, self.offsets, self._vertices, self._triangles, self._facet_normals)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -497,8 +507,8 @@ class Box(Polytope):
     sides, and it stores twelve face triangles, two per face."""
 
     def __init__(self, lo, hi) -> None:
-        self.lo = np.asarray(lo, dtype=float).reshape(3)
-        self.hi = np.asarray(hi, dtype=float).reshape(3)
+        self.lo = np.array(lo, dtype=float).reshape(3)
+        self.hi = np.array(hi, dtype=float).reshape(3)
         if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
             raise ValueError("Box needs finite corners")
         if not (self.hi > self.lo).all():
@@ -508,6 +518,10 @@ class Box(Polytope):
         self._vertices = np.array(list(itertools.product(*zip(self.lo, self.hi))))
         self._triangles = self._vertices[_BOX_FANS]
         self._facet_normals = np.repeat(self.normals, 2, axis=0)
+        _freeze(
+            self.lo, self.hi, self.normals, self.offsets,
+            self._vertices, self._triangles, self._facet_normals,
+        )
 
     # an entry of its own: perfbench/tracing.py times each body class's
     # chord_batch (and __init__) from the class __dict__

@@ -30,8 +30,8 @@ wall_time_s field.
 Exit codes: 0 success; 2 configuration error (bad JSON/flags, a body
 file number that is not a finite JSON number, a sampling flag the
 method ignores, violated nesting, no line of the sample meets the body,
-a grid of more than 2^32 lines or a voxel lattice of more than 2^32
-points); 3 unsupported body/operation; 4 tolerance failure (estimate
+an --n or a grid of more than 2^32 lines or a voxel lattice of more than
+2^32 points); 3 unsupported body/operation; 4 tolerance failure (estimate
 beyond its method's gate, 4 standard errors of its reference for Monte
 Carlo and 5.48 for the grid, whose z follows Student's t with 15
 degrees of freedom; failed invariance; or non-convergent quadrature).

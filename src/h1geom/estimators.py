@@ -35,6 +35,15 @@ gram [[0, 1], [1, 2]] (hit^2 is hit and hit sigma is sigma): (1, 0) is
 the line measure, (0, 1) the chord integral, (ell, 1) the hit measure
 at ell, and the mean chord is (0, 1) over (1, 0).
 
+Consecutive line estimates of one body with the same (n, seed,
+stratify, method, grid resolution) share that pass: ``_line_pass``
+keeps the most recent one, with the body's references, in a single
+slot keyed on the body's identity (bodies are immutable) and those
+arguments, and any other line pass replaces it.  A shared estimate is
+bitwise what a pass of its own gives.  The slot holds one pass, not
+one per body, so estimates of several bodies taken in turns each draw
+their own.
+
 The references follow the same law: R = (2 pA, 2 pi V) is the reference
 of (hit, sigma), so a line estimate with coefficients c has reference
 c.R (and the mean chord c.R over (1, 0).R).  Adding a line identity thus
@@ -106,9 +115,11 @@ _SUB_BLOCK = 1 << 13
 # default 128 KiB mmap threshold, so one sub-block's memory is reused by
 # the next instead of being returned to the system and faulted in again
 _GRID_SUB_BLOCK = 1 << 12
-# a grid's memory does not grow with its size, so nothing else stops a
-# resolution that would run for days: at most 2^32 lines (res 1625)
-_MAX_GRID_LINES = 1 << 32
+# lines per pass: a Monte Carlo pass lists its blocks before it draws a
+# line, and a grid's memory does not grow with its size, so nothing else
+# stops a sample count or a resolution (at most 1625) that would exhaust
+# memory or run for days
+_MAX_LINES = 1 << 32
 _STRATA = 64
 # the grid's shifted copies of the Kronecker set frac(i alpha), where
 # alpha = phi^-(1, 2, 3) and phi = 1.22074... is the real root of
@@ -278,8 +289,7 @@ def _setup(n, seed, threads, method="mc", stratify=False, grid_resolution=None) 
     the calling thread.  An option the method ignores is an error:
     ``stratify`` with the grid, whose shifts randomise it, and a
     ``grid_resolution`` with Monte Carlo."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_n(n)
     if not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not isinstance(threads, (int, np.integer)) or threads < 1:
@@ -292,6 +302,13 @@ def _setup(n, seed, threads, method="mc", stratify=False, grid_resolution=None) 
         raise ValueError("a grid resolution needs method='grid'")
 
 
+def _check_n(n) -> None:
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    if n > _MAX_LINES:
+        raise ValueError(f"n = {n} asks for more than 2^32 lines")
+
+
 def _check_ell(ell) -> float:
     ell = float(ell)
     if not math.isfinite(ell) or ell < 0.0:
@@ -302,11 +319,13 @@ def _check_ell(ell) -> float:
 def grid_axis_resolution(n: int, resolution: int | None = None) -> int:
     """The per-axis resolution a grid pass uses: ``resolution``, or
     max(8, round(n^(1/3))) when it is None; below 2, or a grid of more
-    than 2^32 lines, raises ValueError."""
+    than 2^32 lines, raises ValueError, as does an n that is not a
+    positive integer of at most 2^32."""
+    _check_n(n)
     res = max(8, int(round(n ** (1.0 / 3.0)))) if resolution is None else resolution
     if res < 2:
         raise ValueError(f"grid resolution must be at least 2, got {res}")
-    if res**3 > _MAX_GRID_LINES:
+    if res**3 > _MAX_LINES:
         raise ValueError(f"grid resolution {res} asks for {res**3:.3g} lines, more than 2^32")
     return res
 
@@ -503,6 +522,13 @@ _HIT_SOURCE = "2*pi*measures.volume + 2*ell*measures.p_area"
 _LINE_GRAM = [[0, 1], [1, 2]]
 
 
+# the most recent line pass, (body, key, (rows, n_lines, w, refs)) with
+# key the other arguments that fix its lines, or None.  One entry, not a
+# cache of many: consecutive line estimates of one body at one seed share
+# their pass, and any other call draws its own
+_last_pass = None
+
+
 def _line_pass(body, n, seed, stratify, method, grid_res):
     """Every line estimate from one pass over the body's window whose
     integrand yields (hit, sigma, sigma^2) per line.
@@ -511,14 +537,28 @@ def _line_pass(body, n, seed, stratify, method, grid_res):
     integral, (ell, 1) the hit measure at ell) or, given ``over``, its
     ratio to the mean of over.(hit, sigma).  Its automatic reference is
     c.R, or c.R / over.R, with R the body's ``_references``, labelled
-    ``source``."""
+    ``source``.
+
+    The pass and R are kept in ``_last_pass`` until a line pass of
+    another body (by identity, bodies being immutable) or other
+    arguments replaces them; ``threads`` changes no bit and is not an
+    argument.  The slot is read once and replaced by one assignment, so
+    a concurrent caller sees the old entry or the new one, and its rows
+    are read-only."""
 
     def integrand(chords):
         sigma, hit = _sigma(chords[0])
         yield from (hit, sigma, sigma * sigma)
 
-    rows, n_lines, w = _pass((body,), n, seed, stratify, method, grid_res, integrand)
-    refs = _references(body)
+    global _last_pass
+    key = (n, seed, stratify, method, grid_res)
+    entry = _last_pass
+    if entry is None or entry[0] is not body or entry[1] != key:
+        rows, n_lines, w = _pass((body,), n, seed, stratify, method, grid_res, integrand)
+        rows.flags.writeable = False
+        entry = (body, key, (rows, n_lines, w, _references(body)))
+        _last_pass = entry
+    rows, n_lines, w, refs = entry[2]
 
     def finish(c, reference, source, over=None):
         if over is None:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import h1geom.estimators as estimators
 from h1geom import (
     Ball,
     Box,
@@ -45,6 +46,19 @@ def make_acceptance_bodies() -> dict:
         "ellipsoid": ellipsoid,
         "polytope": polytope,
     }
+
+
+def forget_line_pass() -> None:
+    """Empty the estimators' slot for the last line pass, so that the next
+    line estimate draws its own lines: a test comparing two computations
+    calls it before the second, which would otherwise read the first's."""
+    estimators._last_pass = None
+
+
+@pytest.fixture(autouse=True)
+def fresh_line_pass():
+    """No test reads a line pass left by an earlier one."""
+    forget_line_pass()
 
 
 def random_motion(rng: np.random.Generator, scale: float = 1.0) -> PshMotion:

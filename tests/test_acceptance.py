@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from conftest import random_motion
+from conftest import forget_line_pass, random_motion
 from h1geom import (
     Ball,
     HorizontalLine,
@@ -369,19 +369,19 @@ def test_criterion_7_exact_identities(acceptance_bodies, capsys):
 
 def test_criterion_8_deterministic_across_thread_counts(acceptance_bodies, capsys):
     # a fixed seed fixes every sample and the block sums are added in
-    # block order, so the thread count cannot change any estimate bit
+    # block order, so the thread count cannot change any estimate bit;
+    # each run draws its own pass (the slot of the last one is emptied)
     ball = acceptance_bodies["ball"]
-    runs = [
-        estimate_chord_integral(ball, 300_000, seed=SEED, threads=k)
-        for k in (1, 3, 8)
-    ]
+
+    def fresh(estimate, **kw):
+        forget_line_pass()
+        return estimate(ball, 300_000, seed=SEED, **kw)
+
+    runs = [fresh(estimate_chord_integral, threads=k) for k in (1, 3, 8)]
     same = all(
         r.value == runs[0].value and r.std_error == runs[0].std_error for r in runs
     )
-    strat = [
-        estimate_line_measure(ball, 300_000, seed=SEED, stratify=True, threads=k)
-        for k in (1, 4)
-    ]
+    strat = [fresh(estimate_line_measure, stratify=True, threads=k) for k in (1, 4)]
     same_strat = strat[0].value == strat[1].value
     ok = same and same_strat
     announce(

@@ -149,6 +149,45 @@ def test_constructor_validation():
         Polytope(np.vstack([np.eye(3), [[0.0, 0.0, 0.0]]]), np.ones(4))
 
 
+def _body_arrays(body):
+    names = ("center", "lin", "_lin_inv", "_metric", "lo", "hi", "normals", "offsets",
+             "_vertices", "_triangles", "_facet_normals")
+    return {name: getattr(body, name) for name in names if hasattr(body, name)}
+
+
+def test_bodies_are_values():
+    # a body keeps its own copies of the caller's arrays: writing to them
+    # afterwards leaves it as it was built, and its chords with it
+    center, lin = np.array([0.1, -0.2, 0.3]), np.diag([1.0, 0.8, 1.2])
+    lo, hi = np.zeros(3), np.ones(3)
+    normals, offsets = np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)
+    built = {
+        "ellipsoid": (lambda: Ellipsoid.from_linear(center, lin), (center, lin)),
+        "ball": (lambda: Ball(center, 1.0), (center,)),
+        "box": (lambda: Box(lo, hi), (lo, hi)),
+        "polytope": (lambda: Polytope(normals, offsets), (normals, offsets)),
+    }
+    p, theta, t = np.full(64, 0.3), np.linspace(0.0, 6.0, 64), np.linspace(-1.5, 1.5, 64)
+    for name, (build, inputs) in built.items():
+        body = build()
+        before = {k: v.copy() for k, v in _body_arrays(body).items()}
+        assert "center" in before or "normals" in before
+        chords = body.chord_batch(p, theta, t)
+        for a in inputs:
+            a += 0.25
+        for k, v in _body_arrays(body).items():
+            assert np.array_equal(v, before[k]), (name, k)
+        for a, b in zip(chords, body.chord_batch(p, theta, t)):
+            np.testing.assert_array_equal(a, b)
+        for a in inputs:
+            a -= 0.25
+        # and its own arrays refuse an in-place write
+        for k, v in _body_arrays(body).items():
+            with pytest.raises(ValueError):
+                v[...] = 0.0
+            assert not v.flags.writeable, (name, k)
+
+
 def test_polytope_unbounded_and_empty_raise():
     slab = np.vstack([np.eye(3)[:2], -np.eye(3)[:2]])
     with pytest.raises(ValueError):

@@ -826,3 +826,24 @@ def test_oversized_grid_is_a_configuration_error(capsys, ball_file):
     argv = ["crofton", "--body", ball_file, "--method", "grid"]
     code, out, err = run_cli(capsys, argv + ["--resolution", "100000"])
     assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "crofton --body BODY",
+        "crofton --body BODY --method grid",
+        "sweep --body BODY --ell-list 0,1",
+        "invariance --body BODY",
+        "containment --inner BODY --outer BODY",
+    ],
+    ids=["crofton", "crofton-grid", "sweep", "invariance", "containment"],
+)
+def test_oversized_sample_count_is_a_configuration_error(capsys, ball_file, command):
+    # a pass lists its blocks before it draws a line, so a count beyond
+    # 2^32 is refused up front, never allocated (10^400 is past the float
+    # range that the grid's default resolution is computed in)
+    argv = [ball_file if word == "BODY" else word for word in command.split()]
+    for n in (str((1 << 32) + 1), "1" + "0" * 20, "1" + "0" * 400):
+        code, out, err = run_cli(capsys, argv + ["--n", n])
+        assert code == 2 and out == "" and "2^32" in err, (n, err)

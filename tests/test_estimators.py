@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import h1geom.estimators as estimators
-from conftest import make_acceptance_bodies, random_motion
+from conftest import forget_line_pass, make_acceptance_bodies, random_motion
 from h1geom import (
     Ball,
     Box,
@@ -109,6 +110,7 @@ def test_scaling_to_larger_ball():
 
 def test_hit_measure_at_zero_length_is_chord_integral():
     a = estimate_segment_hit_measure(BALL, 0.0, 100_000, seed=23)
+    forget_line_pass()
     b = estimate_chord_integral(BALL, 100_000, seed=23)
     assert a.value == b.value
     assert a.std_error == b.std_error
@@ -286,15 +288,19 @@ def test_sub_block_sums_are_bitwise_whole_block_sums():
 
 
 def test_determinism_across_threads_and_repeats():
+    # each run draws its own pass: the slot is emptied before it
     base = estimate_chord_integral(BALL, 120_000, seed=61)
     for threads in (3, 8):
+        forget_line_pass()
         again = estimate_chord_integral(BALL, 120_000, seed=61, threads=threads)
         assert again.value == base.value
         assert again.std_error == base.std_error
+    forget_line_pass()
     repeat = estimate_chord_integral(BALL, 120_000, seed=61)
     assert repeat.value == base.value
     strat = estimate_line_measure(BALL, 120_000, seed=61, stratify=True)
     for threads in (3, 8):
+        forget_line_pass()
         again = estimate_line_measure(
             BALL, 120_000, seed=61, stratify=True, threads=threads
         )
@@ -323,6 +329,7 @@ def test_grid_sub_blocks_draw_the_whole_shift_bitwise(monkeypatch):
     assert 51**3 // 16 > 2 * estimators._GRID_SUB_BLOCK
     split = {res: estimates(res) for res in (51, 64)}
     monkeypatch.setattr(estimators, "_GRID_SUB_BLOCK", 1 << 20)
+    forget_line_pass()
     for res, found in split.items():
         assert found == estimates(res), res
 
@@ -400,6 +407,7 @@ def test_grid_estimators(acceptance_bodies, acceptance_references):
     est = estimate_line_measure(BALL, 1, method="grid", grid_resolution=64)
     assert est.method == "grid"
     assert abs(est.value - est.reference) < 0.02 * est.reference
+    forget_line_pass()
     est2 = estimate_line_measure(BALL, 1, method="grid", grid_resolution=64)
     assert est2.value == est.value
     est = estimate_chord_integral(BALL, 1, method="grid", grid_resolution=64)
@@ -425,7 +433,10 @@ def test_grid_estimators(acceptance_bodies, acceptance_references):
         lambda **k: estimate_segment_hit_measure(BOX, 0.5, 1, **k),
         lambda **k: estimate_segment_containment_measure(BOX, 0.5, 1, **k),
     ):
-        runs = [estimate(seed=7, threads=t, **kw) for t in (1, 2, 3)]
+        runs = []
+        for t in (1, 2, 3):
+            forget_line_pass()
+            runs.append(estimate(seed=7, threads=t, **kw))
         assert len({(*_bits(e), e.clamp_fraction) for e in runs}) == 1
         assert runs[0].std_error > 0.0 and runs[0].n_samples == 132640
         with pytest.raises(ValueError, match="stratify"):
@@ -454,23 +465,27 @@ def test_grid_estimators(acceptance_bodies, acceptance_references):
 def test_monte_carlo_error_bars_cover(acceptance_bodies, acceptance_references):
     # 300 fixed seeds at n = 1000 per body and estimate: a z of an honest
     # error bar has rms near 1 (0.92 to 1.08 at two standard errors of
-    # the rms when z is normal) and stays well inside 5
+    # the rms when z is normal) and stays well inside 5.  Seeds are the
+    # outer loop and each body's line estimates come together, plain then
+    # stratified, so the four of them at one seed share one pass, as they
+    # do for a user who keeps the seed
     estimates = {}
     for name, body in acceptance_bodies.items():
         vol, pa = acceptance_references[name]
         for stratify in (False, True):
             tag = " stratified" if stratify else ""
-            estimates[name, "line" + tag] = functools.partial(
-                estimate_line_measure, body, 1000, reference=2.0 * pa, stratify=stratify
-            )
-            estimates[name, "chord" + tag] = functools.partial(
-                estimate_chord_integral, body, 1000, reference=TWO_PI * vol, stratify=stratify
-            )
-        estimates[name, "hit at 1"] = functools.partial(
-            estimate_segment_hit_measure, body, 1.0, 1000, reference=TWO_PI * vol + 2.0 * pa
-        )
-        estimates[name, "mean chord"] = functools.partial(
-            estimate_mean_chord, body, 1000, reference=math.pi * vol / pa
+            for key, estimate, args, reference in (
+                ("line", estimate_line_measure, (), 2.0 * pa),
+                ("chord", estimate_chord_integral, (), TWO_PI * vol),
+                ("hit at 1", estimate_segment_hit_measure, (1.0,), TWO_PI * vol + 2.0 * pa),
+                ("mean chord", estimate_mean_chord, (), math.pi * vol / pa),
+            ):
+                estimates[name, key + tag] = functools.partial(
+                    estimate, body, *args, 1000, reference=reference, stratify=stratify
+                )
+        # the measure of segments inside the body at ell = 0 is 2 pi V
+        estimates[name, "containment measure at 0"] = functools.partial(
+            estimate_segment_containment_measure, body, 0.0, 1000, reference=TWO_PI * vol
         )
     # a ball well inside the unit ball: every segment meeting it meets
     # the outer one, so the ratio of their hit measures is exact
@@ -482,11 +497,14 @@ def test_monte_carlo_error_bars_cover(acceptance_bodies, acceptance_references):
         estimates["ball in ball", f"containment at {ell}"] = functools.partial(
             containment_probability, inner, BALL, ell, 1000, reference=hit_in / hit_out
         )
-    for key, estimate in estimates.items():
-        z = np.array([estimate(seed).z_score() for seed in range(300)])
-        rms = math.sqrt(np.mean(np.square(z)))
+    z = {key: [] for key in estimates}
+    for seed in range(300):
+        for key, estimate in estimates.items():
+            z[key].append(estimate(seed).z_score())
+    for key, scores in z.items():
+        rms = math.sqrt(np.mean(np.square(scores)))
         assert 0.75 <= rms <= 1.4, (key, rms)
-        assert np.max(np.abs(z)) < 5.0, (key, np.max(np.abs(z)))
+        assert np.max(np.abs(scores)) < 5.0, (key, np.max(np.abs(scores)))
 
 
 def test_direct_h_sampling_agrees_with_marginalized():
@@ -634,24 +652,32 @@ def test_passes_forming_only_read_products_match_all_products(monkeypatch):
 
     monkeypatch.setattr(estimators, "_pass", all_products_pass)
     monkeypatch.setattr(estimators, "_linear", all_products_linear)
+    forget_line_pass()
     assert [fields(call()) for call in calls] == read_only
     assert read_only[2][3] > 0.0
 
 
+def _fresh(estimate, *args, **kw):
+    """``estimate`` from a pass of its own, not the slot's last one."""
+    forget_line_pass()
+    return estimate(*args, **kw)
+
+
 def test_sweep_rows_match_standalone_estimators():
     # one pass serves every length: each row, and the slope and intercept
-    # of the linear law, equal the standalone estimators bitwise
+    # of the linear law, equal the standalone estimators bitwise, each
+    # drawing its own pass
     ells = [0.0, 0.5, 1.0, 0.5]
     n, seed = 3 * BLOCK + 17, 101
     runs = {}
     for threads in (1, 2):
         kw = dict(seed=seed, threads=threads)
-        sweep = estimate_segment_hit_sweep(BOX, ells, n, **kw)
+        sweep = _fresh(estimate_segment_hit_sweep, BOX, ells, n, **kw)
         assert sweep.ells == ells and len(sweep.rows) == len(ells)
         for ell, row in zip(ells, sweep.rows):
-            assert _bits(row) == _bits(estimate_segment_hit_measure(BOX, ell, n, **kw))
-        assert _bits(sweep.slope) == _bits(estimate_line_measure(BOX, n, **kw))
-        assert _bits(sweep.intercept) == _bits(estimate_chord_integral(BOX, n, **kw))
+            assert _bits(row) == _bits(_fresh(estimate_segment_hit_measure, BOX, ell, n, **kw))
+        assert _bits(sweep.slope) == _bits(_fresh(estimate_line_measure, BOX, n, **kw))
+        assert _bits(sweep.intercept) == _bits(_fresh(estimate_chord_integral, BOX, n, **kw))
         runs[threads] = [_bits(e) for e in (*sweep.rows, sweep.slope, sweep.intercept)]
         # the law is linear in ell line by line: each row is the chord
         # integral plus ell times the line measure of the same lines
@@ -660,12 +686,12 @@ def test_sweep_rows_match_standalone_estimators():
             assert row.value == pytest.approx(line, rel=1e-14)
     assert runs[1] == runs[2]
 
-    sweep = estimate_segment_hit_sweep(BALL, [0.0, 0.7], 2000, seed=seed)
-    assert sweep.rows[1].reference == estimate_segment_hit_measure(
-        BALL, 0.7, 2000, seed=seed
+    sweep = _fresh(estimate_segment_hit_sweep, BALL, [0.0, 0.7], 2000, seed=seed)
+    assert sweep.rows[1].reference == _fresh(
+        estimate_segment_hit_measure, BALL, 0.7, 2000, seed=seed
     ).reference
-    assert sweep.slope.reference == estimate_line_measure(BALL, 2000).reference
-    assert sweep.intercept.reference == estimate_chord_integral(BALL, 2000).reference
+    assert sweep.slope.reference == _fresh(estimate_line_measure, BALL, 2000).reference
+    assert sweep.intercept.reference == _fresh(estimate_chord_integral, BALL, 2000).reference
     with pytest.raises(ValueError):
         estimate_segment_hit_sweep(BALL, [0.5, -1.0], 1000)
 
@@ -685,13 +711,15 @@ def test_invariance_rows_match_standalone_estimators():
     report = invariance_check(BOX, motion, n, seed=seed, threads=2)
     assert len(report.rows) == 3
     for row in report.rows:
-        a = standalone[row.quantity](BOX, seed)
-        b = standalone[row.quantity](image, seed + 1)
+        a = _fresh(standalone[row.quantity], BOX, seed)
+        b = _fresh(standalone[row.quantity], image, seed + 1)
         assert (row.value_original, row.se_original) == (a.value, a.std_error)
         assert (row.value_transformed, row.se_transformed) == (b.value, b.std_error)
 
 
-def test_one_draw_per_block_per_body(monkeypatch):
+def _counting_draws(monkeypatch):
+    """The (seed, start) of every ``uniforms`` call the estimators make
+    from now on, in call order."""
     draws = []
     real = estimators.uniforms
 
@@ -700,13 +728,128 @@ def test_one_draw_per_block_per_body(monkeypatch):
         return real(seed, start, count, streams)
 
     monkeypatch.setattr(estimators, "uniforms", counting)
+    return draws
+
+
+def test_one_draw_per_block_per_body(monkeypatch):
+    draws = _counting_draws(monkeypatch)
     n = 2 * BLOCK + 3
     blocks = [0, BLOCK, 2 * BLOCK]
     estimate_segment_hit_sweep(BALL, [0.0, 0.5, 1.0, 2.0], n, seed=5, threads=2)
-    assert sorted(draws) == [(5, lo) for lo in blocks]
+    assert draws == [(5, lo) for lo in blocks]
     draws.clear()
+    # the body's own pass at seed 5 is the sweep's: only the image draws
     invariance_check(BALL, PshMotion(0.1, 0.2, 0.3, 0.4), n, seed=5, threads=2)
-    assert sorted(draws) == [(s, lo) for s in (5, 6) for lo in blocks]
+    assert draws == [(6, lo) for lo in blocks]
+
+
+def test_consecutive_line_estimates_of_one_body_share_their_pass(monkeypatch):
+    draws = _counting_draws(monkeypatch)
+    n, seed = BLOCK + 7, 11
+    blocks = [(seed, 0), (seed, BLOCK)]
+    for threads in (1, 2):
+        estimate_line_measure(BOX, n, seed, threads=threads)
+        estimate_chord_integral(BOX, n, seed, threads=threads)
+        estimate_segment_hit_measure(BOX, 0.5, n, seed, threads=threads)
+        estimate_mean_chord(BOX, n, seed, threads=threads)
+    assert draws == blocks
+    # any argument that moves the lines draws them again, and so does a
+    # body equal to the last but not the same object; either replaces the
+    # one entry, so the first pass is then drawn again too
+    twin = Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    grid = dict(method="grid")
+    for again, drawn in (
+        (lambda: estimate_chord_integral(BOX, n + 1, seed), blocks),
+        (lambda: estimate_chord_integral(BOX, n, seed + 1), [(seed + 1, 0), (seed + 1, BLOCK)]),
+        (lambda: estimate_chord_integral(BOX, n, seed, stratify=True), blocks),
+        (lambda: estimate_chord_integral(twin, n, seed), blocks),
+        # a grid pass draws its 16 shifts at once
+        (lambda: estimate_chord_integral(BOX, n, seed, **grid), [(seed, 0)]),
+    ):
+        draws.clear()
+        again()
+        assert draws == drawn
+        draws.clear()
+        estimate_line_measure(BOX, n, seed)
+        assert draws == blocks
+    # and so does another grid resolution
+    estimate_line_measure(BOX, n, seed, **grid)
+    draws.clear()
+    estimate_chord_integral(BOX, n, seed, **grid)
+    assert draws == []
+    estimate_chord_integral(BOX, n, seed, grid_resolution=9, **grid)
+    assert draws == [(seed, 0)]
+    # the estimators with their own integrands draw their own passes and
+    # leave the last line pass in its slot
+    estimate_line_measure(BOX, n, seed)
+    draws.clear()
+    estimate_segment_containment_measure(BOX, 0.0, n, seed)
+    containment_probability(Box((0.2,) * 3, (0.8,) * 3), BOX, 0.0, n, seed)
+    estimate_line_measure(BOX, n, seed)
+    assert draws == 2 * blocks
+    # the sums every sharer reads cannot be written
+    with pytest.raises(ValueError):
+        estimators._last_pass[2][0][0, 0] = 0.0
+
+
+def test_interleaved_bodies_give_the_bits_of_fresh_runs():
+    # the slot keeps one pass: estimates of bodies taken in turns, each
+    # replacing the other's pass, are bitwise those of fresh runs
+    bodies = make_acceptance_bodies()
+    n, seed = 5000, 13
+    calls = [
+        lambda b: estimate_line_measure(b, n, seed),
+        lambda b: estimate_chord_integral(b, n, seed),
+        lambda b: estimate_segment_hit_measure(b, 0.4, n, seed),
+        lambda b: estimate_mean_chord(b, n, seed),
+    ]
+    turns = [(name, call) for call in calls for name in bodies]
+    interleaved = [_bits(call(bodies[name])) for name, call in turns]
+    assert interleaved == [_bits(_fresh(call, bodies[name])) for name, call in turns]
+
+
+def test_threads_sharing_the_slot_get_the_bits_of_fresh_runs():
+    # more threads than cores, switching often, each taking the estimates
+    # of two bodies at two seeds in turns, from its own starting point:
+    # the slot is replaced all the time, by other threads' passes of the
+    # same and of other arguments, and every estimate keeps its fresh bits
+    bodies = make_acceptance_bodies()
+    cases = [(name, seed) for name in ("ball", "polytope") for seed in (40, 41)]
+    n = 3000
+
+    def run(case):
+        body, seed = bodies[case[0]], case[1]
+        return [
+            _bits(estimate(body, n, seed))
+            for estimate in (estimate_line_measure, estimate_chord_integral, estimate_mean_chord)
+        ]
+
+    fresh = {case: _fresh(run, case) for case in cases}
+    found, failed = [], []
+
+    def worker(k):
+        try:
+            for i in range(48):
+                case = cases[(k + i) % len(cases)]
+                found.append((case, run(case)))
+        except Exception as exc:  # reported by the main thread
+            failed.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not failed, failed
+    assert len(found) == 6 * 48
+    for case, bits in found:
+        assert bits == fresh[case], case
 
 
 def test_estimate_result_api():
@@ -742,6 +885,15 @@ def test_z_score_without_an_error_bar_has_the_sign_of_its_miss():
 def test_validation_errors():
     with pytest.raises(ValueError):
         estimate_line_measure(BALL, 0)
+    # a pass lists its blocks before it draws, so a count beyond 2^32 is
+    # refused up front, for either method
+    for method in ("mc", "grid"):
+        with pytest.raises(ValueError, match="2\\^32"):
+            estimate_line_measure(BALL, (1 << 32) + 1, method=method)
+        with pytest.raises(ValueError, match="2\\^32"):
+            estimate_segment_containment_measure(BALL, 0.0, 10**20, method=method)
+    with pytest.raises(ValueError, match="2\\^32"):
+        containment_probability(BALL, BALL, 0.0, 10**400)
     with pytest.raises(ValueError):
         estimate_line_measure(BALL, 1000, method="bogus")
     with pytest.raises(ValueError):
