@@ -8,17 +8,22 @@ which of them do.  Because the chart parameter is the sub-Riemannian
 arclength, s_hi - s_lo is exactly the Levi length of the chord, which is
 what the kinematic identities integrate.
 
-Membership (``contains_batch``) and chords are vectorized queries.  A
-chord solves one quadratic (ellipsoids, of which a ball is the case
-lin = r I, and their images under rigid motions) or clips the line
-against one halfspace at a time (polytopes, of which a box is the case
-of the six axis halfspaces, and their images), so chords are exact to
-round-off, not root-finding approximations.  Both kernels take the
-line's direction (cos theta, sin theta) from one half-angle tangent per
-line (``_direction``), within a few ulp of cos and sin.  The ``tol`` of
-``contains_batch`` inflates a quadric by the factor 1 + tol about its
-center (r * tol in distance for a ball) and a box or polytope by tol in
-distance.
+Membership (``contains_batch``), chords and the support function
+(``support``) are vectorized queries, and callers ask them, not a
+body's type: the voxel oracle's box is the support on +-e_i, and
+``outer.contains_body(inner)`` decides nesting with the outer body's
+own slack (a polytope by the inner body's support on its facet normals,
+whatever the inner kind).  A body is a value: each attribute is set
+once, and each array is read-only.  A chord solves one quadratic
+(ellipsoids, of which a ball is the case lin = r I, and their images
+under rigid motions) or clips the line against one halfspace at a time
+(polytopes, of which a box is the case of the six axis halfspaces, and
+their images), so chords are exact to round-off, not root-finding
+approximations.  Both kernels take the line's direction (cos theta, sin
+theta) from one half-angle tangent per line (``_direction``), within a
+few ulp of cos and sin.  The ``tol`` of ``contains_batch`` inflates a
+quadric by the factor 1 + tol about its center (r * tol in distance for
+a ball) and a box or polytope by tol in distance.
 
 A polytope finds its own vertices, facets and volume with numpy alone:
 every pair of its planes meets in a line, and that line clipped against
@@ -57,13 +62,6 @@ def _cross(a, b):
     """a x b along the last axis with the arithmetic of np.cross, which
     costs tens of microseconds a call in numpy 2."""
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
-
-
-def _freeze(*arrays) -> None:
-    """Make a body's own arrays read-only: a body is a value, which the
-    estimators' last line pass is keyed on by identity."""
-    for a in arrays:
-        a.flags.writeable = False
 
 
 class CapabilityError(Exception):
@@ -117,44 +115,67 @@ def _direction(theta, shape=None):
     return ct, tau
 
 
-def _solve_chord_quadratic(a, b, c):
-    """Roots of a s^2 + b s + c = 0 for quadric chords, with a > 0 and
-    c = (w^T M w) - 1.  Discriminants within -1e-12 * scale^2 of zero
-    count as tangency (a zero-length chord) rather than a miss, so
-    grazing lines are not dropped.  At tangency c is what is left of a
-    sum near 1 after the - 1 cancels, so the scale counts that 1: a
-    tangent line with b = 0 is a hit whichever way c rounds.  The clamp
-    at zero gives a miss the (meaningless) roots of disc = 0.
+def _solve_chord_quadratic(a, h, c):
+    """Roots (-h -+ sqrt(h^2 - ac)) / a of a s^2 + 2 h s + c = 0 for
+    quadric chords, with a > 0 and c = (w^T M w) - 1.  Discriminants
+    within -1e-12 * (|ac| + h^2 + a) of zero count as tangency (a
+    zero-length chord) rather than a miss, so grazing lines are not
+    dropped.  At tangency c is what is left of a sum near 1 after the
+    - 1 cancels, so the scale counts that 1: a tangent line with h = 0 is
+    a hit whichever way c rounds.  The clamp at zero gives a miss the
+    (meaningless) roots of a zero discriminant.  With b = 2h this is the
+    b^2 - 4ac form divided by powers of two, so its roots and hits are
+    bitwise that form's barring overflow.
 
-    The three coefficient arrays are overwritten: a becomes 2a, b becomes
-    -b and c the discriminant."""
-    bb = np.multiply(b, b)
-    ac4 = np.multiply(4.0, a)
-    ac4 *= c
-    disc = np.subtract(bb, ac4, out=c)
-    scale = np.abs(ac4, out=ac4)
-    scale += bb
-    scale += np.multiply(4.0, a, out=bb)
+    h and c are overwritten: h becomes -h and c the discriminant."""
+    hh = np.multiply(h, h)
+    ac = np.multiply(a, c)
+    disc = np.subtract(hh, ac, out=c)
+    scale = np.abs(ac, out=ac)
+    scale += hh
+    scale += a
     scale *= -1e-12
     hit = disc >= scale
     sq = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
-    nb = np.negative(b, out=b)
-    a2 = np.multiply(2.0, a, out=a)
-    s_lo = np.subtract(nb, sq, out=scale)
-    s_lo /= a2
-    s_hi = np.add(nb, sq, out=bb)
-    s_hi /= a2
+    nh = np.negative(h, out=h)
+    s_lo = np.subtract(nh, sq, out=scale)
+    s_lo /= a
+    s_hi = np.add(nh, sq, out=hh)
+    s_hi /= a
     return s_lo, s_hi, hit
 
 
 class ConvexBody(abc.ABC):
-    """Interface shared by all bodies: membership, chords, bounds and
-    closed-form volume.  A body is a value: it keeps read-only copies of
-    the arrays it is built from and of those it derives."""
+    """Interface shared by all bodies: membership, chords, support,
+    nesting, bounds and closed-form volume.  A body is a value, which the
+    estimators' last line pass is keyed on by identity: each attribute is
+    set once, and an array becomes read-only as it is set, so a body
+    keeps read-only copies of the arrays it is built from and derives."""
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"{type(self).__name__}.{name} is set: a body is a value")
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is set: a body is a value")
 
     @abc.abstractmethod
     def contains_batch(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
         """Boolean mask of points (N, 3) inside the body inflated by tol."""
+
+    @abc.abstractmethod
+    def support(self, directions: np.ndarray) -> np.ndarray:
+        """The support function: max over the body of n.x for each row n
+        of an (N, 3) array of directions."""
+
+    @abc.abstractmethod
+    def contains_body(self, inner: ConvexBody) -> bool:
+        """Whether ``inner`` lies in this body, decided exactly up to a
+        slack of 1e-9 of this body's own size (not of its distance from
+        the origin); CapabilityError for a pair it cannot decide."""
 
     @abc.abstractmethod
     def chord_batch(
@@ -170,6 +191,36 @@ class ConvexBody(abc.ABC):
     @abc.abstractmethod
     def volume_exact(self) -> float:
         """Closed-form Lebesgue volume."""
+
+
+def _ellipsoid_reach_sq(inner: Ellipsoid, outer: Ellipsoid) -> float:
+    """The maximum of |L_o^{-1} (x - c_o)|^2 over x in the inner
+    ellipsoid (c_i, L_i): 1 when it touches the outer one from inside.
+
+    By the S-lemma it is the minimum over lam > s_max^2 of
+    lam + sum lam w_k^2 / (lam - s_k^2), with U S V^T the SVD of
+    L_o^{-1} L_i and w = U^T L_o^{-1} (c_i - c_o).  That dual is convex
+    in lam, so its derivative is bisected down to adjacent floats.
+    Every lam > s_max^2 bounds the maximum from above: rounding can
+    reject an inner body that touches, but not accept one that sticks
+    out."""
+    outer_inv = np.linalg.inv(outer.lin)
+    u, s, _ = np.linalg.svd(outer_inv @ inner.lin)
+    w = u.T @ (outer_inv @ (inner.center - outer.center))
+    s2 = (s * s).tolist()
+    w2 = (w * w).tolist()
+    # s is sorted descending; the derivative is >= 0 from hi on
+    lo = s2[0]
+    hi = lo + math.sqrt(s2[0] * sum(w2))
+    if hi == lo:
+        return lo
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        slope = 1.0 - sum(a * b / (mid - a) ** 2 for a, b in zip(s2, w2))
+        if slope >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi + sum(hi * b / (hi - a) for a, b in zip(s2, w2))
 
 
 class Ellipsoid(ConvexBody):
@@ -206,11 +257,26 @@ class Ellipsoid(ConvexBody):
         self._lin_inv = np.linalg.inv(self.lin)
         # the metric M of the body {x : (x - c)^T M (x - c) <= 1}
         self._metric = self._lin_inv.T @ self._lin_inv
-        _freeze(self.center, self.lin, self._lin_inv, self._metric)
 
     def contains_batch(self, points, tol=0.0):
         y = (np.asarray(points, dtype=float) - self.center) @ self._lin_inv.T
         return np.sum(y * y, axis=-1) <= (1.0 + tol) ** 2
+
+    def support(self, directions):
+        # n.c + |L^T n|: the max of n.(c + L y) over |y| <= 1
+        directions = np.asarray(directions, dtype=float)
+        return directions @ self.center + np.linalg.norm(directions @ self.lin, axis=1)
+
+    def contains_body(self, inner):
+        """A polytope by its vertices, an ellipsoid by the S-lemma, both
+        in the body inflated by the factor 1 + 1e-9 about its center."""
+        if isinstance(inner, Polytope):
+            return bool(self.contains_batch(inner._vertices, tol=1e-9).all())
+        if isinstance(inner, Ellipsoid):
+            return _ellipsoid_reach_sq(inner, self) <= (1.0 + 1e-9) ** 2
+        raise CapabilityError(
+            f"nesting of {type(inner).__name__} in {type(self).__name__} is not supported"
+        )
 
     def chord_batch(self, p, theta, t):
         # the line is x(s) = x0 + s u with x0 = (p cos, p sin, t) and
@@ -243,11 +309,10 @@ class Ellipsoid(ConvexBody):
         a = np.multiply(st, mu0, out=st)
         a -= np.multiply(ct, mu1, out=tmp)
         a += np.multiply(p, mu2, out=tmp)
-        # b = 2 (w0 mu0 + w1 mu1 + w2 mu2), into mu0
-        b = np.multiply(w0, mu0, out=mu0)
-        b += np.multiply(w1, mu1, out=mu1)
-        b += np.multiply(w2, mu2, out=mu2)
-        b *= 2.0
+        # h = w0 mu0 + w1 mu1 + w2 mu2, half the linear coefficient, into mu0
+        h = np.multiply(w0, mu0, out=mu0)
+        h += np.multiply(w1, mu1, out=mu1)
+        h += np.multiply(w2, mu2, out=mu2)
         # c = w0 q0 + w1 (m11 w1 + 2 m12 w2) + m22 w2^2 - 1 with
         # q0 = m00 w0 + 2 (m01 w1 + m02 w2), into mu1
         q0 = np.multiply(m00, w0, out=mu1)
@@ -261,7 +326,7 @@ class Ellipsoid(ConvexBody):
         square = np.multiply(w2, w2, out=tmp)
         c += np.multiply(m22, square, out=square)
         c -= 1.0
-        return _solve_chord_quadratic(a, b, c)
+        return _solve_chord_quadratic(a, h, c)
 
     def bounds(self):
         cx, cy, cz = self.center
@@ -430,7 +495,6 @@ class Polytope(ConvexBody):
         # fan tetrahedron on the centroid has a positive volume
         a, b, c = (self._triangles - centroid).transpose(1, 0, 2)
         self._volume = float(np.sum(a * _cross(b, c)) / 6.0)
-        _freeze(self.normals, self.offsets, self._vertices, self._triangles, self._facet_normals)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -440,6 +504,18 @@ class Polytope(ConvexBody):
         pts = np.asarray(points, dtype=float)
         slack = pts @ self.normals.T - self.offsets
         return (slack <= tol).all(axis=-1)
+
+    def support(self, directions):
+        # the products contains_batch forms, so a nesting decided by the
+        # support is the one each vertex's membership test gives
+        return (self._vertices @ np.asarray(directions, dtype=float).T).max(axis=0)
+
+    def contains_body(self, inner):
+        # any body, by its support on the facet normals; the slack is 1e-9
+        # of the largest distance of a vertex from the vertices' centroid
+        v = self._vertices
+        tol = 1e-9 * float(np.max(np.linalg.norm(v - v.mean(axis=0), axis=1)))
+        return bool((inner.support(self.normals) - self.offsets <= tol).all())
 
     def chord_batch(self, p, theta, t):
         # the line x(s) = x0 + s u, x0 = (p cos, p sin, t), u = (sin, -cos, p),
@@ -518,10 +594,6 @@ class Box(Polytope):
         self._vertices = np.array(list(itertools.product(*zip(self.lo, self.hi))))
         self._triangles = self._vertices[_BOX_FANS]
         self._facet_normals = np.repeat(self.normals, 2, axis=0)
-        _freeze(
-            self.lo, self.hi, self.normals, self.offsets,
-            self._vertices, self._triangles, self._facet_normals,
-        )
 
     # an entry of its own: perfbench/tracing.py times each body class's
     # chord_batch (and __init__) from the class __dict__

@@ -17,10 +17,12 @@ over both signs).
 
 Estimators draw lines uniformly from the body's own window (a chart box
 guaranteed to contain every line meeting it), evaluate exact chords, and
-scale by the window's oriented measure.  The h coordinate of segments is
-integrated in closed form: a segment of length l placed on a line with
-chord [a, b] meets the body for h in an interval of length sigma + l and
-lies inside it for max(sigma - l, 0).
+scale by the window's oriented measure; a containment estimate uses the
+outer body's window, once ``outer.contains_body(inner)`` has found the
+pair nested.  The h coordinate of segments is integrated in closed form:
+a segment of length l placed on a line with chord [a, b] meets the body
+for h in an interval of length sigma + l and lies inside it for
+max(sigma - l, 0).
 
 Every estimator is one pass of ``_pass``: per fixed block it draws
 lines and evaluates their chords, and an integrand yields every
@@ -74,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TWO_PI, PshMotion
-from .bodies import CapabilityError, ConvexBody, Ellipsoid, Polytope, transform_body
+from .bodies import ConvexBody, transform_body
 from .measures import p_area, volume
 from .rng import uniforms
 
@@ -723,70 +725,6 @@ def estimate_mean_chord(
     return finish((0.0, 1.0), reference, source, over=(1.0, 0.0))
 
 
-def _ellipsoid_reach_sq(inner: Ellipsoid, outer: Ellipsoid) -> float:
-    """The maximum of |L_o^{-1} (x - c_o)|^2 over x in the inner
-    ellipsoid (c_i, L_i): 1 when it touches the outer one from inside.
-
-    By the S-lemma it is the minimum over lam > s_max^2 of
-    lam + sum lam w_k^2 / (lam - s_k^2), with U S V^T the SVD of
-    L_o^{-1} L_i and w = U^T L_o^{-1} (c_i - c_o).  That dual is convex
-    in lam, so its derivative is bisected down to adjacent floats.
-    Every lam > s_max^2 bounds the maximum from above: rounding can
-    reject an inner body that touches, but not accept one that sticks
-    out."""
-    outer_inv = np.linalg.inv(outer.lin)
-    u, s, _ = np.linalg.svd(outer_inv @ inner.lin)
-    w = u.T @ (outer_inv @ (inner.center - outer.center))
-    s2 = (s * s).tolist()
-    w2 = (w * w).tolist()
-    # s is sorted descending; the derivative is >= 0 from hi on
-    lo = s2[0]
-    hi = lo + math.sqrt(s2[0] * sum(w2))
-    if hi == lo:
-        return lo
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        slope = 1.0 - sum(a * b / (mid - a) ** 2 for a, b in zip(s2, w2))
-        if slope >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi + sum(hi * b / (hi - a) for a, b in zip(s2, w2))
-
-
-def _nesting_tol(outer: ConvexBody) -> float:
-    """The slack of the nesting check: 1e-9 of the outer body's size, not
-    of its distance from the origin, so that a pair placed far from the
-    t-axis is judged as it is at the origin.  A quadric's tol is a
-    relative factor already; a box's or polytope's is a distance, scaled
-    here by the largest distance of its vertices from their centroid."""
-    if not isinstance(outer, Polytope):
-        return 1e-9
-    vertices = outer.vertices
-    reach = np.linalg.norm(vertices - vertices.mean(axis=0), axis=1)
-    return 1e-9 * float(np.max(reach))
-
-
-def _nested(inner: ConvexBody, outer: ConvexBody, tol: float) -> bool:
-    """Whether the inner body lies in the outer one inflated by tol (in
-    the sense of ``contains_batch``), decided exactly: a box or polytope
-    by its vertices, an ellipsoid by its support function n.c + |L^T n|
-    on the halfspaces of a box or polytope and by the S-lemma inside an
-    ellipsoid."""
-    if isinstance(inner, Polytope):
-        return bool(outer.contains_batch(inner.vertices, tol=tol).all())
-    if isinstance(inner, Ellipsoid):
-        if isinstance(outer, Ellipsoid):
-            return _ellipsoid_reach_sq(inner, outer) <= (1.0 + tol) ** 2
-        if isinstance(outer, Polytope):
-            support = outer.normals @ inner.center + np.linalg.norm(
-                outer.normals @ inner.lin, axis=1
-            )
-            return bool((support <= outer.offsets + tol).all())
-    raise CapabilityError(
-        f"nesting of {type(inner).__name__} in {type(outer).__name__} is not supported"
-    )
-
-
 def containment_probability(
     inner: ConvexBody,
     outer: ConvexBody,
@@ -803,11 +741,11 @@ def containment_probability(
     estimated on common samples drawn from the outer body's window.
 
     Requires inner to be contained in outer, raising ContainmentError
-    otherwise; nesting is decided exactly for every pair of body types.
+    otherwise, as ``outer.contains_body(inner)`` decides it.
     """
     ell = _check_ell(ell)
     _setup(n, seed, threads)
-    if not _nested(inner, outer, _nesting_tol(outer)):
+    if not outer.contains_body(inner):
         raise ContainmentError("inner body is not contained in the outer body")
 
     def integrand(chords):

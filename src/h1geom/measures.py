@@ -520,18 +520,6 @@ def p_area(body, method: str = "auto", rel_tol: float = 1e-6) -> MeasureResult:
     return _refine(functools.partial(_midpoint_sum, chart.p_area_density), rel_tol, "quadrature")
 
 
-def _bounding_box(body) -> tuple[np.ndarray, np.ndarray]:
-    """The body's axis-aligned bounding box (lo, hi): the range of its
-    facets' vertices, or c_i -+ |row i of L| for an ellipsoid c + L y,
-    |y| <= 1."""
-    facets = _planar_facets(body)
-    if facets is not None:
-        corners = facets[0].reshape(-1, 3)
-        return corners.min(axis=0), corners.max(axis=0)
-    reach = np.linalg.norm(body.lin, axis=1)
-    return body.center - reach, body.center + reach
-
-
 def volume_voxel_oracle(body, resolution: int = 128) -> MeasureResult:
     """Volume from membership tests alone, structurally independent of
     ``volume``: the product trapezoid rule on the (resolution + 1)^3
@@ -547,7 +535,8 @@ def volume_voxel_oracle(body, resolution: int = 128) -> MeasureResult:
         raise ValueError("volume_voxel_oracle needs resolution >= 8")
     if (resolution + 1) ** 3 > 1 << 32:
         raise ValueError(f"voxel resolution {resolution} asks for more than 2^32 lattice points")
-    lo, hi = _bounding_box(body)
+    # the axis-aligned bounding box, from the body's support on +-e_i
+    lo, hi = -body.support(-np.eye(3)), body.support(np.eye(3))
     xs, ys, zs = (np.linspace(a, b, resolution + 1) for a, b in zip(lo, hi))
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
     plane = np.column_stack([xx.ravel(), yy.ravel(), np.empty(xx.size)])

@@ -6,15 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_acceptance_bodies, random_line, random_motion
+from conftest import forget_line_pass, make_acceptance_bodies, random_line, random_motion
 from h1geom import (
     Ball,
     Box,
     CapabilityError,
+    ConvexBody,
     Ellipsoid,
     HorizontalLine,
     Polytope,
     PshMotion,
+    estimate_line_measure,
     line_point_at,
     motion_affine,
     p_area,
@@ -186,6 +188,17 @@ def test_bodies_are_values():
             with pytest.raises(ValueError):
                 v[...] = 0.0
             assert not v.flags.writeable, (name, k)
+        # nor can any attribute be rebound or deleted once set, so an
+        # estimate after the refused rebinding is a fresh pass's
+        before = estimate_line_measure(body, 20_000, 3)
+        for k, v in vars(body).items():
+            with pytest.raises(AttributeError):
+                setattr(body, k, v + 5.0 if isinstance(v, (np.ndarray, float)) else v)
+            with pytest.raises(AttributeError):
+                delattr(body, k)
+        again = estimate_line_measure(body, 20_000, 3)
+        forget_line_pass()
+        assert again == before == estimate_line_measure(body, 20_000, 3), name
 
 
 def test_polytope_unbounded_and_empty_raise():
@@ -263,6 +276,102 @@ def test_interior_points_and_bounds():
         assert np.all(np.hypot(inside[:, 0], inside[:, 1]) <= b.r_xy + 1e-9)
         assert np.all(inside[:, 2] >= b.z_min - 1e-9)
         assert np.all(inside[:, 2] <= b.z_max + 1e-9)
+
+
+def _sphere_points(count: int) -> np.ndarray:
+    """``count`` points spread evenly over the unit sphere (a Fibonacci
+    lattice): neighbours lie about sqrt(4 pi / count) apart."""
+    z = 1.0 - (2.0 * np.arange(count) + 1.0) / count
+    phi = np.arange(count) * math.pi * (3.0 - math.sqrt(5.0))
+    r = np.sqrt(1.0 - z * z)
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
+def test_support_against_vertices_and_boundary_points():
+    # the acceptance bodies and three rigid images of each: a polytope's
+    # support is the largest n.v over its vertices, a quadric's the
+    # largest n.x over a dense set of boundary points c + L y, |y| = 1,
+    # which falls short of it by at most about |L| spacing^2 / 2
+    rng = np.random.default_rng(404)
+    directions = np.vstack([np.eye(3), -np.eye(3), rng.normal(size=(40, 3))])
+    directions[6:] /= np.linalg.norm(directions[6:], axis=1, keepdims=True)
+    directions[-1] *= 2.5  # support is positively homogeneous
+    sphere = _sphere_points(50_000)
+    for name, body in BODIES.items():
+        images = [transform_body(random_motion(rng, 1.0), body) for _ in range(3)]
+        for k, b in enumerate([body, *images]):
+            support = b.support(directions)
+            assert support.shape == (len(directions),)
+            if isinstance(b, Polytope):
+                want = np.einsum("vk,nk->nv", b.vertices, directions).max(axis=1)
+                np.testing.assert_allclose(support, want, rtol=0, atol=1e-12, err_msg=name)
+                continue
+            boundary = b.center + sphere @ b.lin.T
+            assert np.allclose(b.contains_batch(boundary, tol=1e-12), True), (name, k)
+            dense = (boundary @ directions.T).max(axis=0)
+            reach = np.linalg.norm(b.lin, ord=2) * np.linalg.norm(directions, axis=1)
+            gap = support - dense
+            assert np.all(gap >= -1e-12 * reach), (name, k, gap.min())
+            assert np.all(gap <= 1e-4 * reach), (name, k, gap.max())
+
+
+class _SupportOnly(ConvexBody):
+    """A body known only by its support function, as a new body kind
+    would be before it grows any other query."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def support(self, directions):
+        return self.body.support(directions)
+
+    contains_batch = chord_batch = contains_body = bounds = volume_exact = None
+
+
+def test_contains_body_table():
+    # each inner in each outer, at the origin and moved 999 along x: the
+    # decisions do not move with the pair, and the box that sticks out of
+    # the outer box by 5e-7 is refused there
+    poly = BODIES["polytope"]
+
+    def pair_table(x):
+        inners = {
+            "ball": Ball((x, 0.0, 0.0), 0.4),
+            "ellipsoid": Ellipsoid((x + 0.05, 0.0, 0.0), (0.4, 0.3, 0.35)),
+            "box": Box((x - 0.3, -0.3, -0.3), (x + 0.3, 0.3, 0.3)),
+            "box out": Box((x, -0.2, -0.2), (x + 0.5000005, 0.2, 0.2)),
+        }
+        outers = {
+            "box": Box((x - 0.5, -0.5, -0.5), (x + 0.5, 0.5, 0.5)),
+            "ball": Ball((x, 0.0, 0.0), 0.5),
+            "polytope": Polytope(poly.normals, poly.offsets + x * poly.normals[:, 0]),
+            "ellipsoid": Ellipsoid((x, 0.0, 0.0), (0.6, 0.45, 0.45)),
+        }
+        return {
+            (o, i): outer.contains_body(inner)
+            for o, outer in outers.items()
+            for i, inner in inners.items()
+        }
+
+    nested = {
+        ("box", "ball"), ("box", "ellipsoid"), ("box", "box"),
+        ("ball", "ball"), ("ball", "ellipsoid"),
+        ("polytope", "ball"), ("polytope", "ellipsoid"), ("polytope", "box"),
+        ("polytope", "box out"),
+        ("ellipsoid", "ball"), ("ellipsoid", "ellipsoid"),
+    }
+    for x in (0.0, 999.0):
+        table = pair_table(x)
+        assert len(table) == 16
+        assert {pair for pair, inside in table.items() if inside} == nested, x
+        assert all(type(inside) is bool for inside in table.values())
+    # a polytope nests any body by its support; an ellipsoid nests only
+    # polytopes and ellipsoids
+    small = _SupportOnly(Ball((0.0, 0.0, 0.0), 0.4))
+    assert poly.contains_body(small)
+    assert not Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)).contains_body(small)
+    with pytest.raises(CapabilityError):
+        Ball((0.0, 0.0, 0.0), 1.0).contains_body(small)
 
 
 def test_chord_membership_consistency():
@@ -465,14 +574,15 @@ def line_rays(p, theta, t) -> tuple[np.ndarray, np.ndarray]:
 
 def reference_ellipsoid_chords(body: Ellipsoid, p, theta, t):
     """The quadric chord from (N, 3) stacks: map the line's base point
-    and velocity to the unit ball's frame and solve |w + s u|^2 = 1."""
+    and velocity to the unit ball's frame and solve |w + s u|^2 = 1,
+    a s^2 + 2 h s + c = 0 with h = w.u."""
     base, u = line_rays(p, theta, t)
     wq = (base - body.center) @ np.linalg.inv(body.lin).T
     uq = u @ np.linalg.inv(body.lin).T
     a = np.sum(uq * uq, axis=-1)
-    b = 2.0 * np.sum(wq * uq, axis=-1)
+    h = np.sum(wq * uq, axis=-1)
     c = np.sum(wq * wq, axis=-1) - 1.0
-    return _solve_chord_quadratic(a, b, c)
+    return _solve_chord_quadratic(a, h, c)
 
 
 def full_quadric_chords(body: Ellipsoid, p, theta, t):

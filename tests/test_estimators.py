@@ -269,10 +269,7 @@ def test_containment_nesting_tolerance_is_translation_invariant():
             with pytest.raises(ContainmentError):
                 containment_probability(inner, outer, 0.0, 1000)
     # an internally tangent ball far from the t-axis is still nested
-    outer = Ball((1000.0, 0.0, 0.0), 1.0)
-    assert estimators._nested(
-        Ball((1000.5, 0.0, 0.0), 0.5), outer, estimators._nesting_tol(outer)
-    )
+    assert Ball((1000.0, 0.0, 0.0), 1.0).contains_body(Ball((1000.5, 0.0, 0.0), 0.5))
 
 
 def test_sub_block_sums_are_bitwise_whole_block_sums():
@@ -494,9 +491,12 @@ def test_monte_carlo_error_bars_cover(acceptance_bodies, acceptance_references):
         hit_in, hit_out = (
             TWO_PI * volume(b).value + 2.0 * ell * p_area(b).value for b in (inner, BALL)
         )
-        estimates["ball in ball", f"containment at {ell}"] = functools.partial(
-            containment_probability, inner, BALL, ell, 1000, reference=hit_in / hit_out
-        )
+        for stratify in (False, True):
+            tag = " stratified" if stratify else ""
+            estimates["ball in ball", f"containment at {ell}{tag}"] = functools.partial(
+                containment_probability, inner, BALL, ell, 1000,
+                reference=hit_in / hit_out, stratify=stratify,
+            )
     z = {key: [] for key in estimates}
     for seed in range(300):
         for key, estimate in estimates.items():

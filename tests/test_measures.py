@@ -97,10 +97,10 @@ def test_voxel_oracle(monkeypatch):
 
     # a lattice of more than 2^32 points (1626^3 at resolution 1625) is
     # refused before the lattice's bounding box is even computed
-    def no_lattice(body):
+    def no_lattice(body, directions):
         raise AssertionError("an oversized lattice reached the allocation")
 
-    monkeypatch.setattr(measures, "_bounding_box", no_lattice)
+    monkeypatch.setattr(type(BODIES["ball"]), "support", no_lattice)
     for resolution in (1625, 20_000):
         with pytest.raises(ValueError, match="2\\^32"):
             volume_voxel_oracle(BODIES["ball"], resolution=resolution)
