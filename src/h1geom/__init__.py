@@ -29,7 +29,6 @@ from .core import (
 )
 from .bodies import (
     Ball,
-    BoundingData,
     Box,
     CapabilityError,
     ConvexBody,
@@ -84,7 +83,6 @@ __all__ = [
     "levi_length",
     "levi_length_fixed_plane",
     "CapabilityError",
-    "BoundingData",
     "ConvexBody",
     "Ball",
     "Ellipsoid",

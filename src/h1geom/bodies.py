@@ -10,7 +10,9 @@ what the kinematic identities integrate.
 
 Membership (``contains_batch``), chords and the support function
 (``support``) are vectorized queries, and callers ask them, not a
-body's type: the voxel oracle's box is the support on +-e_i, and
+body's type: the voxel oracle's box is the support on +-e_i, the line
+window's t-extent the support on +-e_3 (its p-extent is
+``horizontal_reach``), the p-Area takes a planar body's ``facets``, and
 ``outer.contains_body(inner)`` decides nesting with the outer body's
 own slack (a polytope by the inner body's support on its facet normals,
 whatever the inner kind).  A body is a value: each attribute is set
@@ -35,7 +37,6 @@ from __future__ import annotations
 import abc
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .core import PshMotion, motion_affine
 
 __all__ = [
     "CapabilityError",
-    "BoundingData",
     "ConvexBody",
     "Ball",
     "Ellipsoid",
@@ -66,16 +66,6 @@ def _cross(a, b):
 
 class CapabilityError(Exception):
     """Raised when an operation is not supported for a body type."""
-
-
-@dataclass(frozen=True)
-class BoundingData:
-    """Cylindrical bounds: the body lies in {x^2 + y^2 <= r_xy^2,
-    z_min <= t <= z_max}."""
-
-    r_xy: float
-    z_min: float
-    z_max: float
 
 
 def _combine(coeffs, arrays, out, scratch):
@@ -147,10 +137,11 @@ def _solve_chord_quadratic(a, h, c):
 
 class ConvexBody(abc.ABC):
     """Interface shared by all bodies: membership, chords, support,
-    nesting, bounds and closed-form volume.  A body is a value, which the
-    estimators' last line pass is keyed on by identity: each attribute is
-    set once, and an array becomes read-only as it is set, so a body
-    keeps read-only copies of the arrays it is built from and derives."""
+    nesting, horizontal reach, facets and closed-form volume.  A body is
+    a value, which the estimators' last line pass is keyed on by
+    identity: each attribute is set once, and an array becomes read-only
+    as it is set, so a body keeps read-only copies of the arrays it is
+    built from and derives."""
 
     def __setattr__(self, name, value):
         if name in self.__dict__:
@@ -185,8 +176,14 @@ class ConvexBody(abc.ABC):
         Where hit is False the endpoints are meaningless."""
 
     @abc.abstractmethod
-    def bounds(self) -> BoundingData:
-        ...
+    def horizontal_reach(self) -> float:
+        """A bound on |(x, y)| over the body: the radius of a vertical
+        cylinder about the t-axis that holds it."""
+
+    def facets(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The boundary as flat triangles (T, 3, 3) and their outward unit
+        normals (T, 3), or None for a curved body."""
+        return None
 
     @abc.abstractmethod
     def volume_exact(self) -> float:
@@ -328,29 +325,13 @@ class Ellipsoid(ConvexBody):
         c -= 1.0
         return _solve_chord_quadratic(a, h, c)
 
-    def bounds(self):
-        cx, cy, cz = self.center
+    def horizontal_reach(self):
         # max over the unit sphere of |(lin @ n)_xy| is the top 2x3
-        # block's spectral norm; the z-extent is the bottom row's norm
-        r_xy = math.hypot(cx, cy) + float(np.linalg.norm(self.lin[:2, :], ord=2))
-        dz = float(np.linalg.norm(self.lin[2, :]))
-        return BoundingData(r_xy=r_xy, z_min=cz - dz, z_max=cz + dz)
+        # block's spectral norm
+        return math.hypot(*self.center[:2]) + float(np.linalg.norm(self.lin[:2, :], ord=2))
 
     def volume_exact(self):
         return 4.0 / 3.0 * math.pi * abs(float(np.linalg.det(self.lin)))
-
-    def quadratic_form(self) -> np.ndarray:
-        """Symmetric 4x4 matrix Q of the homogeneous quadric: with
-        X = (1, x, y, t), the body is { X^T Q X <= 0 }.  Rigid-motion
-        images of balls and ellipsoids stay exact in this form."""
-        m = self._metric
-        mc = m @ self.center
-        q = np.empty((4, 4))
-        q[0, 0] = float(self.center @ mc) - 1.0
-        q[0, 1:] = -mc
-        q[1:, 0] = -mc
-        q[1:, 1:] = m
-        return q
 
 
 class Ball(Ellipsoid):
@@ -437,7 +418,8 @@ class Polytope(ConvexBody):
     H = 8, 20, 50, 100 and 200.  Ends found from different edges are one
     vertex when they lie on the same set of planes (within 1e-9 of the
     largest |d_i|).  Each distinct plane holding at least three vertices
-    is a facet.  One lexsort of every (facet, vertex) incidence by facet
+    is a facet, and only the facets are kept as ``normals`` and
+    ``offsets``.  One lexsort of every (facet, vertex) incidence by facet
     and by angle about the facet's centre orders all the rings at once;
     each ring is fanned into triangles from its first vertex, and the
     volume is the sum of the fan tetrahedra against the vertex centroid.
@@ -453,25 +435,28 @@ class Polytope(ConvexBody):
         scales = np.linalg.norm(normals, axis=1)
         if (scales == 0.0).any():
             raise ValueError("Polytope halfspace normals must be nonzero")
-        self.normals = normals / scales[:, None]
-        self.offsets = offsets / scales
-        if np.linalg.matrix_rank(self.normals) < 3:
+        normals = normals / scales[:, None]
+        offsets = offsets / scales
+        if np.linalg.matrix_rank(normals) < 3:
             raise ValueError("Polytope is unbounded")
-        tol = 1e-9 * float(np.abs(self.offsets).max())
-        ends = _hull_edges(self.normals, self.offsets, tol).reshape(-1, 3)
+        tol = 1e-9 * float(np.abs(offsets).max())
+        ends = _hull_edges(normals, offsets, tol).reshape(-1, 3)
         if not len(ends):
             raise ValueError("Polytope has empty interior")
         # ends of one vertex reached along different edges differ by
         # round-off only, and lie on the same planes
-        active = np.abs(ends @ self.normals.T - self.offsets) <= tol
+        active = np.abs(ends @ normals.T - offsets) <= tol
         first = _distinct_rows(active)
         self._vertices, active = ends[first], active[first]
         centroid = self._vertices.mean(axis=0)
-        if np.min(self.offsets - self.normals @ centroid) <= tol:
+        if np.min(offsets - normals @ centroid) <= tol:
             raise ValueError("Polytope has empty interior")
-        # duplicate halfspaces hold the same vertices: one facet per set
+        # duplicate halfspaces hold the same vertices: one facet per set,
+        # and only the facets' halfspaces are kept, so a redundant one
+        # costs no clip per line
         planes = np.sort(_distinct_rows(active.T))
         planes = planes[np.count_nonzero(active[:, planes], axis=0) >= 3]
+        self.normals, self.offsets = normals[planes], offsets[planes]
         # the (facet, vertex) incidences, facet by facet, each ring ordered
         # by its angle about the ring's mean in the facet's own frame
         facet, vertex = np.nonzero(active[:, planes].T)
@@ -479,9 +464,8 @@ class Polytope(ConvexBody):
         start = np.cumsum(count) - count
         ring = self._vertices[vertex]
         rel = ring - (np.add.reduceat(ring, start) / count[:, None])[facet]
-        normal = self.normals[planes]
         e1 = rel[start] / np.linalg.norm(rel[start], axis=1, keepdims=True)
-        e2 = _cross(normal, e1)
+        e2 = _cross(self.normals, e1)
         angle = np.arctan2(np.sum(rel * e2[facet], axis=1), np.sum(rel * e1[facet], axis=1))
         ring = ring[np.lexsort((angle, facet))]
         # fan each ring from its first vertex: one triangle per vertex
@@ -490,7 +474,7 @@ class Polytope(ConvexBody):
         middle[start] = middle[start + count - 1] = False
         middle = np.flatnonzero(middle)
         self._triangles = np.stack([ring[start[facet[middle]]], ring[middle], ring[middle + 1]], axis=1)
-        self._facet_normals = normal[facet[middle]]
+        self._facet_normals = self.normals[facet[middle]]
         # each ring runs counterclockwise about its outward normal, so every
         # fan tetrahedron on the centroid has a positive volume
         a, b, c = (self._triangles - centroid).transpose(1, 0, 2)
@@ -554,13 +538,11 @@ class Polytope(ConvexBody):
         hit &= np.isfinite(s_hi, out=finite)
         return s_lo, s_hi, hit
 
-    def bounds(self):
-        v = self._vertices
-        return BoundingData(
-            r_xy=float(np.max(np.hypot(v[:, 0], v[:, 1]))),
-            z_min=float(np.min(v[:, 2])),
-            z_max=float(np.max(v[:, 2])),
-        )
+    def horizontal_reach(self):
+        return float(np.max(np.hypot(self._vertices[:, 0], self._vertices[:, 1])))
+
+    def facets(self):
+        return self._triangles, self._facet_normals
 
     def volume_exact(self):
         return self._volume
@@ -603,16 +585,6 @@ class Box(Polytope):
         return float(np.prod(self.hi - self.lo))
 
 
-def _transform_halfspaces(m: PshMotion, normals, offsets):
-    """Push halfspaces n.x <= d through x |-> A x + q: the image is
-    (A^{-T} n) . y <= d + (A^{-T} n) . q."""
-    a_mat, q = motion_affine(m)
-    a_inv_t = np.linalg.inv(a_mat).T
-    new_normals = normals @ a_inv_t.T
-    new_offsets = offsets + new_normals @ q
-    return new_normals, new_offsets
-
-
 def transform_body(m: PshMotion, body: ConvexBody) -> ConvexBody:
     """The image of a body under a rigid motion, as a body of the richest
     type that represents it exactly.
@@ -631,5 +603,7 @@ def transform_body(m: PshMotion, body: ConvexBody) -> ConvexBody:
     if isinstance(body, Box) and vertical and m.alpha == 0.0:
         return Box(body.lo + q, body.hi + q)
     if isinstance(body, Polytope):
-        return Polytope(*_transform_halfspaces(m, body.normals, body.offsets))
+        # the facets n.x <= d map to (A^{-T} n).y <= d + (A^{-T} n).q
+        normals = body.normals @ np.linalg.inv(a_mat)
+        return Polytope(normals, body.offsets + normals @ q)
     raise CapabilityError(f"transform_body does not support {type(body).__name__}")

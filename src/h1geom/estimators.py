@@ -178,18 +178,20 @@ def line_window(body: ConvexBody) -> LineWindow:
     """A window guaranteed to contain every line meeting the body.
 
     If a line meets the body at a point with cylinder coordinates
-    |xy| <= r and height z, then p <= r (p is the distance of the
-    projected line from the origin) and, since p^2 + s^2 <= r^2 at the
-    meeting parameter s, the base height t = z - s p lies within r^2 of
-    z.  The box is inflated by 1e-9 of the body's scale so boundary cases
-    stay strictly inside.
+    |xy| <= r (r the body's ``horizontal_reach``) and height z in
+    [z_min, z_max] (its support on -+e3), then p <= r (p is the distance
+    of the projected line from the origin) and, since p^2 + s^2 <= r^2 at
+    the meeting parameter s, the base height t = z - s p lies within r^2
+    of z.  The box is inflated by 1e-9 of the body's scale so boundary
+    cases stay strictly inside.
     """
-    b = body.bounds()
-    r = b.r_xy
-    scale = max(1.0, r, r * r, abs(b.z_min), abs(b.z_max))
+    r = body.horizontal_reach()
+    low, high = body.support(np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])).tolist()
+    z_min = -low
+    scale = max(1.0, r, r * r, abs(z_min), abs(high))
     pad = 1e-9 * scale
     return LineWindow(
-        p_max=r + pad, t_lo=b.z_min - r * r - pad, t_hi=b.z_max + r * r + pad
+        p_max=r + pad, t_lo=z_min - r * r - pad, t_hi=high + r * r + pad
     )
 
 

@@ -13,9 +13,9 @@ horizontal lines meeting a convex body equals twice its p-Area.
 
 ``volume`` returns the body's closed form, which every body has.
 ``p_area`` is exact for planar bodies, whose boundary it takes as one
-array of flat triangles: a polytope's stored facet fans, of which a box
-has twelve.  A vertical facet has the constant |N_H| = |(n1, n2)|.
-On any other facet with unit normal n,
+array of flat triangles from ``body.facets()``: a polytope's stored
+facet fans, of which a box has twelve.  A vertical facet has the
+constant |N_H| = |(n1, n2)|.  On any other facet with unit normal n,
 |N_H| equals |n3| * |(x, y) - c| with c = (n2/n3, -n1/n3) and
 dA = dx dy / |n3|, so the facet contributes the integral of the
 distance to c over its xy-projection: a sum of closed-form fan terms
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Polytope, _cross
+from .bodies import _cross
 
 __all__ = [
     "MeasureResult",
@@ -475,15 +475,6 @@ def _planar_p_area(triangles: np.ndarray, normals: np.ndarray) -> float:
     return total
 
 
-def _planar_facets(body):
-    """The boundary of a planar body as flat triangles (T, 3, 3) and their
-    outward unit normals (T, 3), or None when it is curved.  Every planar
-    body is a Polytope: a Box is one, and so is every rigid image of one."""
-    if isinstance(body, Polytope):
-        return body._triangles, body._facet_normals
-    return None
-
-
 def p_area(body, method: str = "auto", rel_tol: float = 1e-6) -> MeasureResult:
     """Sub-Riemannian perimeter (p-Area) of a convex body: the integral of
     |N_H| over the boundary.
@@ -507,7 +498,7 @@ def p_area(body, method: str = "auto", rel_tol: float = 1e-6) -> MeasureResult:
     if method not in ("auto", "line"):
         raise ValueError(f"unknown p_area method {method!r}")
     _check_rel_tol(rel_tol)
-    facets = _planar_facets(body)
+    facets = body.facets()
     if method == "line":
         if facets is not None:
             return _refine(functools.partial(_planar_line_rule, *facets), rel_tol, "line-rule")

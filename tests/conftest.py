@@ -48,6 +48,28 @@ def make_acceptance_bodies() -> dict:
     }
 
 
+def cylinder(body) -> tuple[float, float, float]:
+    """(r, z_min, z_max) with the body inside |(x, y)| <= r,
+    z_min <= t <= z_max: its horizontal reach and its support on -+e3."""
+    low, high = body.support(np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]]))
+    return body.horizontal_reach(), -low, high
+
+
+def quadratic_form(body) -> np.ndarray:
+    """The symmetric 4x4 matrix Q of an ellipsoid's homogeneous quadric,
+    from its center c and linear map L: with X = (1, x, y, t) the body
+    is {X^T Q X <= 0}, that is (x - c)^T M (x - c) <= 1 with
+    M = L^{-T} L^{-1}."""
+    inv = np.linalg.inv(body.lin)
+    m = inv.T @ inv
+    mc = m @ body.center
+    q = np.empty((4, 4))
+    q[0, 0] = float(body.center @ mc) - 1.0
+    q[0, 1:] = q[1:, 0] = -mc
+    q[1:, 1:] = m
+    return q
+
+
 def forget_line_pass() -> None:
     """Empty the estimators' slot for the last line pass, so that the next
     line estimate draws its own lines: a test comparing two computations

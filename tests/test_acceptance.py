@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from conftest import forget_line_pass, random_motion
+from conftest import cylinder, forget_line_pass, random_motion
 from h1geom import (
     Ball,
     HorizontalLine,
@@ -338,9 +338,10 @@ def test_criterion_7_exact_identities(acceptance_bodies, capsys):
     mismatches = 0
     for body in acceptance_bodies.values():
         n = 2500
-        p = rng.uniform(0.0, body.bounds().r_xy, n)
+        r, z_min, z_max = cylinder(body)
+        p = rng.uniform(0.0, r, n)
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
-        t = rng.uniform(body.bounds().z_min - 1.0, body.bounds().z_max + 1.0, n)
+        t = rng.uniform(z_min - 1.0, z_max + 1.0, n)
         s_lo, s_hi, hit = body.chord_batch(p, theta, t)
         ct, st = np.cos(theta), np.sin(theta)
 

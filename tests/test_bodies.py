@@ -1,4 +1,5 @@
-"""Convex bodies: membership, exact chords, bounds, and rigid images."""
+"""Convex bodies: membership, exact chords, support and reach, and rigid
+images."""
 
 import itertools
 import math
@@ -6,7 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import forget_line_pass, make_acceptance_bodies, random_line, random_motion
+from conftest import (
+    cylinder,
+    forget_line_pass,
+    make_acceptance_bodies,
+    quadratic_form,
+    random_line,
+    random_motion,
+)
 from h1geom import (
     Ball,
     Box,
@@ -264,18 +272,36 @@ def test_polytope_cube_matches_box():
     assert np.allclose(hi_a[hit_a], hi_b[hit_b], atol=1e-9)
 
 
+def test_polytope_keeps_one_halfspace_per_facet():
+    # the unit cube with a redundant halfspace and a repeated face (given
+    # at twice the scale) keeps the cube's six halfspaces, so its chords
+    # are bitwise the plain cube's; a rigid image keeps six as well
+    cube = unit_cube_polytope()
+    normals = np.vstack([cube.normals, [[1.0, 1.0, 1.0], [0.0, 2.0, 0.0]]])
+    redundant = Polytope(normals, np.concatenate([cube.offsets, [10.0, 2.0]]))
+    assert np.array_equal(redundant.normals, cube.normals)
+    assert np.array_equal(redundant.offsets, cube.offsets)
+    p, theta, t = random_planar_lines(np.random.default_rng(4474), cube)
+    for a, b in zip(redundant.chord_batch(p, theta, t), cube.chord_batch(p, theta, t)):
+        assert np.array_equal(a, b)
+    assert redundant.volume_exact() == pytest.approx(cube.volume_exact(), rel=1e-14, abs=0.0)
+    assert p_area(redundant).value == pytest.approx(p_area(cube).value, rel=1e-14, abs=0.0)
+    image = transform_body(random_motion(np.random.default_rng(4475), 1.0), redundant)
+    assert len(image.normals) == 6
+
+
 def test_interior_points_and_bounds():
     rng = np.random.default_rng(555)
     for name, body in BODIES.items():
         c = inner_point(body)
         assert body.contains_batch(c[None])[0]
-        b = body.bounds()
+        r, z_min, z_max = cylinder(body)
         pts = c + rng.uniform(-3.0, 3.0, size=(4000, 3))
         inside = pts[body.contains_batch(pts)]
         assert len(inside) > 0, name
-        assert np.all(np.hypot(inside[:, 0], inside[:, 1]) <= b.r_xy + 1e-9)
-        assert np.all(inside[:, 2] >= b.z_min - 1e-9)
-        assert np.all(inside[:, 2] <= b.z_max + 1e-9)
+        assert np.all(np.hypot(inside[:, 0], inside[:, 1]) <= r + 1e-9)
+        assert np.all(inside[:, 2] >= z_min - 1e-9)
+        assert np.all(inside[:, 2] <= z_max + 1e-9)
 
 
 def _sphere_points(count: int) -> np.ndarray:
@@ -325,7 +351,7 @@ class _SupportOnly(ConvexBody):
     def support(self, directions):
         return self.body.support(directions)
 
-    contains_batch = chord_batch = contains_body = bounds = volume_exact = None
+    contains_batch = chord_batch = contains_body = horizontal_reach = volume_exact = None
 
 
 def test_contains_body_table():
@@ -380,9 +406,10 @@ def test_chord_membership_consistency():
     rng = np.random.default_rng(321)
     n = 10_000
     for name, body in BODIES.items():
-        p = rng.uniform(0.0, body.bounds().r_xy, n)
+        r, z_min, z_max = cylinder(body)
+        p = rng.uniform(0.0, r, n)
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
-        t = rng.uniform(body.bounds().z_min - 1.0, body.bounds().z_max + 1.0, n)
+        t = rng.uniform(z_min - 1.0, z_max + 1.0, n)
         s_lo, s_hi, hit = body.chord_batch(p, theta, t)
         solid = hit & ((s_hi - s_lo) > 1e-6)
         ct, st = np.cos(theta), np.sin(theta)
@@ -512,7 +539,7 @@ def test_chord_length_is_motion_invariant():
 
 def test_quadratic_form():
     e = BODIES["ellipsoid"]
-    q = e.quadratic_form()
+    q = quadratic_form(e)
     assert q.shape == (4, 4) and np.allclose(q, q.T)
 
     def qval(pts):
@@ -538,7 +565,7 @@ def test_quadratic_form_of_rigid_image():
     m = random_motion(rng, 1.5)
     img = transform_body(m, ball)
     assert isinstance(img, Ellipsoid)
-    q = img.quadratic_form()
+    q = quadratic_form(img)
     a_mat, qvec = motion_affine(m)
     u = rng.normal(size=(500, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -625,10 +652,10 @@ def test_ellipsoid_chords_match_stacked_reference():
         quadrics[f"ellipsoid-image{k}"] = image
     n = 10_000
     for name, body in quadrics.items():
-        b = body.bounds()
-        p = rng.uniform(0.0, b.r_xy, n)
+        r, z_min, z_max = cylinder(body)
+        p = rng.uniform(0.0, r, n)
         theta = rng.uniform(0.0, 2.0 * math.pi, n)
-        t = rng.uniform(b.z_min - 1.0, b.z_max + 1.0, n)
+        t = rng.uniform(z_min - 1.0, z_max + 1.0, n)
         # lines on the axis and lines at theta = 0 make products of +-0
         p[: n // 10] = 0.0
         theta[n // 10 : n // 5] = 0.0
@@ -715,10 +742,10 @@ def lines_arrays(lines):
 def random_planar_lines(rng, body: Polytope, n=10_000):
     """n lines over the body's window: a tenth at theta in {0, pi/2, pi,
     3 pi/2}, a tenth at p = 0 and a tenth with both."""
-    b = body.bounds()
-    p = rng.uniform(0.0, b.r_xy, n)
+    r, z_min, z_max = cylinder(body)
+    p = rng.uniform(0.0, r, n)
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    t = rng.uniform(b.z_min - 1.0, b.z_max + 1.0, n)
+    t = rng.uniform(z_min - 1.0, z_max + 1.0, n)
     k = n // 10
     quarter_turns = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
     theta[:k] = rng.choice(quarter_turns, k)

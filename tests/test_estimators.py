@@ -48,6 +48,37 @@ def test_line_window_examples():
     assert abs(w.t_lo + 2.0) < 1e-6 and abs(w.t_hi - 3.0) < 1e-6
 
 
+def _cylinder_window(body):
+    """The window of the cylinder that the bodies once gave as bounding
+    data: r from the vertices' largest |(x, y)| or |c_xy| + |L[:2, :]|_2,
+    the z-extent from the vertices or c_z -+ |L[2, :]|."""
+    if isinstance(body, Ellipsoid):
+        cx, cy, cz = body.center
+        r = math.hypot(cx, cy) + float(np.linalg.norm(body.lin[:2, :], ord=2))
+        dz = float(np.linalg.norm(body.lin[2, :]))
+        z_min, z_max = cz - dz, cz + dz
+    else:
+        v = body.vertices
+        r = float(np.max(np.hypot(v[:, 0], v[:, 1])))
+        z_min, z_max = float(np.min(v[:, 2])), float(np.max(v[:, 2]))
+    pad = 1e-9 * max(1.0, r, r * r, abs(z_min), abs(z_max))
+    return LineWindow(p_max=r + pad, t_lo=z_min - r * r - pad, t_hi=z_max + r * r + pad)
+
+
+def test_line_window_is_the_cylinder_window(acceptance_bodies):
+    # the window from horizontal_reach and the support on -+e3 is bitwise
+    # the cylinder's on the acceptance bodies and three images of each
+    rng = np.random.default_rng(9)
+    for name, body in acceptance_bodies.items():
+        images = [transform_body(random_motion(rng, 1.0), body) for _ in range(3)]
+        for k, b in enumerate([body, *images]):
+            got, want = line_window(b), _cylinder_window(b)
+            for field in ("p_max", "t_lo", "t_hi"):
+                assert float(getattr(got, field)).hex() == float(getattr(want, field)).hex(), (
+                    name, k, field,
+                )
+
+
 def test_line_window_measure():
     w = LineWindow(2.0, -1.0, 3.0)
     assert w.measure == 2.0 * (TWO_PI * 2.0 * 4.0)
@@ -459,13 +490,20 @@ def test_grid_estimators(acceptance_bodies, acceptance_references):
             assert 0.75 <= rms <= 1.4, (name, key, rms)
 
 
+def _sweep_row(body, k, reference, stratify, seed):
+    """Row k of the sweep at ell = 0.5, 1.5 and 4, n = 1000, against the
+    given reference."""
+    sweep = estimate_segment_hit_sweep(body, (0.5, 1.5, 4.0), 1000, seed, stratify=stratify)
+    return dataclasses.replace(sweep.rows[k], reference=reference)
+
+
 def test_monte_carlo_error_bars_cover(acceptance_bodies, acceptance_references):
     # 300 fixed seeds at n = 1000 per body and estimate: a z of an honest
     # error bar has rms near 1 (0.92 to 1.08 at two standard errors of
     # the rms when z is normal) and stays well inside 5.  Seeds are the
     # outer loop and each body's line estimates come together, plain then
-    # stratified, so the four of them at one seed share one pass, as they
-    # do for a user who keeps the seed
+    # stratified, so the four of them and the sweep's three rows at one
+    # seed share one pass, as they do for a user who keeps the seed
     estimates = {}
     for name, body in acceptance_bodies.items():
         vol, pa = acceptance_references[name]
@@ -479,6 +517,11 @@ def test_monte_carlo_error_bars_cover(acceptance_bodies, acceptance_references):
             ):
                 estimates[name, key + tag] = functools.partial(
                     estimate, body, *args, 1000, reference=reference, stratify=stratify
+                )
+            # the sweep's rows, from the pass the estimates above share
+            for k, ell in enumerate((0.5, 1.5, 4.0)):
+                estimates[name, f"sweep at {ell}{tag}"] = functools.partial(
+                    _sweep_row, body, k, TWO_PI * vol + 2.0 * ell * pa, stratify
                 )
         # the measure of segments inside the body at ell = 0 is 2 pi V
         estimates[name, "containment measure at 0"] = functools.partial(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import make_acceptance_bodies, random_motion
+from conftest import make_acceptance_bodies, quadratic_form, random_motion
 import h1geom.measures as measures
 from h1geom import (
     Ball,
@@ -586,7 +586,7 @@ def test_characteristic_points_are_the_chart_poles():
         north, south = measures._characteristic_directions(image.center, image.lin)
         pts = image.center + np.array([north, south]) @ image.lin.T
         lifted = np.column_stack([np.ones(2), pts])
-        homog = lifted @ image.quadratic_form()
+        homog = lifted @ quadratic_form(image)
         # on the surface, where the quadric's gradient is the normal
         assert np.all(np.abs(np.sum(homog * lifted, axis=1)) < 1e-12)
         normals = homog[:, 1:] / np.linalg.norm(homog[:, 1:], axis=1, keepdims=True)
