@@ -18,12 +18,14 @@ own slack (a polytope by the inner body's support on its facet normals,
 whatever the inner kind).  A body is a value: each attribute is set
 once, and each array is read-only.  A chord solves one quadratic
 (ellipsoids, of which a ball is the case lin = r I, and their images
-under rigid motions) or clips the line against one halfspace at a time
-(polytopes, of which a box is the case of the six axis halfspaces, and
-their images), so chords are exact to round-off, not root-finding
-approximations.  Both kernels take the line's direction (cos theta, sin
-theta) from one half-angle tangent per line (``_direction``), within a
-few ulp of cos and sin.  The ``tol`` of ``contains_batch`` inflates a
+under rigid motions) or clips the line against the facets, a pair of
+opposite facets as one slab (polytopes, of which a box is the case of
+the six axis halfspaces, and their images), so chords are exact to
+round-off, not root-finding approximations.  A polytope with a facet
+that has no opposite clips only the lines that meet its bounding ball.
+Both kernels take the line's direction (cos theta, sin theta) from one
+half-angle tangent per line (``_direction``), within a few ulp of cos
+and sin.  The ``tol`` of ``contains_batch`` inflates a
 quadric by the factor 1 + tol about its center (r * tol in distance for
 a ball) and a box or polytope by tol in distance.
 
@@ -173,7 +175,9 @@ class ConvexBody(abc.ABC):
         self, p: np.ndarray, theta: np.ndarray, t: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Chord endpoints (s_lo, s_hi) and hit mask for line arrays.
-        Where hit is False the endpoints are meaningless."""
+        Where hit is False the endpoints are meaningless; a polytope
+        gives NaN, which raises no numpy warning in arithmetic, for a
+        line that misses its bounding ball."""
 
     @abc.abstractmethod
     def horizontal_reach(self) -> float:
@@ -407,6 +411,12 @@ def _distinct_rows(rows):
     return order[new]
 
 
+# the bounding ball's radius is inflated by this share of its radius plus
+# the centre's distance from the origin, so that no line the clip would
+# count as a hit is culled by the rounding of either test
+_BALL_MARGIN = 1e-9
+
+
 class Polytope(ConvexBody):
     """Bounded intersection of halfspaces n_i . x <= d_i with nonempty
     interior.
@@ -423,7 +433,18 @@ class Polytope(ConvexBody):
     and by angle about the facet's centre orders all the rings at once;
     each ring is fanned into triangles from its first vertex, and the
     volume is the sum of the fan tetrahedra against the vertex centroid.
-    A :class:`Box` knows its own corners and its twelve face triangles."""
+    A :class:`Box` knows its own corners and its twelve face triangles.
+
+    The chord kernel clips a line against each pair of facets whose unit
+    normals are exact negatives as one slab, and against every other
+    facet alone.  With a facet left unpaired it first drops the lines
+    that miss the bounding ball (the vertex centroid, and the largest
+    vertex distance inflated by ``_BALL_MARGIN``); a dropped line reads
+    hit False with NaN ends.  A body of slabs only (a box and its rigid
+    images) skips that test, which costs it more than it saves.  Every
+    other line's hit is that of clipping one facet at a time, and so are
+    its ends, bitwise, up to the sign of a zero end where two facets'
+    ratios tie at zero."""
 
     def __init__(self, normals, offsets) -> None:
         normals = np.asarray(normals, dtype=float)
@@ -475,6 +496,7 @@ class Polytope(ConvexBody):
         middle = np.flatnonzero(middle)
         self._triangles = np.stack([ring[start[facet[middle]]], ring[middle], ring[middle + 1]], axis=1)
         self._facet_normals = self.normals[facet[middle]]
+        self._init_clip()
         # each ring runs counterclockwise about its outward normal, so every
         # fan tetrahedron on the centroid has a positive volume
         a, b, c = (self._triangles - centroid).transpose(1, 0, 2)
@@ -501,30 +523,114 @@ class Polytope(ConvexBody):
         tol = 1e-9 * float(np.max(np.linalg.norm(v - v.mean(axis=0), axis=1)))
         return bool((inner.support(self.normals) - self.offsets <= tol).all())
 
+    def _init_clip(self) -> None:
+        """What the chord kernel reads of the kept facets, as Python floats:
+        ``_slabs`` (n, d, d') for each pair of facets n.x <= d and
+        -n.x <= d' whose unit normals are exact negatives, ``_faces``
+        (n, d) for every other facet, and ``_ball`` (c, R^2), the vertex
+        centroid c and the squared largest vertex distance from it,
+        inflated by ``_BALL_MARGIN`` (None for a body whose facets all
+        pair, which the cull does not pay for)."""
+        normals, offsets = self.normals.tolist(), self.offsets.tolist()
+        # float equality, as 0.0 == -0.0; two facets never share a normal
+        index = {tuple(n): k for k, n in enumerate(normals)}
+        pairs = [
+            (i, j) for i, n in enumerate(normals) if (j := index.get(tuple(-x for x in n), -1)) > i
+        ]
+        paired = {k for pair in pairs for k in pair}
+        self._slabs = tuple((*normals[i], offsets[i], offsets[j]) for i, j in pairs)
+        self._faces = tuple(
+            (*n, d) for k, (n, d) in enumerate(zip(normals, offsets)) if k not in paired
+        )
+        if not self._faces:
+            self._ball = None
+            return
+        centroid = self._vertices.mean(axis=0)
+        rel = self._vertices - centroid
+        radius = math.sqrt(float(np.max(np.sum(rel * rel, axis=1))))
+        radius += _BALL_MARGIN * (radius + math.hypot(*centroid.tolist()))
+        self._ball = (*centroid.tolist(), radius * radius)
+
     def chord_batch(self, p, theta, t):
+        # the direction is taken once for the whole batch (see _direction);
+        # with a bounding ball only the lines that meet it are clipped,
+        # and every other line reads hit False with NaN ends
+        p = np.asarray(p, dtype=float)
+        t = np.asarray(t, dtype=float)
+        shape = np.broadcast_shapes(p.shape, np.shape(theta), t.shape)
+        ct, st = _direction(theta, shape)
+        if self._ball is None:
+            return self._clip(p, t, ct, st, shape)
+        keep = np.flatnonzero(self._meets_ball(p, t, ct, st))
+        p, t = (np.broadcast_to(a, shape).take(keep) for a in (p, t))
+        clipped = self._clip(p, t, ct.take(keep), st.take(keep), keep.shape)
+        ends = []
+        for part, fill in zip(clipped, (np.nan, np.nan, False)):
+            out = np.full(shape, fill, dtype=part.dtype)
+            out.reshape(-1)[keep] = part
+            ends.append(out)
+        return tuple(ends)
+
+    def _meets_ball(self, p, t, ct, st):
+        """Whether each line meets the bounding ball |x - c| <= R.  With
+        n = (cos, sin, 0), v = (sin, -cos, 0), q = n.c and s* = v.c, the
+        squared distance of c from the line times |u|^2 = 1 + p^2 is
+        (p - q)^2 (1 + p^2) + (t - c_3 + p s*)^2: a sum of squares, with
+        no difference of the large terms that |w|^2 |u|^2 - (w.u)^2 would
+        subtract."""
+        c0, c1, c2, r2 = self._ball
+        scale = np.multiply(p, p)
+        scale += 1.0
+        across = np.multiply(c0, ct)
+        across += np.multiply(c1, st)
+        np.subtract(p, across, out=across)
+        across *= across
+        across *= scale
+        along = np.multiply(c0, st)
+        along -= np.multiply(c1, ct)
+        along *= p
+        along += t
+        along -= c2
+        along *= along
+        across += along
+        scale *= r2
+        return across <= scale
+
+    def _clip(self, p, t, ct, st, shape):
         # the line x(s) = x0 + s u, x0 = (p cos, p sin, t), u = (sin, -cos, p),
         # meets n.x <= d where s den >= num, den = -n.u and num = n.x0 - d:
         # a lower bound num / den on entering halfspaces (den > 0), an
-        # upper one on leaving halfspaces (den < 0).  side = +-inf by the
-        # sign of den routes each ratio: min(ratio, side) is the ratio or
+        # upper one on leaving halfspaces (den < 0).  A slab n.x <= d,
+        # -n.x <= d' shares den and n.x0: its two ratios (n.x0 - d) / den
+        # and -((-d' - n.x0) / den), the second bitwise the opposite
+        # facet's own (-n.x0 - d') / (-den) with its signed zeros
+        # (negation is exact), bound s from below by their minimum and
+        # from above by their maximum.  A lone facet's side = +-inf by the
+        # sign of den routes its ratio: min(ratio, side) is the ratio or
         # -inf, max(ratio, side) the ratio or +inf.  A line parallel to a
         # face (den = +-0) goes with the sign bit of its zero, so its
         # infinite ratio empties the chord when the line lies outside the
         # halfspace and drops out when inside; the NaN of a line in the
         # face plane is passed on by minimum / maximum and skipped by
-        # fmax / fmin.  Each halfspace writes into the same few arrays of
-        # the broadcast shape, made afresh per call
-        p = np.asarray(p, dtype=float)
-        t = np.asarray(t, dtype=float)
-        shape = np.broadcast_shapes(p.shape, np.shape(theta), t.shape)
-        ct, st = _direction(theta, shape)
+        # fmax / fmin.  Each facet writes into the same few arrays of the
+        # broadcast shape, made afresh per call
         velocity = (st, ct, p)
         base = (np.multiply(p, ct), np.multiply(p, st), t)
         den, ratio, side, tmp = (np.empty(shape) for _ in range(4))
         s_lo = np.full(shape, -np.inf)
         s_hi = np.full(shape, np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for (n0, n1, n2), d in zip(self.normals.tolist(), self.offsets.tolist()):
+            for n0, n1, n2, d, d_opp in self._slabs:
+                _combine((-n0, n1, -n2), velocity, den, tmp)
+                _combine((n0, n1, n2), base, ratio, tmp)
+                np.subtract(ratio, d, out=side)
+                side /= den
+                np.subtract(-d_opp, ratio, out=ratio)
+                ratio /= den
+                np.negative(ratio, out=ratio)
+                np.fmax(s_lo, np.minimum(side, ratio, out=tmp), out=s_lo)
+                np.fmin(s_hi, np.maximum(side, ratio, out=tmp), out=s_hi)
+            for n0, n1, n2, d in self._faces:
                 _combine((-n0, n1, -n2), velocity, den, tmp)
                 _combine((n0, n1, n2), base, ratio, tmp)
                 ratio -= d
@@ -576,6 +682,7 @@ class Box(Polytope):
         self._vertices = np.array(list(itertools.product(*zip(self.lo, self.hi))))
         self._triangles = self._vertices[_BOX_FANS]
         self._facet_normals = np.repeat(self.normals, 2, axis=0)
+        self._init_clip()
 
     # an entry of its own: perfbench/tracing.py times each body class's
     # chord_batch (and __init__) from the class __dict__

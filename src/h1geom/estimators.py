@@ -454,7 +454,9 @@ def _ratio(rows, a, b, gram, n):
     delta-method standard error: that of the mean of (a - r b).f over
     the mean of b.f."""
     s = sum(rows)[: len(a)]
-    mx, my = np.dot(a, s) / n, np.dot(b, s) / n
+    # infinite sums (a huge ell) give an infinite or nan ratio, as in _linear
+    with np.errstate(over="ignore", invalid="ignore"):
+        mx, my = np.dot(a, s) / n, np.dot(b, s) / n
     if my <= 0.0:
         raise ValueError("no line of the sample meets the body; enlarge n")
     r = mx / my

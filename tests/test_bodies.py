@@ -1,6 +1,7 @@
 """Convex bodies: membership, exact chords, support and reach, and rigid
 images."""
 
+import functools
 import itertools
 import math
 
@@ -870,6 +871,146 @@ def test_polytope_chords_through_vertices_differ_only_on_the_boundary():
                 )
                 slack = np.max(pts @ body.normals.T - body.offsets, axis=-1)
                 assert np.all(np.abs(slack) <= 1e-9), name
+
+
+def left_sum(coeffs, arrays):
+    """c0 a0 + c1 a1 + c2 a2 over the nonzero c, left to right from the
+    first term, as the kernels add: no 0 + x turns a -0.0 into +0.0."""
+    return functools.reduce(np.add, [c * a for c, a in zip(coeffs, arrays) if c])
+
+
+def reference_facet_chords(body: Polytope, p, theta, t):
+    """The per-facet clip: every line against every kept facet in order,
+    side = +-inf by the sign of den routing each ratio, with neither
+    slabs nor a bounding ball; the planar kernel's ends on a hit are
+    bitwise these."""
+    ct, st = _direction(theta)
+    velocity = (st, ct, p)
+    base = (p * ct, p * st, t)
+    s_lo = np.full(len(p), -np.inf)
+    s_hi = np.full(len(p), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for normal, d in zip(body.normals.tolist(), body.offsets.tolist()):
+            den = left_sum((-normal[0], normal[1], -normal[2]), velocity)
+            num = left_sum(normal, base) - d
+            ratio = num / den
+            side = np.copysign(np.inf, den)
+            s_lo = np.fmax(s_lo, np.minimum(ratio, side))
+            s_hi = np.fmin(s_hi, np.maximum(ratio, side))
+    hit = (s_lo <= s_hi) & np.isfinite(s_lo) & np.isfinite(s_hi)
+    return s_lo, s_hi, hit
+
+
+def lines_through_points(x, theta):
+    """The lines of direction angles theta through the points x (N, 3),
+    as in ``line_through``."""
+    ct, st = np.cos(theta), np.sin(theta)
+    p = x[:, 0] * ct + x[:, 1] * st
+    s = x[:, 0] * st - x[:, 1] * ct
+    t = x[:, 2] - s * p
+    flip = p < 0.0
+    return np.abs(p), np.where(flip, theta + math.pi, theta) % (2.0 * math.pi), t
+
+
+def bounding_ball_lines(rng, body: Polytope, n=4000):
+    """Lines that test a planar kernel's cull and clip: through random
+    points of the body and of the cube about the vertices' bounding ball
+    (centre c, the vertex centroid, and radius R), through points within
+    1e-3 R of each vertex, through each vertex tangent there to the
+    sphere about c, in the plane of each facet through its centre, and
+    grazing the ball: t at either end of the ball's t-range for random
+    (p, theta), and 1e-9 of its half-width inside and outside."""
+    v = body.vertices
+    c = v.mean(axis=0)
+    radius = float(np.max(np.linalg.norm(v - c, axis=1)))
+    inside = rng.dirichlet(np.ones(len(v)), n) @ v
+    around = c + rng.uniform(-1.3 * radius, 1.3 * radius, (n, 3))
+    lines = [lines_through_points(x, rng.uniform(0.0, 2.0 * math.pi, n)) for x in (inside, around)]
+    near = np.repeat(v, 8, axis=0) + 1e-3 * radius * rng.normal(size=(8 * len(v), 3))
+    lines.append(lines_through_points(near, rng.uniform(0.0, 2.0 * math.pi, len(near))))
+    on_face = np.abs(v @ body.normals.T - body.offsets) <= 1e-9 * (1.0 + np.abs(body.offsets))
+    centres = (on_face.T @ v) / on_face.sum(axis=0)[:, None]
+    # through x the direction (sin, -cos, p) is normal to w where
+    # sin (w0 + w2 x1) + cos (w2 x0 - w1) = 0
+    for x, w in ((v, v - c), (centres, body.normals)):
+        theta = np.arctan2(w[:, 1] - w[:, 2] * x[:, 0], w[:, 0] + w[:, 2] * x[:, 1])
+        lines.append(lines_through_points(x, theta % (2.0 * math.pi)))
+        lines.append(lines_through_points(x, (theta + math.pi) % (2.0 * math.pi)))
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    ct, st = np.cos(theta), np.sin(theta)
+    q, s_star = c[0] * ct + c[1] * st, c[0] * st - c[1] * ct
+    p = q + rng.uniform(-radius, radius, n)
+    half = np.sqrt((radius * radius - (p - q) ** 2) * (1.0 + p * p))
+    flip = p < 0.0
+    for end in (-half, half):
+        for scale in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
+            t = c[2] - p * s_star + scale * end
+            lines.append((np.abs(p), np.where(flip, theta + math.pi, theta) % (2.0 * math.pi), t))
+    return tuple(np.concatenate(a) for a in zip(*lines))
+
+
+def cull_bodies() -> dict:
+    """The acceptance box and polytope, a rigid image of each at motion
+    sizes 1, 10, 100 and 1000, the cube, the cube cut by x + y + z <= 2.5
+    (three slabs and a lone facet) and the polytope translated to
+    x = 1e3 ... 1e6, and the 200-halfspace polytope of
+    ``facet_build_bodies``."""
+    rng = np.random.default_rng(4481)
+    poly = BODIES["polytope"]
+    found = {"box": BODIES["box"], "polytope": poly}
+    for scale in (1.0, 10.0, 1e2, 1e3):
+        for name in ("box", "polytope"):
+            motion = random_motion(rng, scale)
+            found[f"{name}-image{scale:g}"] = transform_body(motion, BODIES[name])
+    cut = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0]]])
+    for x in (1e3, 1e4, 1e5, 1e6):
+        shift = np.array([x, 0.0, 0.0])
+        found[f"cube@{x:g}"] = Box(shift, shift + 1.0)
+        cut_offsets = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 2.5]) + cut @ shift
+        found[f"cut cube@{x:g}"] = Polytope(cut, cut_offsets)
+        found[f"polytope@{x:g}"] = Polytope(poly.normals, poly.offsets + poly.normals @ shift)
+    found["random-200"] = facet_build_bodies()["random-200"]
+    return found
+
+
+def test_planar_chords_are_bitwise_the_per_facet_clip():
+    # slabs and the bounding-ball cull change no hit and no bit of a hit's
+    # ends; a culled line is a miss with nan ends
+    rng = np.random.default_rng(4482)
+    for name, body in cull_bodies().items():
+        p, theta, t = bounding_ball_lines(rng, body)
+        lines = (p, theta, t)
+        if isinstance(body, Box):
+            in_face = lines_arrays(face_plane_lines(body))
+            lines = tuple(np.concatenate(a) for a in zip(lines, in_face))
+        got = body.chord_batch(*lines)
+        ref_lo, ref_hi, ref_hit = reference_facet_chords(body, *lines)
+        assert np.array_equal(got[2], ref_hit), name
+        assert ref_hit.sum() >= len(p) // 8, name
+        ends, ref_ends = [s[ref_hit] for s in got[:2]], [ref_lo[ref_hit], ref_hi[ref_hit]]
+        assert_same_bits(ends, ref_ends, name)
+        culled = np.isnan(got[0])
+        assert np.array_equal(culled, np.isnan(got[1])) and not got[2][culled].any(), name
+        if body._ball is None:
+            assert not culled.any(), name
+        else:
+            assert culled.sum() > 500, name
+
+
+def test_opposite_facets_pair_into_slabs():
+    # the pairing needs normals that are exact negatives, and a rigid image
+    # of a box keeps all three pairs: it clips by slabs and runs no cull
+    box, poly = BODIES["box"], BODIES["polytope"]
+    assert len(box._slabs) == 3 and box._faces == () and box._ball is None
+    assert poly._slabs == () and len(poly._faces) == 8 and poly._ball is not None
+    rng = np.random.default_rng(4483)
+    for scale in (1.0, 1e2, 1e3):
+        for _ in range(20):
+            image = transform_body(random_motion(rng, scale), box)
+            assert type(image) is Polytope, scale
+            assert len(image._slabs) == 3 and image._faces == () and image._ball is None, scale
+    cut = Polytope(np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0]]]), [1, 1, 1, 0, 0, 0, 2.5])
+    assert len(cut._slabs) == 3 and len(cut._faces) == 1 and cut._ball is not None
 
 
 def test_box_is_a_polytope_built_without_qhull(monkeypatch):

@@ -796,6 +796,12 @@ def test_overflowing_pass_sums_leave_a_strict_report(capsys, tmp_path, ball_file
     assert 0.0 < report["result"]["value"] < 1.0
     assert report["result"]["std_error"] is None
     assert report["diagnostics"]["z_score"] is None
+    # at ell = 1e308 the sums themselves are infinite: the ratio of their
+    # means is nan, reported as null, again with no numpy warning
+    code, out, err = run_cli(capsys, argv + ["--ell", "1e308", "--n", "1000"])
+    assert code == 4 and "tolerance_failure" in out and err == ""
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["result"]["value"] is None
 
 
 def test_polytope_commands_load_no_scipy(tmp_path):
