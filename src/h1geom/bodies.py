@@ -22,7 +22,8 @@ under rigid motions) or clips the line against the facets, a pair of
 opposite facets as one slab (polytopes, of which a box is the case of
 the six axis halfspaces, and their images), so chords are exact to
 round-off, not root-finding approximations.  A polytope with a facet
-that has no opposite clips only the lines that meet its bounding ball.
+that has no opposite clips only the lines that meet its bounding ball
+about a point of the t-axis.
 Both kernels take the line's direction (cos theta, sin theta) from one
 half-angle tangent per line (``_direction``), within a few ulp of cos
 and sin.  The ``tol`` of ``contains_batch`` inflates a
@@ -412,8 +413,8 @@ def _distinct_rows(rows):
 
 
 # the bounding ball's radius is inflated by this share of its radius plus
-# the centre's distance from the origin, so that no line the clip would
-# count as a hit is culled by the rounding of either test
+# the centre's distance from the origin, |c3|, so that no line the clip
+# would count as a hit is culled by the rounding of either test
 _BALL_MARGIN = 1e-9
 
 
@@ -435,15 +436,17 @@ class Polytope(ConvexBody):
     volume is the sum of the fan tetrahedra against the vertex centroid.
     A :class:`Box` knows its own corners and its twelve face triangles.
 
-    The chord kernel clips a line against each pair of facets whose unit
-    normals are exact negatives as one slab, and against every other
-    facet alone.  With a facet left unpaired it first drops the lines
-    that miss the bounding ball (the vertex centroid, and the largest
-    vertex distance inflated by ``_BALL_MARGIN``); a dropped line reads
-    hit False with NaN ends.  A body of slabs only (a box and its rigid
-    images) skips that test, which costs it more than it saves.  Every
-    other line's hit is that of clipping one facet at a time, and so are
-    its ends, bitwise, up to the sign of a zero end where two facets'
+    The chord kernel clips a line against all the facets at once, each
+    pair of facets whose unit normals are exact negatives as one slab and
+    every other facet alone.  With a facet left unpaired it first drops
+    the lines that miss the bounding ball about (0, 0, c3), c3 the vertex
+    centroid's height, through the farthest vertex, inflated by
+    ``_BALL_MARGIN``; a dropped line reads hit False with NaN ends, and
+    only the kept lines take a direction.  A body of slabs only (a box and
+    its rigid images) skips that test, which costs it more than it saves.
+    Every other line's hit is that of clipping one facet at a time, and so
+    are its ends, bitwise, up to the sign of a zero end: where n.x0
+    cancels to +0 on a face through the origin, and where two rows'
     ratios tie at zero."""
 
     def __init__(self, normals, offsets) -> None:
@@ -524,120 +527,121 @@ class Polytope(ConvexBody):
         return bool((inner.support(self.normals) - self.offsets <= tol).all())
 
     def _init_clip(self) -> None:
-        """What the chord kernel reads of the kept facets, as Python floats:
-        ``_slabs`` (n, d, d') for each pair of facets n.x <= d and
-        -n.x <= d' whose unit normals are exact negatives, ``_faces``
-        (n, d) for every other facet, and ``_ball`` (c, R^2), the vertex
-        centroid c and the squared largest vertex distance from it,
-        inflated by ``_BALL_MARGIN`` (None for a body whose facets all
-        pair, which the cull does not pay for)."""
-        normals, offsets = self.normals.tolist(), self.offsets.tolist()
+        """What the chord kernel reads of the kept facets, one row per
+        clip.  A pair of facets n.x <= d and -n.x <= d' whose unit normals
+        are exact negatives is one slab row, every other facet a lone
+        row, and the ``_slab_rows`` slab rows come first.  Rows whose
+        normals are zero in the same coordinates are kept together, and
+        ``_row_groups`` lists each run with its nonzero coordinates, so an
+        axis normal costs one product, not three.  ``_row_terms`` holds
+        the coefficients of den = -n.u and of n.x0 as (2, 3, rows, 1)
+        columns, ``_row_offsets`` d and ``_slab_offsets`` -d'.  ``_ball``
+        is (c3, R^2) for the ball about (0, 0, c3), c3 the height of the
+        vertex centroid and R the largest vertex distance from that point
+        inflated by ``_BALL_MARGIN``; None for a body whose facets all
+        pair, which the cull does not pay for."""
+        normals = self.normals.tolist()
         # float equality, as 0.0 == -0.0; two facets never share a normal
         index = {tuple(n): k for k, n in enumerate(normals)}
-        pairs = [
-            (i, j) for i, n in enumerate(normals) if (j := index.get(tuple(-x for x in n), -1)) > i
-        ]
-        paired = {k for pair in pairs for k in pair}
-        self._slabs = tuple((*normals[i], offsets[i], offsets[j]) for i, j in pairs)
-        self._faces = tuple(
-            (*n, d) for k, (n, d) in enumerate(zip(normals, offsets)) if k not in paired
-        )
-        if not self._faces:
+        opposite = [index.get(tuple(-x for x in n), -1) for n in normals]
+        zeros = [tuple(x == 0.0 for x in n) for n in normals]
+        slabs = sorted((i for i, j in enumerate(opposite) if j > i), key=zeros.__getitem__)
+        lone = sorted((k for k, j in enumerate(opposite) if j < 0), key=zeros.__getitem__)
+        rows = slabs + lone
+        n = self.normals[rows]
+        self._row_terms = np.stack([n * [-1.0, 1.0, -1.0], n]).transpose(0, 2, 1)[..., None]
+        self._row_offsets = self.offsets[rows, None]
+        self._slab_offsets = -self.offsets[[opposite[i] for i in slabs], None]
+        self._slab_rows = len(slabs)
+        groups, start = [], 0
+        for zero, run in itertools.groupby(rows, key=zeros.__getitem__):
+            stop = start + len(list(run))
+            groups.append((slice(start, stop), tuple(j for j in range(3) if not zero[j])))
+            start = stop
+        self._row_groups = tuple(groups)
+        if not lone:
             self._ball = None
             return
-        centroid = self._vertices.mean(axis=0)
-        rel = self._vertices - centroid
+        c3 = float(self._vertices[:, 2].mean())
+        rel = self._vertices - [0.0, 0.0, c3]
         radius = math.sqrt(float(np.max(np.sum(rel * rel, axis=1))))
-        radius += _BALL_MARGIN * (radius + math.hypot(*centroid.tolist()))
-        self._ball = (*centroid.tolist(), radius * radius)
+        radius += _BALL_MARGIN * (radius + abs(c3))
+        self._ball = (c3, radius * radius)
 
     def chord_batch(self, p, theta, t):
-        # the direction is taken once for the whole batch (see _direction);
-        # with a bounding ball only the lines that meet it are clipped,
-        # and every other line reads hit False with NaN ends
+        # the lines run flat; with a bounding ball only the lines that meet
+        # it are clipped, and their direction (see _direction) is taken for
+        # them alone: every other line reads hit False with NaN ends
         p = np.asarray(p, dtype=float)
         t = np.asarray(t, dtype=float)
         shape = np.broadcast_shapes(p.shape, np.shape(theta), t.shape)
-        ct, st = _direction(theta, shape)
+        p, theta, t = (np.broadcast_to(a, shape).reshape(-1) for a in (p, theta, t))
         if self._ball is None:
-            return self._clip(p, t, ct, st, shape)
-        keep = np.flatnonzero(self._meets_ball(p, t, ct, st))
-        p, t = (np.broadcast_to(a, shape).take(keep) for a in (p, t))
-        clipped = self._clip(p, t, ct.take(keep), st.take(keep), keep.shape)
+            return tuple(a.reshape(shape) for a in self._clip(p, theta, t))
+        keep = np.flatnonzero(self._meets_ball(p, t))
         ends = []
-        for part, fill in zip(clipped, (np.nan, np.nan, False)):
+        for part, fill in zip(self._clip(p.take(keep), theta.take(keep), t.take(keep)), (np.nan, np.nan, False)):
             out = np.full(shape, fill, dtype=part.dtype)
             out.reshape(-1)[keep] = part
             ends.append(out)
         return tuple(ends)
 
-    def _meets_ball(self, p, t, ct, st):
-        """Whether each line meets the bounding ball |x - c| <= R.  With
-        n = (cos, sin, 0), v = (sin, -cos, 0), q = n.c and s* = v.c, the
-        squared distance of c from the line times |u|^2 = 1 + p^2 is
-        (p - q)^2 (1 + p^2) + (t - c_3 + p s*)^2: a sum of squares, with
-        no difference of the large terms that |w|^2 |u|^2 - (w.u)^2 would
-        subtract."""
-        c0, c1, c2, r2 = self._ball
-        scale = np.multiply(p, p)
-        scale += 1.0
-        across = np.multiply(c0, ct)
-        across += np.multiply(c1, st)
-        np.subtract(p, across, out=across)
-        across *= across
-        across *= scale
-        along = np.multiply(c0, st)
-        along -= np.multiply(c1, ct)
-        along *= p
-        along += t
-        along -= c2
-        along *= along
-        across += along
+    def _meets_ball(self, p, t):
+        """Whether each line meets the bounding ball |x - c| <= R about
+        c = (0, 0, c3).  With w = x0 - c = (p cos, p sin, t - c3), so that
+        w.u = p (t - c3), the squared distance of c from the line times
+        |u|^2 = 1 + p^2 is p^2 (1 + p^2) + (t - c3)^2: a sum of squares,
+        with no difference of the large terms that |w|^2 |u|^2 - (w.u)^2
+        would subtract, and free of theta."""
+        c3, r2 = self._ball
+        dist = np.multiply(p, p)
+        scale = dist + 1.0
+        dist *= scale
+        height = np.subtract(t, c3)
+        height *= height
+        dist += height
         scale *= r2
-        return across <= scale
+        return dist <= scale
 
-    def _clip(self, p, t, ct, st, shape):
+    def _clip(self, p, theta, t):
         # the line x(s) = x0 + s u, x0 = (p cos, p sin, t), u = (sin, -cos, p),
         # meets n.x <= d where s den >= num, den = -n.u and num = n.x0 - d:
         # a lower bound num / den on entering halfspaces (den > 0), an
-        # upper one on leaving halfspaces (den < 0).  A slab n.x <= d,
-        # -n.x <= d' shares den and n.x0: its two ratios (n.x0 - d) / den
-        # and -((-d' - n.x0) / den), the second bitwise the opposite
-        # facet's own (-n.x0 - d') / (-den) with its signed zeros
-        # (negation is exact), bound s from below by their minimum and
-        # from above by their maximum.  A lone facet's side = +-inf by the
-        # sign of den routes its ratio: min(ratio, side) is the ratio or
-        # -inf, max(ratio, side) the ratio or +inf.  A line parallel to a
-        # face (den = +-0) goes with the sign bit of its zero, so its
-        # infinite ratio empties the chord when the line lies outside the
-        # halfspace and drops out when inside; the NaN of a line in the
-        # face plane is passed on by minimum / maximum and skipped by
-        # fmax / fmin.  Each facet writes into the same few arrays of the
-        # broadcast shape, made afresh per call
+        # upper one on leaving halfspaces (den < 0).  Each row gives two
+        # ratios, and s is bounded below by the larger of their minima and
+        # above by the smaller of their maxima.  A slab n.x <= d,
+        # -n.x <= d' shares den and n.x0: its ratios are (n.x0 - d) / den
+        # and -((-d' - n.x0) / den), the opposite facet's own
+        # (-n.x0 - d') / (-den) with negation exact.  A lone facet's second
+        # is side = +-inf by the sign of den, which routes its ratio:
+        # min(ratio, side) is the ratio or -inf, max(ratio, side) the ratio
+        # or +inf.  A line parallel to a face (den = +-0) goes with the
+        # sign bit of its zero, so its infinite ratio empties the chord when
+        # the line lies outside the halfspace and drops out when inside; the
+        # NaN of a line in the face plane is passed on by minimum / maximum
+        # and skipped by fmax / fmin.  All rows are computed at once, as
+        # (rows, lines) arrays made afresh per call
+        ct, st = _direction(theta)
         velocity = (st, ct, p)
         base = (np.multiply(p, ct), np.multiply(p, st), t)
-        den, ratio, side, tmp = (np.empty(shape) for _ in range(4))
-        s_lo = np.full(shape, -np.inf)
-        s_hi = np.full(shape, np.inf)
+        den, nx0, tmp = (np.empty((len(self._row_offsets), len(p))) for _ in range(3))
+        for part, terms in self._row_groups:
+            for out, coeffs, arrays in zip((den[part], nx0[part]), self._row_terms[:, :, part], (velocity, base)):
+                j, *rest = terms
+                np.multiply(coeffs[j], arrays[j], out=out)
+                for j in rest:
+                    out += np.multiply(coeffs[j], arrays[j], out=tmp[part])
+        m = self._slab_rows
         with np.errstate(divide="ignore", invalid="ignore"):
-            for n0, n1, n2, d, d_opp in self._slabs:
-                _combine((-n0, n1, -n2), velocity, den, tmp)
-                _combine((n0, n1, n2), base, ratio, tmp)
-                np.subtract(ratio, d, out=side)
-                side /= den
-                np.subtract(-d_opp, ratio, out=ratio)
-                ratio /= den
-                np.negative(ratio, out=ratio)
-                np.fmax(s_lo, np.minimum(side, ratio, out=tmp), out=s_lo)
-                np.fmin(s_hi, np.maximum(side, ratio, out=tmp), out=s_hi)
-            for n0, n1, n2, d in self._faces:
-                _combine((-n0, n1, -n2), velocity, den, tmp)
-                _combine((n0, n1, n2), base, ratio, tmp)
-                ratio -= d
-                ratio /= den
-                np.copysign(np.inf, den, out=side)
-                np.fmax(s_lo, np.minimum(ratio, side, out=tmp), out=s_lo)
-                np.fmin(s_hi, np.maximum(ratio, side, out=tmp), out=s_hi)
+            ratio = np.subtract(nx0, self._row_offsets, out=tmp)
+            ratio /= den
+            other = nx0
+            np.subtract(self._slab_offsets, nx0[:m], out=other[:m])
+            other[:m] /= den[:m]
+            np.negative(other[:m], out=other[:m])
+            np.copysign(np.inf, den[m:], out=other[m:])
+            s_lo = np.fmax.reduce(np.minimum(ratio, other, out=den), axis=0, initial=-np.inf)
+            s_hi = np.fmin.reduce(np.maximum(ratio, other, out=ratio), axis=0, initial=np.inf)
         hit = s_lo <= s_hi
         finite = np.isfinite(s_lo)
         hit &= finite

@@ -914,12 +914,14 @@ def lines_through_points(x, theta):
 
 def bounding_ball_lines(rng, body: Polytope, n=4000):
     """Lines that test a planar kernel's cull and clip: through random
-    points of the body and of the cube about the vertices' bounding ball
-    (centre c, the vertex centroid, and radius R), through points within
-    1e-3 R of each vertex, through each vertex tangent there to the
-    sphere about c, in the plane of each facet through its centre, and
-    grazing the ball: t at either end of the ball's t-range for random
-    (p, theta), and 1e-9 of its half-width inside and outside."""
+    points of the body and of the cube about the vertex centroid c (the
+    cube's half-width 1.3 R, R the largest vertex distance from c),
+    through points within 1e-3 R of each vertex, through each vertex
+    tangent there to the sphere about c, in the plane of each facet
+    through its centre, and grazing the cull's ball about (0, 0, c3)
+    through the farthest vertex: t at either end of the ball's t-range
+    for random (p, theta), and 1e-9 of its half-width inside and
+    outside."""
     v = body.vertices
     c = v.mean(axis=0)
     radius = float(np.max(np.linalg.norm(v - c, axis=1)))
@@ -936,17 +938,31 @@ def bounding_ball_lines(rng, body: Polytope, n=4000):
         theta = np.arctan2(w[:, 1] - w[:, 2] * x[:, 0], w[:, 0] + w[:, 2] * x[:, 1])
         lines.append(lines_through_points(x, theta % (2.0 * math.pi)))
         lines.append(lines_through_points(x, (theta + math.pi) % (2.0 * math.pi)))
+    # the line (p, theta, t) passes at distance d from (0, 0, c3) where
+    # d^2 (1 + p^2) = p^2 (1 + p^2) + (t - c3)^2
+    reach = float(np.max(np.linalg.norm(v - [0.0, 0.0, c[2]], axis=1)))
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    ct, st = np.cos(theta), np.sin(theta)
-    q, s_star = c[0] * ct + c[1] * st, c[0] * st - c[1] * ct
-    p = q + rng.uniform(-radius, radius, n)
-    half = np.sqrt((radius * radius - (p - q) ** 2) * (1.0 + p * p))
-    flip = p < 0.0
+    p = rng.uniform(0.0, reach, n)
+    half = np.sqrt((reach * reach - p * p) * (1.0 + p * p))
     for end in (-half, half):
         for scale in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
-            t = c[2] - p * s_star + scale * end
-            lines.append((np.abs(p), np.where(flip, theta + math.pi, theta) % (2.0 * math.pi), t))
+            lines.append((p, theta, c[2] + scale * end))
     return tuple(np.concatenate(a) for a in zip(*lines))
+
+
+def origin_face_lines(rng, n=2000):
+    """The unit cube turned by 45 degrees about the y axis so that one
+    face lies in the plane x + z = 0 (offset 0), and lines through points
+    of that face with n.x0 = a x + a z cancelling to +0 from nonzero
+    terms: t = -p cos exactly.  The face's own clip reads +0 - 0 = +0 for
+    the numerator; the slab reads -0 - (+0) = -0."""
+    a = math.sqrt(0.5)
+    normals = [[a, 0.0, a], [-a, 0.0, -a], [a, 0.0, -a], [-a, 0.0, a], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]
+    body = Polytope(normals, [1.0, 0.0, 0.5, 0.5, 0.5, 0.5])
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    p = rng.uniform(0.0, 0.3, n)
+    ct, _ = _direction(theta)
+    return body, (p, theta, -(p * ct))
 
 
 def cull_bodies() -> dict:
@@ -973,9 +989,19 @@ def cull_bodies() -> dict:
     return found
 
 
+def assert_same_ends(got, want, name):
+    """Ends equal as numbers, and bitwise wherever they are not zero: the
+    slab and the order of the rows may give a zero end the other sign."""
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b), name
+        nonzero = b != 0.0
+        assert np.array_equal(a[nonzero].view(np.uint8), b[nonzero].view(np.uint8)), name
+
+
 def test_planar_chords_are_bitwise_the_per_facet_clip():
-    # slabs and the bounding-ball cull change no hit and no bit of a hit's
-    # ends; a culled line is a miss with nan ends
+    # slabs, the rows clipped at once and the bounding-ball cull change no
+    # hit and, but for the sign of a zero, no bit of a hit's ends; a culled
+    # line is a miss with nan ends
     rng = np.random.default_rng(4482)
     for name, body in cull_bodies().items():
         p, theta, t = bounding_ball_lines(rng, body)
@@ -988,7 +1014,7 @@ def test_planar_chords_are_bitwise_the_per_facet_clip():
         assert np.array_equal(got[2], ref_hit), name
         assert ref_hit.sum() >= len(p) // 8, name
         ends, ref_ends = [s[ref_hit] for s in got[:2]], [ref_lo[ref_hit], ref_hi[ref_hit]]
-        assert_same_bits(ends, ref_ends, name)
+        assert_same_ends(ends, ref_ends, name)
         culled = np.isnan(got[0])
         assert np.array_equal(culled, np.isnan(got[1])) and not got[2][culled].any(), name
         if body._ball is None:
@@ -997,20 +1023,37 @@ def test_planar_chords_are_bitwise_the_per_facet_clip():
             assert culled.sum() > 500, name
 
 
+def test_a_zero_end_may_take_the_other_sign():
+    # on a face through the origin an end is 0, and n.x0 cancelling to +0
+    # gives it the other sign in the slab than in the face's own clip
+    body, lines = origin_face_lines(np.random.default_rng(4484))
+    got = body.chord_batch(*lines)
+    ref_lo, ref_hi, ref_hit = reference_facet_chords(body, *lines)
+    assert np.array_equal(got[2], ref_hit) and ref_hit.all()
+    assert_same_ends([s for s in got[:2]], [ref_lo, ref_hi], "origin face")
+    zero = [np.flatnonzero(s == 0.0) for s in (ref_lo, ref_hi)]
+    assert sum(len(z) for z in zero) == len(ref_hit)
+    flipped = [np.signbit(a[z]) != np.signbit(b[z]) for a, b, z in zip(got[:2], (ref_lo, ref_hi), zero)]
+    assert any(f.any() for f in flipped)
+
+
 def test_opposite_facets_pair_into_slabs():
     # the pairing needs normals that are exact negatives, and a rigid image
     # of a box keeps all three pairs: it clips by slabs and runs no cull
     box, poly = BODIES["box"], BODIES["polytope"]
-    assert len(box._slabs) == 3 and box._faces == () and box._ball is None
-    assert poly._slabs == () and len(poly._faces) == 8 and poly._ball is not None
+    assert box._slab_rows == 3 and len(box._row_offsets) == 3 and box._ball is None
+    # the box's axis normals make three runs of one nonzero coordinate each
+    assert [terms for _, terms in box._row_groups] == [(0,), (1,), (2,)]
+    assert poly._slab_rows == 0 and len(poly._row_offsets) == 8 and poly._ball is not None
     rng = np.random.default_rng(4483)
     for scale in (1.0, 1e2, 1e3):
         for _ in range(20):
             image = transform_body(random_motion(rng, scale), box)
             assert type(image) is Polytope, scale
-            assert len(image._slabs) == 3 and image._faces == () and image._ball is None, scale
+            assert image._slab_rows == 3 and len(image._row_offsets) == 3, scale
+            assert image._ball is None, scale
     cut = Polytope(np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 1.0]]]), [1, 1, 1, 0, 0, 0, 2.5])
-    assert len(cut._slabs) == 3 and len(cut._faces) == 1 and cut._ball is not None
+    assert cut._slab_rows == 3 and len(cut._row_offsets) == 4 and cut._ball is not None
 
 
 def test_box_is_a_polytope_built_without_qhull(monkeypatch):
