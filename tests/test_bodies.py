@@ -917,11 +917,11 @@ def bounding_ball_lines(rng, body: Polytope, n=4000):
     points of the body and of the cube about the vertex centroid c (the
     cube's half-width 1.3 R, R the largest vertex distance from c),
     through points within 1e-3 R of each vertex, through each vertex
-    tangent there to the sphere about c, in the plane of each facet
-    through its centre, and grazing the cull's ball about (0, 0, c3)
-    through the farthest vertex: t at either end of the ball's t-range
-    for random (p, theta), and 1e-9 of its half-width inside and
-    outside."""
+    tangent there to the spheres about c and about (0, 0, c3), in the
+    plane of each facet through its centre, and grazing the cull's ball
+    about (0, 0, c3) through the farthest vertex: t at either end of the
+    ball's t-range for random (p, theta), and 1e-9 of its half-width
+    inside and outside."""
     v = body.vertices
     c = v.mean(axis=0)
     radius = float(np.max(np.linalg.norm(v - c, axis=1)))
@@ -934,7 +934,8 @@ def bounding_ball_lines(rng, body: Polytope, n=4000):
     centres = (on_face.T @ v) / on_face.sum(axis=0)[:, None]
     # through x the direction (sin, -cos, p) is normal to w where
     # sin (w0 + w2 x1) + cos (w2 x0 - w1) = 0
-    for x, w in ((v, v - c), (centres, body.normals)):
+    axis = [0.0, 0.0, c[2]]
+    for x, w in ((v, v - c), (v, v - axis), (centres, body.normals)):
         theta = np.arctan2(w[:, 1] - w[:, 2] * x[:, 0], w[:, 0] + w[:, 2] * x[:, 1])
         lines.append(lines_through_points(x, theta % (2.0 * math.pi)))
         lines.append(lines_through_points(x, (theta + math.pi) % (2.0 * math.pi)))
