@@ -579,8 +579,9 @@ class Polytope(ConvexBody):
         if self._ball is None:
             return tuple(a.reshape(shape) for a in self._clip(p, theta, t))
         keep = np.flatnonzero(self._meets_ball(p, t))
+        kept = self._clip(p.take(keep), theta.take(keep), t.take(keep))
         ends = []
-        for part, fill in zip(self._clip(p.take(keep), theta.take(keep), t.take(keep)), (np.nan, np.nan, False)):
+        for part, fill in zip(kept, (np.nan, np.nan, False)):
             out = np.full(shape, fill, dtype=part.dtype)
             out.reshape(-1)[keep] = part
             ends.append(out)
@@ -626,7 +627,8 @@ class Polytope(ConvexBody):
         base = (np.multiply(p, ct), np.multiply(p, st), t)
         den, nx0, tmp = (np.empty((len(self._row_offsets), len(p))) for _ in range(3))
         for part, terms in self._row_groups:
-            for out, coeffs, arrays in zip((den[part], nx0[part]), self._row_terms[:, :, part], (velocity, base)):
+            outs = (den[part], nx0[part])
+            for out, coeffs, arrays in zip(outs, self._row_terms[:, :, part], (velocity, base)):
                 j, *rest = terms
                 np.multiply(coeffs[j], arrays[j], out=out)
                 for j in rest:
