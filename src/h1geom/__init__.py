@@ -50,14 +50,12 @@ from .estimators import (
     EstimateResult,
     InvarianceReport,
     InvarianceRow,
-    SegmentHitSweep,
     containment_probability,
     estimate_chord_integral,
     estimate_line_measure,
     estimate_mean_chord,
     estimate_segment_containment_measure,
     estimate_segment_hit_measure,
-    estimate_segment_hit_sweep,
     invariance_check,
 )
 
@@ -100,11 +98,9 @@ __all__ = [
     "EstimateResult",
     "InvarianceRow",
     "InvarianceReport",
-    "SegmentHitSweep",
     "estimate_line_measure",
     "estimate_chord_integral",
     "estimate_segment_hit_measure",
-    "estimate_segment_hit_sweep",
     "estimate_segment_containment_measure",
     "estimate_mean_chord",
     "containment_probability",

@@ -428,8 +428,10 @@ class Polytope(ConvexBody):
     x86-64 VM with numpy 2.4 it takes about 0.3, 0.5, 3, 12 and 80 ms at
     H = 8, 20, 50, 100 and 200.  Ends found from different edges are one
     vertex when they lie on the same set of planes (within 1e-9 of the
-    largest |d_i|).  Each distinct plane holding at least three vertices
-    is a facet, and only the facets are kept as ``normals`` and
+    ends' largest coordinate distance from their mean, plus 64 ulps of
+    their largest coordinate), and an end outside a halfspace by more
+    than that is dropped.  Each distinct plane holding at least three
+    vertices is a facet, and only the facets are kept as ``normals`` and
     ``offsets``.  One lexsort of every (facet, vertex) incidence by facet
     and by angle about the facet's centre orders all the rings at once;
     each ring is fanned into triangles from its first vertex, and the
@@ -463,13 +465,27 @@ class Polytope(ConvexBody):
         offsets = offsets / scales
         if np.linalg.matrix_rank(normals) < 3:
             raise ValueError("Polytope is unbounded")
-        tol = 1e-9 * float(np.abs(offsets).max())
-        ends = _hull_edges(normals, offsets, tol).reshape(-1, 3)
+        ends = _hull_edges(normals, offsets, 1e-9 * float(np.abs(offsets).max()))
+        ends = ends.reshape(-1, 3)
         if not len(ends):
             raise ValueError("Polytope has empty interior")
+        # the incidence tolerance scales with the body itself, not with its
+        # distance from the origin or a far redundant halfspace: 1e-9 of the
+        # ends' extent about their mean, plus their own round-off
+        tol = 1e-9 * float(np.abs(ends - ends.mean(axis=0)).max())
+        tol += 64.0 * np.finfo(float).eps * float(np.abs(ends).max())
+        # _hull_edges keeps a line parallel to a plane it lies outside by
+        # less than 1e-9 of the largest |d_i|, which a far redundant
+        # halfspace makes large: the ends of such a line lie outside the
+        # body by more than tol, and are no vertices
+        slack = ends @ normals.T - offsets
+        inside = (slack <= tol).all(axis=1)
+        if not inside.any():
+            raise ValueError("Polytope has empty interior")
+        ends = ends[inside]
         # ends of one vertex reached along different edges differ by
         # round-off only, and lie on the same planes
-        active = np.abs(ends @ normals.T - offsets) <= tol
+        active = np.abs(slack[inside]) <= tol
         first = _distinct_rows(active)
         self._vertices, active = ends[first], active[first]
         centroid = self._vertices.mean(axis=0)

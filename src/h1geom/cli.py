@@ -62,7 +62,6 @@ from .estimators import (
     estimate_line_measure,
     estimate_mean_chord,
     estimate_segment_hit_measure,
-    estimate_segment_hit_sweep,
     grid_axis_resolution,
     invariance_check,
 )
@@ -230,7 +229,7 @@ def _finite(x):
 
 
 def _estimate_payload(est) -> dict:
-    payload = {
+    return {
         "value": est.value,
         "std_error": est.std_error,
         "ci95": [est.ci95[0], est.ci95[1]],
@@ -238,9 +237,6 @@ def _estimate_payload(est) -> dict:
         "n_hits": est.n_hits,
         "method": est.method,
     }
-    if est.clamp_fraction is not None:
-        payload["clamp_fraction"] = est.clamp_fraction
-    return payload
 
 
 def _diagnostics(est) -> dict:
@@ -439,16 +435,20 @@ def _cmd_sweep(args):
     spec, body = _load_body(args.body)
     ells = _parse_ell_list(args.ell_list)
     kw, params = _sampling(args)
-    sweep = estimate_segment_hit_sweep(body, ells, args.n, **kw)
-    # the law is 2*pi*V + 2*ell*pA: its slope is the line measure and its
-    # intercept the chord integral of the same lines
+    # line estimates of one body taken one after another share one pass,
+    # and each is called by the name this module binds, as _ESTIMATES
+    # rows are, so a wrapper put there sees it.  The law is
+    # 2*pi*V + 2*ell*pA: its slope is the line measure and its intercept
+    # the chord integral of the same lines
+    estimates = [(ell, estimate_segment_hit_measure(body, ell, args.n, **kw)) for ell in ells]
+    slope = estimate_line_measure(body, args.n, **kw)
+    intercept = estimate_chord_integral(body, args.n, **kw)
     fit = {
-        "slope": sweep.slope.value,
-        "intercept": sweep.intercept.value,
-        "slope_reference": sweep.slope.reference,
-        "intercept_reference": sweep.intercept.reference,
+        "slope": slope.value,
+        "intercept": intercept.value,
+        "slope_reference": slope.reference,
+        "intercept_reference": intercept.reference,
     }
-    estimates = list(zip(ells, sweep.rows))
     return _estimate_report("sweep", {"body": spec}, params, estimates, fit)
 
 

@@ -88,13 +88,11 @@ __all__ = [
     "EstimateResult",
     "InvarianceRow",
     "InvarianceReport",
-    "SegmentHitSweep",
     "line_window",
     "grid_axis_resolution",
     "estimate_line_measure",
     "estimate_chord_integral",
     "estimate_segment_hit_measure",
-    "estimate_segment_hit_sweep",
     "estimate_segment_containment_measure",
     "estimate_mean_chord",
     "containment_probability",
@@ -268,23 +266,6 @@ class InvarianceReport:
     @property
     def passed(self) -> bool:
         return all(abs(row.z) < self.threshold for row in self.rows)
-
-
-@dataclass(frozen=True)
-class SegmentHitSweep:
-    """Segment hit measures at several lengths from one sample pass.
-
-    ``rows[i]`` is the hit measure at ``ells[i]``.  The measure
-    2 pi V + 2 ell pA is linear in ell: ``slope`` is the line measure
-    (reference 2 pA) and ``intercept`` the chord integral (reference
-    2 pi V) of the same lines.  Every estimate is bitwise what the
-    standalone estimator returns for the same arguments.
-    """
-
-    ells: list[float]
-    rows: list[EstimateResult]
-    slope: EstimateResult
-    intercept: EstimateResult
 
 
 def _setup(n, seed, threads, method="mc", stratify=False, grid_resolution=None) -> None:
@@ -621,30 +602,6 @@ def estimate_chord_integral(
     return finish((0.0, 1.0), reference, _CHORD_SOURCE)
 
 
-def estimate_segment_hit_sweep(
-    body: ConvexBody,
-    ells,
-    n: int,
-    seed: int = DEFAULT_SEED,
-    *,
-    stratify: bool = False,
-    threads: int = 1,
-) -> SegmentHitSweep:
-    """Kinematic measure of segments meeting the body at every length in
-    ``ells``, with the slope and intercept of its linear law, all from
-    one Monte Carlo sample pass.  Every estimate carries its reference,
-    from one volume and one p-Area computation."""
-    ells = [_check_ell(ell) for ell in ells]
-    _setup(n, seed, threads)
-    finish = _line_pass(body, n, seed, stratify, "mc", None)
-    return SegmentHitSweep(
-        ells=ells,
-        rows=[finish((ell, 1.0), "auto", _HIT_SOURCE) for ell in ells],
-        slope=finish((1.0, 0.0), "auto", _LINE_SOURCE),
-        intercept=finish((0.0, 1.0), "auto", _CHORD_SOURCE),
-    )
-
-
 def estimate_segment_hit_measure(
     body: ConvexBody,
     ell: float,
@@ -660,8 +617,10 @@ def estimate_segment_hit_measure(
     """Kinematic measure of segments of length ell meeting the body;
     equals 2 pi V + 2 ell pA.  The segment offset h is integrated
     exactly: a segment meets the body iff h lies in an interval of
-    length sigma + ell.  This is the one-length case of
-    :func:`estimate_segment_hit_sweep`.
+    length sigma + ell.  The integrand is linear in ell line by line,
+    so hit measures at several lengths, taken one after another with the
+    same sampling arguments, read one shared pass (see ``_line_pass``),
+    as the CLI's ``sweep`` does.
     """
     ell = _check_ell(ell)
     _setup(n, seed, threads, method, stratify, grid_resolution)

@@ -276,19 +276,41 @@ def test_polytope_cube_matches_box():
 def test_polytope_keeps_one_halfspace_per_facet():
     # the unit cube with a redundant halfspace and a repeated face (given
     # at twice the scale) keeps the cube's six halfspaces, so its chords
-    # are bitwise the plain cube's; a rigid image keeps six as well
+    # are bitwise the plain cube's; a rigid image keeps six as well.  The
+    # vertex tolerance scales with the body, so a redundant halfspace far
+    # from it changes nothing, however far
     cube = unit_cube_polytope()
     normals = np.vstack([cube.normals, [[1.0, 1.0, 1.0], [0.0, 2.0, 0.0]]])
-    redundant = Polytope(normals, np.concatenate([cube.offsets, [10.0, 2.0]]))
-    assert np.array_equal(redundant.normals, cube.normals)
-    assert np.array_equal(redundant.offsets, cube.offsets)
     p, theta, t = random_planar_lines(np.random.default_rng(4474), cube)
-    for a, b in zip(redundant.chord_batch(p, theta, t), cube.chord_batch(p, theta, t)):
-        assert np.array_equal(a, b)
-    assert redundant.volume_exact() == pytest.approx(cube.volume_exact(), rel=1e-14, abs=0.0)
-    assert p_area(redundant).value == pytest.approx(p_area(cube).value, rel=1e-14, abs=0.0)
-    image = transform_body(random_motion(np.random.default_rng(4475), 1.0), redundant)
-    assert len(image.normals) == 6
+    for far in (10.0, 1e9, 1e12):
+        redundant = Polytope(normals, np.concatenate([cube.offsets, [far, 2.0]]))
+        assert np.array_equal(redundant.normals, cube.normals)
+        assert np.array_equal(redundant.offsets, cube.offsets)
+        assert len(redundant.vertices) == 8
+        for a, b in zip(redundant.chord_batch(p, theta, t), cube.chord_batch(p, theta, t)):
+            assert np.array_equal(a, b)
+        assert redundant.volume_exact() == pytest.approx(cube.volume_exact(), rel=1e-14, abs=0.0)
+        assert p_area(redundant).value == pytest.approx(p_area(cube).value, rel=1e-14, abs=0.0)
+        image = transform_body(random_motion(np.random.default_rng(4475), 1.0), redundant)
+        assert len(image.normals) == 6
+    # and so does the distance from the origin: a cube of side 1e-3 at
+    # x = 1e6 builds, with its own volume
+    side = 1e-3
+    small = Polytope(cube.normals, [1e6 + side, side, side, -1e6, 0.0, 0.0])
+    assert len(small.vertices) == 8 and len(small.normals) == 6
+    assert small.volume_exact() == pytest.approx(side**3, rel=1e-6, abs=0.0)
+    # a far halfspace widens _hull_edges' slack for a line parallel to a
+    # plane, so the lines where a pentagonal prism's non-adjacent sides
+    # meet, outside the prism, reach the ends; they are no vertices
+    angle = 2.0 * math.pi * np.arange(5) / 5.0
+    sides = np.column_stack([np.cos(angle), np.sin(angle), np.zeros(5)])
+    normals = np.vstack([sides, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    offsets = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+    prism = Polytope(normals, offsets)
+    for far in (1e10, 1e12):
+        redundant = Polytope(np.vstack([normals, [1.0, 1.0, 1.0]]), np.append(offsets, far))
+        assert np.array_equal(redundant.vertices, prism.vertices)
+        assert redundant.volume_exact() == prism.volume_exact()
 
 
 def test_interior_points_and_bounds():

@@ -27,6 +27,7 @@ from h1geom import (
     volume,
 )
 from h1geom.cli import main
+from h1geom.estimators import BLOCK
 
 
 @pytest.fixture()
@@ -96,18 +97,25 @@ def test_p_area_command_planar_bodies(capsys, tmp_path, box_file):
             }
         )
     )
-    for path in (box_file, str(poly_file)):
+    # the unit cube with a redundant halfspace far from it is the box
+    far_file = tmp_path / "far.json"
+    cube = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0]]
+    far_file.write_text(json.dumps({"kind": "polytope", "halfspaces": [*cube, [1, 1, 1, 1e9]]}))
+    values = []
+    for path in (box_file, str(poly_file), str(far_file)):
         code, out, _ = run_cli(capsys, ["p-area", "--body", path])
         assert code == 0
         result = json.loads(out)["result"]
         assert result["method"] == "exact"
         assert result["resolution"] == 0 and result["error_estimate"] == 0.0
+        values.append(result["value"])
 
         code, out, _ = run_cli(capsys, ["p-area", "--body", path, "--oracle"])
         assert code == 0
         oracle = json.loads(out)["result"]
         assert oracle["method"] == "line-rule"
         assert abs(oracle["value"] - result["value"]) <= oracle["error_estimate"]
+    assert values[2] == pytest.approx(values[0], rel=1e-12, abs=0.0)
 
 
 def test_crofton_report_fields(capsys, ball_file):
@@ -425,6 +433,41 @@ def test_sweep_command(capsys, ball_file):
         assert code == 0
         fit = json.loads(out)["fit"]
         assert (fit["slope"], fit["intercept"]) == (slope.value, intercept.value)
+
+
+def test_sweep_rows_match_standalone_commands(capsys, box_file):
+    # each row of a sweep is the kinematic report at its length, and its
+    # fit is the crofton and chord-integral reports, bitwise; each of
+    # those commands loads its own body and so draws its own pass
+    ells = [0.0, 0.5, 1.0, 0.5]
+    runs = {}
+    for threads in ("1", "2"):
+        common = ["--body", box_file, "--n", str(3 * BLOCK + 17), "--seed", "101"]
+        common += ["--threads", threads]
+
+        def report(*argv):
+            code, out, _ = run_cli(capsys, [*argv, *common])
+            assert code == 0
+            return json.loads(out)
+
+        sweep = report("sweep", "--ell-list", ",".join(map(str, ells)))
+        assert sweep["params"]["ell_list"] == ells
+        for ell, row in zip(ells, sweep["rows"], strict=True):
+            kinematic = report("kinematic", "--ell", str(ell))
+            reference = kinematic["reference"]["value"]
+            assert row == {**kinematic["result"], "ell": ell, "reference": reference}
+        fit = sweep["fit"]
+        for name, command in (("slope", "crofton"), ("intercept", "chord-integral")):
+            standalone = report(command)
+            assert fit[name] == standalone["result"]["value"]
+            assert fit[f"{name}_reference"] == standalone["reference"]["value"]
+        # the law is linear in ell line by line: each row is the chord
+        # integral plus ell times the line measure of the same lines
+        for ell, row in zip(ells, sweep["rows"]):
+            line = fit["intercept"] + ell * fit["slope"]
+            assert row["value"] == pytest.approx(line, rel=1e-14)
+        runs[threads] = (sweep["rows"], fit)
+    assert runs["1"] == runs["2"]
 
 
 def test_out_file(tmp_path, capsys, ball_file):

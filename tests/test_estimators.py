@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import h1geom.cli as cli
 import h1geom.estimators as estimators
 from conftest import forget_line_pass, make_acceptance_bodies, random_motion
 from h1geom import (
@@ -24,7 +25,6 @@ from h1geom import (
     estimate_mean_chord,
     estimate_segment_containment_measure,
     estimate_segment_hit_measure,
-    estimate_segment_hit_sweep,
     invariance_check,
     line_through,
     p_area,
@@ -404,7 +404,6 @@ def test_passes_run_on_the_calling_thread(monkeypatch):
         lambda **k: estimate_line_measure(BALL, 10, **k),
         lambda **k: estimate_chord_integral(BALL, 10, **k),
         lambda **k: estimate_segment_hit_measure(BALL, 0.5, 10, **k),
-        lambda **k: estimate_segment_hit_sweep(BALL, [0.0, 1.0], 10, **k),
         lambda **k: estimate_segment_containment_measure(BALL, 0.5, 10, **k),
         lambda **k: estimate_mean_chord(BALL, 10, **k),
         lambda **k: containment_probability(inner, BALL, 0.5, 10, **k),
@@ -490,20 +489,14 @@ def test_grid_estimators(acceptance_bodies, acceptance_references):
             assert 0.75 <= rms <= 1.4, (name, key, rms)
 
 
-def _sweep_row(body, k, reference, stratify, seed):
-    """Row k of the sweep at ell = 0.5, 1.5 and 4, n = 1000, against the
-    given reference."""
-    sweep = estimate_segment_hit_sweep(body, (0.5, 1.5, 4.0), 1000, seed, stratify=stratify)
-    return dataclasses.replace(sweep.rows[k], reference=reference)
-
-
 def test_monte_carlo_error_bars_cover(acceptance_bodies, acceptance_references):
     # 300 fixed seeds at n = 1000 per body and estimate: a z of an honest
     # error bar has rms near 1 (0.92 to 1.08 at two standard errors of
     # the rms when z is normal) and stays well inside 5.  Seeds are the
     # outer loop and each body's line estimates come together, plain then
-    # stratified, so the four of them and the sweep's three rows at one
-    # seed share one pass, as they do for a user who keeps the seed
+    # stratified, so the four of them and the hit measures at three more
+    # lengths (a sweep's rows) at one seed share one pass, as they do for
+    # a user who keeps the seed
     estimates = {}
     for name, body in acceptance_bodies.items():
         vol, pa = acceptance_references[name]
@@ -518,10 +511,11 @@ def test_monte_carlo_error_bars_cover(acceptance_bodies, acceptance_references):
                 estimates[name, key + tag] = functools.partial(
                     estimate, body, *args, 1000, reference=reference, stratify=stratify
                 )
-            # the sweep's rows, from the pass the estimates above share
-            for k, ell in enumerate((0.5, 1.5, 4.0)):
+            # a sweep's rows, from the pass the estimates above share
+            for ell in (0.5, 1.5, 4.0):
                 estimates[name, f"sweep at {ell}{tag}"] = functools.partial(
-                    _sweep_row, body, k, TWO_PI * vol + 2.0 * ell * pa, stratify
+                    estimate_segment_hit_measure, body, ell, 1000,
+                    reference=TWO_PI * vol + 2.0 * ell * pa, stratify=stratify,
                 )
         # the measure of segments inside the body at ell = 0 is 2 pi V
         estimates[name, "containment measure at 0"] = functools.partial(
@@ -706,39 +700,6 @@ def _fresh(estimate, *args, **kw):
     return estimate(*args, **kw)
 
 
-def test_sweep_rows_match_standalone_estimators():
-    # one pass serves every length: each row, and the slope and intercept
-    # of the linear law, equal the standalone estimators bitwise, each
-    # drawing its own pass
-    ells = [0.0, 0.5, 1.0, 0.5]
-    n, seed = 3 * BLOCK + 17, 101
-    runs = {}
-    for threads in (1, 2):
-        kw = dict(seed=seed, threads=threads)
-        sweep = _fresh(estimate_segment_hit_sweep, BOX, ells, n, **kw)
-        assert sweep.ells == ells and len(sweep.rows) == len(ells)
-        for ell, row in zip(ells, sweep.rows):
-            assert _bits(row) == _bits(_fresh(estimate_segment_hit_measure, BOX, ell, n, **kw))
-        assert _bits(sweep.slope) == _bits(_fresh(estimate_line_measure, BOX, n, **kw))
-        assert _bits(sweep.intercept) == _bits(_fresh(estimate_chord_integral, BOX, n, **kw))
-        runs[threads] = [_bits(e) for e in (*sweep.rows, sweep.slope, sweep.intercept)]
-        # the law is linear in ell line by line: each row is the chord
-        # integral plus ell times the line measure of the same lines
-        for ell, row in zip(ells, sweep.rows):
-            line = sweep.intercept.value + ell * sweep.slope.value
-            assert row.value == pytest.approx(line, rel=1e-14)
-    assert runs[1] == runs[2]
-
-    sweep = _fresh(estimate_segment_hit_sweep, BALL, [0.0, 0.7], 2000, seed=seed)
-    assert sweep.rows[1].reference == _fresh(
-        estimate_segment_hit_measure, BALL, 0.7, 2000, seed=seed
-    ).reference
-    assert sweep.slope.reference == _fresh(estimate_line_measure, BALL, 2000).reference
-    assert sweep.intercept.reference == _fresh(estimate_chord_integral, BALL, 2000).reference
-    with pytest.raises(ValueError):
-        estimate_segment_hit_sweep(BALL, [0.5, -1.0], 1000)
-
-
 def test_invariance_rows_match_standalone_estimators():
     motion = PshMotion(0.3, -0.2, 0.4, 1.1)
     n, seed = 2 * BLOCK + 5, 103
@@ -774,16 +735,22 @@ def _counting_draws(monkeypatch):
     return draws
 
 
-def test_one_draw_per_block_per_body(monkeypatch):
+def test_one_draw_per_block_per_body(monkeypatch, tmp_path):
     draws = _counting_draws(monkeypatch)
     n = 2 * BLOCK + 3
     blocks = [0, BLOCK, 2 * BLOCK]
-    estimate_segment_hit_sweep(BALL, [0.0, 0.5, 1.0, 2.0], n, seed=5, threads=2)
+    # a sweep's hit measures at every length and its fit read one pass
+    body = tmp_path / "ball.json"
+    body.write_text('{"kind": "ball", "center": [0, 0, 0], "radius": 1.0}')
+    argv = ["sweep", "--body", str(body), "--ell-list", "0,0.5,1,2", "--n", str(n)]
+    argv += ["--seed", "5", "--threads", "2", "--out", str(tmp_path / "sweep.json")]
+    assert cli.main(argv) == 0
     assert draws == [(5, lo) for lo in blocks]
     draws.clear()
-    # the body's own pass at seed 5 is the sweep's: only the image draws
+    # invariance reads one pass over the body (seed 5) and one over its
+    # image (seed 6)
     invariance_check(BALL, PshMotion(0.1, 0.2, 0.3, 0.4), n, seed=5, threads=2)
-    assert draws == [(6, lo) for lo in blocks]
+    assert draws == [(5, lo) for lo in blocks] + [(6, lo) for lo in blocks]
 
 
 def test_consecutive_line_estimates_of_one_body_share_their_pass(monkeypatch):
