@@ -424,18 +424,17 @@ class Polytope(ConvexBody):
 
     The vertices are the ends of the hull edges (``_hull_edges``): every
     pair of planes meets in a line, clipped against all H halfspaces, so
-    a build costs O(H^3) time in chunks of bounded memory; on a 2-core
-    x86-64 VM with numpy 2.4 it takes about 0.3, 0.5, 3, 12 and 80 ms at
-    H = 8, 20, 50, 100 and 200.  Ends found from different edges are one
-    vertex when they lie on the same set of planes (within 1e-9 of the
-    ends' largest coordinate distance from their mean, plus 64 ulps of
-    their largest coordinate), and an end outside a halfspace by more
-    than that is dropped.  Each distinct plane holding at least three
-    vertices is a facet, and only the facets are kept as ``normals`` and
-    ``offsets``.  One lexsort of every (facet, vertex) incidence by facet
-    and by angle about the facet's centre orders all the rings at once;
-    each ring is fanned into triangles from its first vertex, and the
-    volume is the sum of the fan tetrahedra against the vertex centroid.
+    a build costs O(H^3) time in chunks of bounded memory.  Ends found
+    from different edges are one vertex when they lie on the same set of
+    planes (within 1e-9 of the ends' largest coordinate distance from
+    their mean, plus 64 ulps of their largest coordinate), and an end
+    outside a halfspace by more than that is dropped.  Each distinct
+    plane holding at least three vertices is a facet, and only the
+    facets are kept as ``normals`` and ``offsets``.  One lexsort of every
+    (facet, vertex) incidence by facet and by angle about the facet's
+    centre orders all the rings at once; each ring is fanned into
+    triangles from its first vertex, and the volume is the sum of the fan
+    tetrahedra against the vertex centroid.
     A :class:`Box` knows its own corners and its twelve face triangles.
 
     The chord kernel clips a line against all the facets at once, each

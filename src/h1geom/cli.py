@@ -31,10 +31,11 @@ Exit codes: 0 success; 2 configuration error (bad JSON/flags, a body
 file number that is not a finite JSON number, a sampling flag the
 method ignores, violated nesting, no line of the sample meets the body,
 an --n or a grid of more than 2^32 lines or a voxel lattice of more than
-2^32 points); 3 unsupported body/operation; 4 tolerance failure (estimate
-beyond its method's gate, 4 standard errors of its reference for Monte
-Carlo and 5.48 for the grid, whose z follows Student's t with 15
-degrees of freedom; failed invariance; or non-convergent quadrature).
+2^32 points, an unwritable --out); 3 unsupported body/operation; 4
+tolerance failure (estimate beyond its method's gate, 4 standard errors
+of its reference for Monte Carlo and 5.48 for the grid, whose z follows
+Student's t with 15 degrees of freedom; failed invariance; a volume or
+p-Area that is not finite; or non-convergent quadrature).
 """
 
 from __future__ import annotations
@@ -297,14 +298,6 @@ def _render(report: dict, fmt: str, csv_rows: tuple[list[str], list[dict]]) -> s
     return buf.getvalue()
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _sampling(args) -> tuple[dict, dict]:
     """The estimator keywords of a command's sampling flags and the
     report's ``params`` for them.  A command without --method runs Monte
@@ -322,7 +315,11 @@ def _sampling(args) -> tuple[dict, dict]:
 def _measure_report(command: str, spec: dict, res) -> tuple[dict, tuple, int]:
     result = dataclasses.asdict(res)
     report = {"schema": SCHEMA, "command": command, "body": spec, "result": result}
-    return report, (_MEASURE_CSV_FIELDS, [{"command": command, **result}]), 0
+    # a body near the float range: null in the report, and a failed gate
+    code = 0 if math.isfinite(res.value) else 4
+    if code:
+        report["tolerance_failure"] = f"{command} is not finite: the body overflows floats"
+    return report, (_MEASURE_CSV_FIELDS, [{"command": command, **result}]), code
 
 
 def _estimate_report(command, specs, params, estimates, fit=None):
@@ -370,18 +367,19 @@ def _estimate_report(command, specs, params, estimates, fit=None):
 
 
 def _cmd_volume(args):
-    spec, body = _load_body(args.body)
-    if args.method == "voxel":
-        return _measure_report(
-            "volume", spec, volume_voxel_oracle(body, args.resolution)
-        )
-    return _measure_report("volume", spec, volume(body))
+    # a body near the float range overflows to inf or nan without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec, body = _load_body(args.body)
+        res = volume_voxel_oracle(body, args.resolution) if args.method == "voxel" else volume(body)
+    return _measure_report("volume", spec, res)
 
 
 def _cmd_p_area(args):
-    spec, body = _load_body(args.body)
     method = "line" if args.oracle else "auto"
-    return _measure_report("p-area", spec, p_area(body, method=method, rel_tol=args.tol))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec, body = _load_body(args.body)
+        res = p_area(body, method=method, rel_tol=args.tol)
+    return _measure_report("p-area", spec, res)
 
 
 def _cmd_estimate(args):
@@ -597,7 +595,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     report["wall_time_s"] = time.perf_counter() - started
-    _emit(_render(report, args.format, csv_rows), args.out)
+    text = _render(report, args.format, csv_rows)
+    if args.out is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write report to {args.out}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -29,9 +29,10 @@ lines and evaluates their chords, and an integrand yields every
 per-line array whose sum the estimate reads, its values f and the
 products of them that their error needs.  The pass only sums these
 arrays, sub-block by sub-block in the order of numpy's pairwise
-summation.  An estimate is a coefficient vector c over the leading
-values (the mean of c.f, its error from c^T G c) or a ratio of two, and
-``gram``, a small matrix of column indices, picks G out of the sums.
+summation.  Its ``_Sums`` record builds every estimate of the pass: a
+coefficient vector c over the leading values (the mean of c.f, its error
+from c^T G c) or a ratio of two, ``gram``, a small matrix of column
+indices, picking G out of the sums.
 Every line estimate reads one pass yielding (hit, sigma, sigma^2), with
 gram [[0, 1], [1, 2]] (hit^2 is hit and hit sigma is sigma): (1, 0) is
 the line measure, (0, 1) the chord integral, (ell, 1) the hit measure
@@ -46,13 +47,13 @@ bitwise what a pass of its own gives.  The slot holds one pass, not
 one per body, so estimates of several bodies taken in turns each draw
 their own.
 
-The references follow the same law: R = (2 pA, 2 pi V) is the reference
-of (hit, sigma), so a line estimate with coefficients c has reference
-c.R (and the mean chord c.R over (1, 0).R).  Adding a line identity thus
-takes only its coefficients and a label naming the source of its
-reference.  Any other identity takes its integrand and a zero-argument
-callable returning its reference (value, source).  A single-body
-estimate also takes a row of the CLI's ``_ESTIMATES`` table.
+The references follow the same law: a pass carries R, a zero-argument
+callable per leading value, and c has reference c.R (a ratio c.R over
+over.R).  A line pass's R = (2 pA, 2 pi V), so a line identity takes
+only its coefficients and a label naming the source of its reference.
+Any other identity gives ``_pass`` its integrand, ``gram``, hit column
+and R (None without a reference).  A single-body estimate also takes a
+row of the CLI's ``_ESTIMATES`` table.
 
 The grid method's blocks are randomly shifted copies of one Kronecker
 point set (randomised QMC): each copy is an unbiased estimate, and
@@ -201,10 +202,10 @@ class EstimateResult:
     ``ci95`` is value +/- 2.1314 std_error for the grid and +/- 1.96 for
     Monte Carlo.
 
-    ``clamp_fraction`` is populated by the containment estimator: the
-    fraction of hitting lines whose chord is shorter than the segment,
-    where the integrand (sigma - ell) is clamped at zero and the linear
-    formula 2 pi V - 2 ell pA stops being exact.
+    ``clamp_fraction`` is set by ``estimate_segment_containment_measure``
+    alone: the fraction of hitting lines whose chord is shorter than the
+    segment, where the integrand (sigma - ell) is clamped at zero and the
+    linear formula 2 pi V - 2 ell pA stops being exact.
     """
 
     value: float
@@ -315,7 +316,7 @@ def grid_axis_resolution(n: int, resolution: int | None = None) -> int:
     return res
 
 
-def _pass(bodies, n, seed, stratify, method, grid_res, integrand):
+def _pass(bodies, n, seed, stratify, method, grid_res, integrand, gram, hits, refs):
     """The one sample-and-sum pass behind every estimator.
 
     Lines map three uniforms each into the window of the last of
@@ -326,8 +327,9 @@ def _pass(bodies, n, seed, stratify, method, grid_res, integrand):
     ``_split_sum``), ``integrand`` gets each body's ``chord_batch``
     triple and yields the per-line arrays, float or boolean, whose sums
     the estimate reads; a boolean one is summed by counting, bitwise its
-    sum as floats.  Returns the sums, one row per block in block order,
-    the line count and the window's measure.  The blocks run one after
+    sum as floats.  Returns the sums, one read-only row per block in
+    block order, as a ``_Sums`` with the line count, the window's measure
+    and ``gram``, ``hits`` and ``refs``.  The blocks run one after
     another on the calling thread.
     """
     window = line_window(bodies[-1])
@@ -376,7 +378,7 @@ def _pass(bodies, n, seed, stratify, method, grid_res, integrand):
             t += window.t_lo
             chords = [body.chord_batch(p, theta, t) for body in bodies]
             # values near the float range (a huge ell) overflow to inf or
-            # nan sums, which _linear and the reports carry on
+            # nan sums, which the estimates and the reports carry on
             with np.errstate(over="ignore", invalid="ignore"):
                 f = [
                     np.count_nonzero(a) if a.dtype == bool else np.sum(a)
@@ -386,8 +388,9 @@ def _pass(bodies, n, seed, stratify, method, grid_res, integrand):
 
         return _split_sum(sums, 0, size, leaf)
 
-    rows = list(map(block_sums, blocks))
-    return np.array(rows), sum(size for _, size in blocks), window.measure
+    rows = np.array(list(map(block_sums, blocks)))
+    rows.flags.writeable = False
+    return _Sums(rows, sum(s for _, s in blocks), window.measure, method, seed, gram, hits, refs)
 
 
 def _split_sum(sums, lo, n, leaf):
@@ -410,69 +413,81 @@ def _sigma(chord):
     return np.where(hit, np.subtract(s_hi, s_lo), 0.0), hit
 
 
-def _linear(rows, c, gram, n, w, method):
-    """Window-scaled mean of c.f over n lines, f the first len(c) columns
-    of the block sums ``rows``, and its standard error: by c^T G c for
-    Monte Carlo, G = total[gram] the sums of the products f_i f_j, by the
-    spread of the per-shift c.S for the grid."""
-    c = np.asarray(c, dtype=float)
-    m = len(c)
-    total = sum(rows)
-    # coefficients near the float range (a huge ell) overflow to an
-    # infinite or nan estimate, which reports show as null and gates fail
-    with np.errstate(over="ignore", invalid="ignore"):
-        s1 = c @ total[:m]
-        if method == "grid":
-            se = float(np.std(rows[:, :m] @ c, ddof=1)) * math.sqrt(_SHIFTS) / n
+@dataclass(frozen=True, eq=False)
+class _Sums:
+    """One pass's read-only block sums ``rows`` over ``n`` lines in a
+    window of measure ``w``, with the column indices ``gram`` of the
+    products f_i f_j of its leading values, the column ``hits`` counting
+    the lines that meet the body, and ``refs``, a zero-argument reference
+    callable per leading value or None."""
+
+    rows: np.ndarray
+    n: int
+    w: float
+    method: str
+    seed: int
+    gram: list
+    hits: int
+    refs: tuple | None
+
+    def _mean(self, c, w, method):
+        """Window-scaled mean of c.f, f the leading columns, and its
+        standard error: by c^T G c for Monte Carlo, G = total[gram], and
+        by the spread of the per-shift c.S for the grid."""
+        c = np.asarray(c, dtype=float)
+        m, n = len(c), self.n
+        total = sum(self.rows)
+        # coefficients near the float range (a huge ell) overflow to an
+        # infinite or nan estimate, which reports show as null and gates fail
+        with np.errstate(over="ignore", invalid="ignore"):
+            s1 = c @ total[:m]
+            if method == "grid":
+                se = float(np.std(self.rows[:, :m] @ c, ddof=1)) * math.sqrt(_SHIFTS) / n
+            else:
+                var = max(c @ total[self.gram] @ c - s1 * s1 / n, 0.0) / max(n - 1, 1)
+                se = math.sqrt(var / n)
+            return w * (s1 / n), w * se
+
+    def estimate(self, c, reference, source, over=None, clamp_fraction=None) -> EstimateResult:
+        """The mean of c.f or, given ``over``, its ratio r to the mean of
+        over.f, whose delta-method error is that of the mean of
+        (c - r over).f over the mean of over.f.  ``reference='auto'`` is
+        c.R, or c.R / over.R, labelled ``source`` (None without ``refs``);
+        None skips it and any other value is the caller's.  Value and
+        error become Python floats, so a non-finite estimate's z score
+        and relative error are nan without a numpy warning."""
+        if over is None:
+            value, se = self._mean(c, self.w, self.method)
         else:
-            var = max(c @ total[gram] @ c - s1 * s1 / n, 0.0) / max(n - 1, 1)
-            se = math.sqrt(var / n)
-        return w * (s1 / n), w * se
-
-
-def _ratio(rows, a, b, gram, n):
-    """Ratio of the means of a.f and b.f on common samples, with the
-    delta-method standard error: that of the mean of (a - r b).f over
-    the mean of b.f."""
-    s = sum(rows)[: len(a)]
-    # infinite sums (a huge ell) give an infinite or nan ratio, as in _linear
-    with np.errstate(over="ignore", invalid="ignore"):
-        mx, my = np.dot(a, s) / n, np.dot(b, s) / n
-    if my <= 0.0:
-        raise ValueError("no line of the sample meets the body; enlarge n")
-    r = mx / my
-    _, se = _linear(rows, np.subtract(a, np.multiply(r, b)), gram, n, 1.0, "mc")
-    return r, se / my
-
-
-def _result(value, se, n, hits, seed, method, reference, auto, clamp_fraction=None):
-    """The one EstimateResult builder.  ``reference='auto'`` takes
-    (value, source) from ``auto()``, None skips the reference, and any
-    other value is the caller's.  Value, error and clamp fraction become
-    Python floats, so a non-finite estimate's z score and relative error
-    are nan without a numpy warning."""
-    value, se = float(value), float(se)
-    if clamp_fraction is not None:
-        clamp_fraction = float(clamp_fraction)
-    if reference == "auto":
-        ref_value, ref_source = auto()
-    elif reference is None:
-        ref_value, ref_source = None, None
-    else:
-        ref_value, ref_source = float(reference), "caller"
-    half = (_T15 if method == "grid" else 1.96) * se
-    return EstimateResult(
-        value=value,
-        std_error=se,
-        ci95=(value - half, value + half),
-        n_samples=n,
-        n_hits=int(hits),
-        seed=seed,
-        method=method,
-        reference=ref_value,
-        reference_source=ref_source,
-        clamp_fraction=clamp_fraction,
-    )
+            s = sum(self.rows)[: len(c)]
+            # infinite sums (a huge ell) give an infinite or nan ratio
+            with np.errstate(over="ignore", invalid="ignore"):
+                mx, my = np.dot(c, s) / self.n, np.dot(over, s) / self.n
+            if my <= 0.0:
+                raise ValueError("no line of the sample meets the body; enlarge n")
+            value = mx / my
+            _, se = self._mean(np.subtract(c, np.multiply(value, over)), 1.0, "mc")
+            se /= my
+        value, se = float(value), float(se)
+        if reference == "auto" and self.refs is not None:
+            reference = _dot(c, self.refs) / (1.0 if over is None else _dot(over, self.refs))
+        elif reference is None or reference == "auto":
+            reference = source = None
+        else:
+            reference, source = float(reference), "caller"
+        half = (_T15 if self.method == "grid" else 1.96) * se
+        return EstimateResult(
+            value=value,
+            std_error=se,
+            ci95=(value - half, value + half),
+            n_samples=self.n,
+            n_hits=int(sum(self.rows[:, self.hits])),
+            seed=self.seed,
+            method=self.method,
+            reference=reference,
+            reference_source=source,
+            clamp_fraction=clamp_fraction,
+        )
 
 
 def _references(body):
@@ -509,57 +524,39 @@ _HIT_SOURCE = "2*pi*measures.volume + 2*ell*measures.p_area"
 _LINE_GRAM = [[0, 1], [1, 2]]
 
 
-# the most recent line pass, (body, key, (rows, n_lines, w, refs)) with
-# key the other arguments that fix its lines, or None.  One entry, not a
-# cache of many: consecutive line estimates of one body at one seed share
-# their pass, and any other call draws its own
+# the most recent line pass, (body, key, sums) with key the other
+# arguments that fix its lines, or None.  One entry, not a cache of many:
+# consecutive line estimates of one body at one seed share their pass,
+# and any other call draws its own
 _last_pass = None
 
 
-def _line_pass(body, n, seed, stratify, method, grid_res):
-    """Every line estimate from one pass over the body's window whose
-    integrand yields (hit, sigma, sigma^2) per line.
-    Returns ``finish(c, reference, source, over=None)``, which builds the
-    mean of c.(hit, sigma) ((1, 0) the line measure, (0, 1) the chord
-    integral, (ell, 1) the hit measure at ell) or, given ``over``, its
-    ratio to the mean of over.(hit, sigma).  Its automatic reference is
-    c.R, or c.R / over.R, with R the body's ``_references``, labelled
-    ``source``.
+def _line_integrand(chords):
+    sigma, hit = _sigma(chords[0])
+    yield from (hit, sigma, sigma * sigma)
 
-    The pass and R are kept in ``_last_pass`` until a line pass of
-    another body (by identity, bodies being immutable) or other
-    arguments replaces them; ``threads`` changes no bit and is not an
-    argument.  The slot is read once and replaced by one assignment, so
-    a concurrent caller sees the old entry or the new one, and its rows
-    are read-only."""
 
-    def integrand(chords):
-        sigma, hit = _sigma(chords[0])
-        yield from (hit, sigma, sigma * sigma)
+def _line_pass(body, n, seed, stratify, method, grid_res, threads):
+    """The ``_Sums`` of the pass over the body's window whose integrand
+    yields (hit, sigma, sigma^2) per line, with the body's
+    ``_references`` R: its estimates are the means of c.(hit, sigma)
+    ((1, 0) the line measure, (0, 1) the chord integral, (ell, 1) the
+    hit measure at ell) and their ratios.  The arguments are validated
+    first (see ``_setup``).
 
+    The pass is kept in ``_last_pass`` until a line pass of another body
+    (by identity, bodies being immutable) or other arguments replaces
+    it; ``threads`` changes no bit and is not in the key.  The slot is
+    read once and replaced by one assignment, so a concurrent caller
+    sees the old entry or the new one, and its rows are read-only."""
     global _last_pass
+    _setup(n, seed, threads, method, stratify, grid_res)
     key = (n, seed, stratify, method, grid_res)
     entry = _last_pass
     if entry is None or entry[0] is not body or entry[1] != key:
-        rows, n_lines, w = _pass((body,), n, seed, stratify, method, grid_res, integrand)
-        rows.flags.writeable = False
-        entry = (body, key, (rows, n_lines, w, _references(body)))
-        _last_pass = entry
-    rows, n_lines, w, refs = entry[2]
-
-    def finish(c, reference, source, over=None):
-        if over is None:
-            value, se = _linear(rows, c, _LINE_GRAM, n_lines, w, method)
-        else:
-            value, se = _ratio(rows, c, over, _LINE_GRAM, n_lines)
-
-        def auto():
-            ref = _dot(c, refs)
-            return (ref if over is None else ref / _dot(over, refs)), source
-
-        return _result(value, se, n_lines, sum(rows[:, 0]), seed, method, reference, auto)
-
-    return finish
+        args = (_line_integrand, _LINE_GRAM, 0, _references(body))
+        entry = _last_pass = (body, key, _pass((body,), n, seed, stratify, method, grid_res, *args))
+    return entry[2]
 
 
 def estimate_line_measure(
@@ -579,9 +576,8 @@ def estimate_line_measure(
     computes it by quadrature; pass a float to supply your own or None
     to skip.
     """
-    _setup(n, seed, threads, method, stratify, grid_resolution)
-    finish = _line_pass(body, n, seed, stratify, method, grid_resolution)
-    return finish((1.0, 0.0), reference, _LINE_SOURCE)
+    sums = _line_pass(body, n, seed, stratify, method, grid_resolution, threads)
+    return sums.estimate((1.0, 0.0), reference, _LINE_SOURCE)
 
 
 def estimate_chord_integral(
@@ -597,9 +593,8 @@ def estimate_chord_integral(
 ) -> EstimateResult:
     """Integral of the chord length over oriented lines; equals
     2 pi V(body)."""
-    _setup(n, seed, threads, method, stratify, grid_resolution)
-    finish = _line_pass(body, n, seed, stratify, method, grid_resolution)
-    return finish((0.0, 1.0), reference, _CHORD_SOURCE)
+    sums = _line_pass(body, n, seed, stratify, method, grid_resolution, threads)
+    return sums.estimate((0.0, 1.0), reference, _CHORD_SOURCE)
 
 
 def estimate_segment_hit_measure(
@@ -623,9 +618,8 @@ def estimate_segment_hit_measure(
     as the CLI's ``sweep`` does.
     """
     ell = _check_ell(ell)
-    _setup(n, seed, threads, method, stratify, grid_resolution)
-    finish = _line_pass(body, n, seed, stratify, method, grid_resolution)
-    return finish((ell, 1.0), reference, _HIT_SOURCE)
+    sums = _line_pass(body, n, seed, stratify, method, grid_resolution, threads)
+    return sums.estimate((ell, 1.0), reference, _HIT_SOURCE)
 
 
 def estimate_segment_containment_measure(
@@ -657,17 +651,12 @@ def estimate_segment_containment_measure(
         f = np.maximum(sigma - ell, 0.0)
         yield from (f, f * f, hit, hit & (f == 0.0))
 
-    rows, n_lines, w = _pass((body,), n, seed, stratify, method, grid_resolution, integrand)
-    value, se = _linear(rows, (1.0,), [[1]], n_lines, w, method)
-    _, _, hits, clamped = sum(rows)
-    clamp_fraction = clamped / hits if hits > 0 else 0.0
-
-    def auto():
-        return (_dot((0.0, 1.0), _references(body)), _CHORD_SOURCE) if ell == 0.0 else (None, None)
-
-    return _result(
-        value, se, n_lines, hits, seed, method, reference, auto, clamp_fraction
-    )
+    # at ell = 0 the measure is the chord integral, with reference 2 pi V
+    refs = _references(body)[1:] if ell == 0.0 else None
+    sums = _pass((body,), n, seed, stratify, method, grid_resolution, integrand, [[1]], 2, refs)
+    hits, clamped = sum(sums.rows)[2:4]
+    clamp_fraction = float(clamped / hits) if hits > 0 else 0.0
+    return sums.estimate((1.0,), reference, _CHORD_SOURCE, clamp_fraction=clamp_fraction)
 
 
 def estimate_mean_chord(
@@ -682,10 +671,9 @@ def estimate_mean_chord(
     """Mean chord length over lines meeting the body: the ratio of the
     chord integral to the line measure, estimated on common samples with
     a delta-method standard error.  Reference: pi V / pA."""
-    _setup(n, seed, threads)
-    finish = _line_pass(body, n, seed, stratify, "mc", None)
+    sums = _line_pass(body, n, seed, stratify, "mc", None, threads)
     source = "pi * measures.volume / measures.p_area"
-    return finish((0.0, 1.0), reference, source, over=(1.0, 0.0))
+    return sums.estimate((0.0, 1.0), reference, source, over=(1.0, 0.0))
 
 
 def containment_probability(
@@ -716,14 +704,12 @@ def containment_probability(
         a, b = (sig_in + ell) * hit_in, (sig_out + ell) * hit_out
         yield from (a, b, hit_out, a * a, a * b, b * b)
 
-    rows, _, _ = _pass((inner, outer), n, seed, stratify, "mc", None, integrand)
-    value, se = _ratio(rows, (1.0, 0.0), (0.0, 1.0), [[3, 4], [4, 5]], n)
-
-    def auto():
-        num, den = (_dot((ell, 1.0), _references(b)) for b in (inner, outer))
-        return num / den, "(2*pi*V + 2*ell*pA) inner over outer [measures]"
-
-    return _result(value, se, n, sum(rows)[2], seed, "mc", reference, auto)
+    # each body's hit measure at ell has the reference (ell, 1).R of its own R
+    refs = tuple(functools.partial(_dot, (ell, 1.0), _references(b)) for b in (inner, outer))
+    gram = [[3, 4], [4, 5]]
+    sums = _pass((inner, outer), n, seed, stratify, "mc", None, integrand, gram, 2, refs)
+    source = "(2*pi*V + 2*ell*pA) inner over outer [measures]"
+    return sums.estimate((1.0, 0.0), reference, source, over=(0.0, 1.0))
 
 
 # invariant quantities as coefficients over a line pass's (hit, sigma)
@@ -750,14 +736,12 @@ def invariance_check(
     invariant, so |z| at or beyond ``Z_GATE`` signals an implementation
     defect rather than noise.  One sample pass per body (seed for the
     body, seed + 1 for its image) serves every quantity."""
-    _setup(n, seed, threads)
-    passes = [
-        _line_pass(b, n, s, stratify, "mc", None)
-        for b, s in ((body, seed), (transform_body(motion, body), seed + 1))
-    ]
+    passes = [_line_pass(body, n, seed, stratify, "mc", None, threads)]
+    image = transform_body(motion, body)
+    passes.append(_line_pass(image, n, seed + 1, stratify, "mc", None, threads))
     rows = []
     for name, coeffs in _INVARIANTS.items():
-        a, b = (finish(coeffs, None, None) for finish in passes)
+        a, b = (sums.estimate(coeffs, None, None) for sums in passes)
         z = _z(a.value, b.value, math.hypot(a.std_error, b.std_error))
         rows.append(InvarianceRow(name, a.value, a.std_error, b.value, b.std_error, z))
     return InvarianceReport(

@@ -268,12 +268,20 @@ def _refine(rule, rel_tol: float, method: str) -> MeasureResult:
     converges spectrally, so a Richardson step would only move the
     coarser level's error into it, and the difference of the levels,
     never taken below the round-off floor, bounds its error.  Raises
-    QuadratureError once the level reaches _MAX_RESOLUTION."""
+    QuadratureError at the first level that is not finite and once the
+    level reaches _MAX_RESOLUTION."""
+
+    def level(n):
+        value = rule(n)
+        if math.isfinite(value):
+            return value
+        raise QuadratureError(f"p-Area is not finite at resolution {n} ({value})")
+
     n = _MIN_RESOLUTION
-    coarse = rule(n)
+    coarse = level(n)
     while True:
         n *= 2
-        fine = rule(n)
+        fine = level(n)
         err = abs(fine - coarse)
         if err <= rel_tol * abs(fine):
             return MeasureResult(

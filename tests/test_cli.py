@@ -578,6 +578,8 @@ _BAD_INPUTS = {
     "mc-resolution": (None, ["crofton", "--n", "5000", "--resolution", "-3"]),
     # 1e6^3 lattice points, refused before any allocation
     "voxel-resolution-huge": (None, ["volume", "--method", "voxel", "--resolution", "1000000"]),
+    # a report path that cannot be opened for writing
+    "unwritable-out": (None, ["volume", "--out", os.path.join(os.devnull, "report.json")]),
 }
 
 # every body-file number is a JSON number: a numeric string, a boolean
@@ -845,6 +847,35 @@ def test_overflowing_pass_sums_leave_a_strict_report(capsys, tmp_path, ball_file
     assert code == 4 and "tolerance_failure" in out and err == ""
     report = json.loads(out, parse_constant=_reject_constant)
     assert report["result"]["value"] is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_measures_leave_a_strict_report(capsys, tmp_path):
+    # the volume of a ball of radius 1e200 overflows, exactly and on the
+    # voxel lattice, and so does the p-Area of a box whose volume, 1e306,
+    # is finite: each is a null value and a failed gate, with no warning
+    ball = tmp_path / "ball.json"
+    ball.write_text(json.dumps({"kind": "ball", "center": [0, 0, 0], "radius": 1e200}))
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"kind": "box", "min": [0, 0, 0], "max": [1e102] * 3}))
+    for argv in (
+        ["volume", "--body", str(ball)],
+        ["volume", "--body", str(ball), "--method", "voxel"],
+        ["p-area", "--body", str(box)],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 4 and "tolerance_failure" in out and err == "", argv
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report["result"]["value"] is None, argv
+    code, out, _ = run_cli(capsys, ["volume", "--body", str(box)])
+    assert code == 0 and json.loads(out)["result"]["value"] == 1e306
+    # a charted p-Area that is not finite fails at its first level, not
+    # after refining to the last
+    ball.write_text(json.dumps({"kind": "ball", "center": [0, 0, 0], "radius": 1e102}))
+    for oracle in ([], ["--oracle"]):
+        code, out, err = run_cli(capsys, ["p-area", "--body", str(ball), *oracle])
+        assert code == 4 and out == ""
+        assert f"not finite at resolution {measures._MIN_RESOLUTION} " in err
 
 
 def test_polytope_commands_load_no_scipy(tmp_path):

@@ -660,14 +660,13 @@ def test_passes_forming_only_read_products_match_all_products(monkeypatch):
 
     read_only = [fields(call()) for call in calls]
 
-    real_pass, real_linear = estimators._pass, estimators._linear
-    full = {}
+    real_pass = estimators._pass
 
     def pairs(k):
         return [(i, j) for i in range(k) for j in range(i, k)]
 
     def all_products_pass(*args):
-        *head, integrand = args
+        *head, integrand, gram, hits, refs = args
         width = []
 
         def every_product(chords):
@@ -675,20 +674,14 @@ def test_passes_forming_only_read_products_match_all_products(monkeypatch):
             width[:] = [len(f)]
             return f + [f[i] * f[j] for i, j in pairs(len(f))]
 
-        rows, n_lines, w = real_pass(*head, every_product)
-        values = rows[:, : width[0]]
-        full[id(values)] = (values, rows)
-        return values, n_lines, w
-
-    def all_products_linear(rows, c, gram, n, w, method):
-        k = rows.shape[1]
-        column = {p: k + m for m, p in enumerate(pairs(k))}
-        m = range(len(c))
-        gram = [[column[min(i, j), max(i, j)] for j in m] for i in m]
-        return real_linear(full[id(rows)][1], c, gram, n, w, method)
+        sums = real_pass(*head, every_product, gram, hits, refs)
+        # G reads the products of the leading values from the added columns
+        column = {p: width[0] + m for m, p in enumerate(pairs(width[0]))}
+        m = range(len(gram))
+        wide = [[column[min(i, j), max(i, j)] for j in m] for i in m]
+        return dataclasses.replace(sums, gram=wide)
 
     monkeypatch.setattr(estimators, "_pass", all_products_pass)
-    monkeypatch.setattr(estimators, "_linear", all_products_linear)
     forget_line_pass()
     assert [fields(call()) for call in calls] == read_only
     assert read_only[2][3] > 0.0
@@ -793,13 +786,18 @@ def test_consecutive_line_estimates_of_one_body_share_their_pass(monkeypatch):
     # leave the last line pass in its slot
     estimate_line_measure(BOX, n, seed)
     draws.clear()
+    own = []
+    real_pass = estimators._pass
+    monkeypatch.setattr(estimators, "_pass", lambda *args: own.append(real_pass(*args)) or own[-1])
     estimate_segment_containment_measure(BOX, 0.0, n, seed)
     containment_probability(Box((0.2,) * 3, (0.8,) * 3), BOX, 0.0, n, seed)
     estimate_line_measure(BOX, n, seed)
-    assert draws == 2 * blocks
-    # the sums every sharer reads cannot be written
-    with pytest.raises(ValueError):
-        estimators._last_pass[2][0][0, 0] = 0.0
+    assert draws == 2 * blocks and len(own) == 2
+    # the sums every sharer reads cannot be written, nor can those of the
+    # passes of their own
+    for sums in (estimators._last_pass[2], *own):
+        with pytest.raises(ValueError):
+            sums.rows[0, 0] = 0.0
 
 
 def test_interleaved_bodies_give_the_bits_of_fresh_runs():
