@@ -25,7 +25,12 @@ keys.  Commands::
 Reports are JSON (default) or CSV via --format, written to stdout or
 --out; a non-finite number is null (an empty CSV cell).  Output is
 byte-identical across runs of the same configuration except for the
-wall_time_s field.
+wall_time_s field.  Each command returns its report fields, its CSV
+rows and its failed checks; ``main`` alone stamps the schema and
+command, and a report carries tolerance_failure (the last failed
+check) exactly when the command exits 4 with a report.  An input near
+the float range prints no numpy warning: a number it overflows is null
+and fails its gate, or the input is refused (exit 2).
 
 Exit codes: 0 success; 2 configuration error (bad JSON/flags, a body
 file number that is not a finite JSON number, a sampling flag the
@@ -35,7 +40,8 @@ an --n or a grid of more than 2^32 lines or a voxel lattice of more than
 tolerance failure (estimate beyond its method's gate, 4 standard errors
 of its reference for Monte Carlo and 5.48 for the grid, whose z follows
 Student's t with 15 degrees of freedom; failed invariance; a volume or
-p-Area that is not finite; or non-convergent quadrature).
+p-Area that is not finite; or non-convergent quadrature, which writes
+no report).
 """
 
 from __future__ import annotations
@@ -229,26 +235,6 @@ def _finite(x):
     return x
 
 
-def _estimate_payload(est) -> dict:
-    return {
-        "value": est.value,
-        "std_error": est.std_error,
-        "ci95": [est.ci95[0], est.ci95[1]],
-        "n_samples": est.n_samples,
-        "n_hits": est.n_hits,
-        "method": est.method,
-    }
-
-
-def _diagnostics(est) -> dict:
-    if est.reference is None:
-        return {}
-    rel = (
-        (est.value - est.reference) / est.reference if est.reference != 0.0 else None
-    )
-    return {"rel_error": rel, "z_score": est.z_score()}
-
-
 _ESTIMATE_CSV_FIELDS = [
     "command",
     "ell",
@@ -268,33 +254,17 @@ _MEASURE_CSV_FIELDS = ["command", *(f.name for f in dataclasses.fields(MeasureRe
 _INVARIANCE_CSV_FIELDS = [f.name for f in dataclasses.fields(InvarianceRow)]
 
 
-def _estimate_csv_row(command: str, ell, est, diag: dict) -> dict:
-    return {
-        "command": command,
-        "ell": "" if ell is None else ell,
-        "value": est.value,
-        "std_error": est.std_error,
-        "ci_lo": est.ci95[0],
-        "ci_hi": est.ci95[1],
-        "n_samples": est.n_samples,
-        "n_hits": est.n_hits,
-        "seed": est.seed,
-        "method": est.method,
-        "reference": "" if est.reference is None else est.reference,
-        "rel_error": diag.get("rel_error", ""),
-        "z_score": diag.get("z_score", ""),
-    }
-
-
 def _render(report: dict, fmt: str, csv_rows: tuple[list[str], list[dict]]) -> str:
     if fmt == "json":
         text = json.dumps(_finite(report), sort_keys=True, indent=2, allow_nan=False)
         return text + "\n"
+    # every row carries the report's command; a table drops the keys it
+    # does not list (invariance's command, an estimate's ci95 and source)
     fields, rows = csv_rows
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n", extrasaction="ignore")
     writer.writeheader()
-    writer.writerows(_finite(rows))
+    writer.writerows(_finite([{"command": report["command"], **row} for row in rows]))
     return buf.getvalue()
 
 
@@ -312,74 +282,72 @@ def _sampling(args) -> tuple[dict, dict]:
     return kw, params
 
 
-def _measure_report(command: str, spec: dict, res) -> tuple[dict, tuple, int]:
+def _measure_fields(command: str, spec: dict, res: MeasureResult):
+    """The fields, CSV rows and failed check of a measure command: a
+    value that is not finite (a body near the float range) is null in the
+    report and fails its gate."""
     result = dataclasses.asdict(res)
-    report = {"schema": SCHEMA, "command": command, "body": spec, "result": result}
-    # a body near the float range: null in the report, and a failed gate
-    code = 0 if math.isfinite(res.value) else 4
-    if code:
-        report["tolerance_failure"] = f"{command} is not finite: the body overflows floats"
-    return report, (_MEASURE_CSV_FIELDS, [{"command": command, **result}]), code
+    failures = []
+    if not math.isfinite(res.value):
+        failures.append(f"{command} is not finite: the body overflows floats")
+    return {"body": spec, "result": result}, (_MEASURE_CSV_FIELDS, [result]), failures
 
 
-def _estimate_report(command, specs, params, estimates, fit=None):
-    """The report, CSV rows and exit code of every estimate command.
+# the keys of an estimate's record that a report's result holds, and
+# that a sweep's rows hold beside them
+_RESULT_KEYS = ("value", "std_error", "ci95", "n_samples", "n_hits", "method")
+_ROW_KEYS = (*_RESULT_KEYS, "ell", "reference")
+
+
+def _estimate_fields(specs: dict, params: dict, estimates: list, fit=None):
+    """The fields, CSV rows and failed checks of every estimate command.
 
     ``estimates`` pairs each estimate with its segment length (None for
-    line estimates), and ``params`` is ``_sampling``'s.  One estimate
-    fills ``result``, ``reference`` and ``diagnostics``; a sweep (``fit``
-    given) lists its estimates as ``rows``.  Every estimate is gated
-    against its reference: it fails at or beyond its method's z gate
-    (``EstimateResult.z_gate``), as does an inexact estimate without an
-    error bar.
+    line estimates), and ``params`` is ``_sampling``'s.  Each estimate
+    becomes one flat record: its CSV row, which also fills the report's
+    ``result`` and ``diagnostics``, or a sweep's (``fit`` given)
+    ``rows``.  Every estimate is gated against its reference: it fails
+    at or beyond its method's z gate (``EstimateResult.z_gate``), as does
+    an inexact estimate without an error bar.
     """
-    report = {"schema": SCHEMA, "command": command, **specs}
-    diags = [_diagnostics(est) for _, est in estimates]
+    records, failures = [], []
+    for ell, est in estimates:
+        rec = {**dataclasses.asdict(est), "ell": ell, "ci_lo": est.ci95[0], "ci_hi": est.ci95[1]}
+        if est.reference is not None:
+            ref = est.reference
+            rec["rel_error"] = (est.value - ref) / ref if ref != 0.0 else None
+            z = rec["z_score"] = est.z_score()
+            if not abs(z) < est.z_gate:
+                failures.append(
+                    f"estimate {est.value:.6g} deviates from reference {ref:.6g} "
+                    f"by {z:+.2f} standard errors (gate {est.z_gate})"
+                )
+        records.append(rec)
     if fit is None:
-        ((ell, est),) = estimates
-        report["result"] = _estimate_payload(est)
-        report["reference"] = {"value": est.reference, "source": est.reference_source}
-        report["diagnostics"] = diags[0]
-        if ell is not None:
-            params["ell"] = ell
+        (rec,) = records
+        fields = {
+            "result": {key: rec[key] for key in _RESULT_KEYS},
+            "reference": {"value": rec["reference"], "source": rec["reference_source"]},
+            "diagnostics": {key: rec[key] for key in ("rel_error", "z_score") if key in rec},
+        }
+        if rec["ell"] is not None:
+            params["ell"] = rec["ell"]
     else:
-        params["ell_list"] = [ell for ell, _ in estimates]
-        report["rows"] = [
-            {**_estimate_payload(est), "ell": ell, "reference": est.reference}
-            for ell, est in estimates
-        ]
-        report["fit"] = fit
-    report["params"] = params
-    code = 0
-    for (_, est), diag in zip(estimates, diags):
-        z = diag.get("z_score", 0.0)
-        if not abs(z) < est.z_gate:
-            report["tolerance_failure"] = (
-                f"estimate {est.value:.6g} deviates from reference "
-                f"{est.reference:.6g} by {z:+.2f} standard errors (gate {est.z_gate})"
-            )
-            code = 4
-    rows = [
-        _estimate_csv_row(command, ell, est, diag)
-        for (ell, est), diag in zip(estimates, diags)
-    ]
-    return report, (_ESTIMATE_CSV_FIELDS, rows), code
+        params["ell_list"] = [rec["ell"] for rec in records]
+        fields = {"rows": [{key: rec[key] for key in _ROW_KEYS} for rec in records], "fit": fit}
+    return {**specs, **fields, "params": params}, (_ESTIMATE_CSV_FIELDS, records), failures
 
 
 def _cmd_volume(args):
-    # a body near the float range overflows to inf or nan without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        spec, body = _load_body(args.body)
-        res = volume_voxel_oracle(body, args.resolution) if args.method == "voxel" else volume(body)
-    return _measure_report("volume", spec, res)
+    spec, body = _load_body(args.body)
+    res = volume_voxel_oracle(body, args.resolution) if args.method == "voxel" else volume(body)
+    return _measure_fields(args.command, spec, res)
 
 
 def _cmd_p_area(args):
-    method = "line" if args.oracle else "auto"
-    with np.errstate(over="ignore", invalid="ignore"):
-        spec, body = _load_body(args.body)
-        res = p_area(body, method=method, rel_tol=args.tol)
-    return _measure_report("p-area", spec, res)
+    spec, body = _load_body(args.body)
+    res = p_area(body, method="line" if args.oracle else "auto", rel_tol=args.tol)
+    return _measure_fields(args.command, spec, res)
 
 
 def _cmd_estimate(args):
@@ -389,7 +357,7 @@ def _cmd_estimate(args):
     estimate = globals()[_ESTIMATES[args.command][0]]
     ell = getattr(args, "ell", None)
     est = estimate(body, args.n, **kw) if ell is None else estimate(body, ell, args.n, **kw)
-    return _estimate_report(args.command, {"body": spec}, params, [(ell, est)])
+    return _estimate_fields({"body": spec}, params, [(ell, est)])
 
 
 def _cmd_containment(args):
@@ -398,7 +366,7 @@ def _cmd_containment(args):
     kw, params = _sampling(args)
     est = containment_probability(inner, outer, args.ell, args.n, **kw)
     specs = {"inner": inner_spec, "outer": outer_spec}
-    return _estimate_report("containment", specs, params, [(args.ell, est)])
+    return _estimate_fields(specs, params, [(args.ell, est)])
 
 
 def _cmd_invariance(args):
@@ -407,26 +375,13 @@ def _cmd_invariance(args):
     kw, params = _sampling(args)
     rep = invariance_check(body, motion, args.n, **kw)
     rows = [dataclasses.asdict(row) for row in rep.rows]
-    report = {
-        "schema": SCHEMA,
-        "command": "invariance",
-        "body": spec,
-        "params": {
-            **params,
-            "motion": [motion.a, motion.b, motion.c, motion.alpha],
-            "threshold": rep.threshold,
-        },
-        "rows": rows,
-        "passed": rep.passed,
-    }
-    code = 0
+    params.update(motion=[motion.a, motion.b, motion.c, motion.alpha], threshold=rep.threshold)
+    failures = []
     if not rep.passed:
         worst = max(rep.rows, key=lambda r: abs(r.z))
-        report["tolerance_failure"] = (
-            f"invariance violated: {worst.quantity} differs by z={worst.z:+.2f}"
-        )
-        code = 4
-    return report, (_INVARIANCE_CSV_FIELDS, rows), code
+        failures.append(f"invariance violated: {worst.quantity} differs by z={worst.z:+.2f}")
+    fields = {"body": spec, "params": params, "rows": rows, "passed": rep.passed}
+    return fields, (_INVARIANCE_CSV_FIELDS, rows), failures
 
 
 def _cmd_sweep(args):
@@ -447,7 +402,7 @@ def _cmd_sweep(args):
         "slope_reference": slope.reference,
         "intercept_reference": intercept.reference,
     }
-    return _estimate_report("sweep", {"body": spec}, params, estimates, fit)
+    return _estimate_fields({"body": spec}, params, estimates, fit)
 
 
 def _positive_int(text: str) -> int:
@@ -582,7 +537,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        report, csv_rows, code = args.func(args)
+        # a body or an argument near the float range overflows to inf or
+        # nan without a numpy warning: a value that is not finite is null
+        # in the report and fails its gate, or the input is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            fields, csv_rows, failures = args.func(args)
     except (ConfigError, ContainmentError, ValueError, MemoryError) as exc:
         # invalid numeric arguments surface from the library layer as
         # ValueError, and a request too large to allocate as MemoryError
@@ -594,8 +553,14 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    # one gate for every command: a failed check names itself in the
+    # report (the last one, if several fail) and exits 4
+    report = {"schema": SCHEMA, "command": args.command, **fields}
+    if failures:
+        report["tolerance_failure"] = failures[-1]
     report["wall_time_s"] = time.perf_counter() - started
     text = _render(report, args.format, csv_rows)
+    code = 4 if failures else 0
     if args.out is None:
         sys.stdout.write(text)
         return code

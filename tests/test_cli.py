@@ -47,6 +47,11 @@ def box_file(tmp_path):
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
+    if captured.out.startswith("{"):
+        # one gate rule for every command: a report names a failed check
+        # exactly when the command exits 4
+        report = json.loads(captured.out)
+        assert ("tolerance_failure" in report) == (code == 4), (argv, code)
     return code, captured.out, captured.err
 
 
@@ -280,9 +285,43 @@ def test_estimate_report_schemas(capsys, tmp_path, ball_file, name):
     argv += [*flags, "--n", "4000"]
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
-    assert _key_tree(json.loads(out)) == keys
+    report = json.loads(out)
+    assert _key_tree(report) == keys
     code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
     assert code == 0 and out.splitlines()[0] == header
+    # the CSV rows hold the JSON report's values, cell for cell
+    rows = list(csv.DictReader(io.StringIO(out)))
+    expected = _csv_cells(report)
+    assert [{key: row[key] for key in cells} for row, cells in zip(rows, expected)] == expected
+    assert len(rows) == len(expected)
+
+
+def _csv_cells(report):
+    """The cells of each CSV row that a JSON report holds, as the CSV
+    writer spells them: an estimate's interval is ci_lo and ci_hi, and a
+    null is an empty cell.  A sweep's rows carry no diagnostics, so only
+    their CSV rows give rel_error and z_score."""
+    if report["command"] == "invariance":
+        return [{key: _cell(value) for key, value in row.items()} for row in report["rows"]]
+    params = report["params"]
+    estimates = report.get("rows") or [
+        {
+            **report["result"],
+            **report["diagnostics"],
+            "ell": params.get("ell"),
+            "reference": report["reference"]["value"],
+        }
+    ]
+    rows = []
+    for est in estimates:
+        cells = {**est, "command": report["command"], "seed": params["seed"]}
+        cells["ci_lo"], cells["ci_hi"] = cells.pop("ci95")
+        rows.append({key: _cell(value) for key, value in cells.items()})
+    return rows
+
+
+def _cell(value):
+    return "" if value is None else str(value)
 
 
 def test_kinematic_and_grid_method(capsys, ball_file):
@@ -580,6 +619,11 @@ _BAD_INPUTS = {
     "voxel-resolution-huge": (None, ["volume", "--method", "voxel", "--resolution", "1000000"]),
     # a report path that cannot be opened for writing
     "unwritable-out": (None, ["volume", "--out", os.path.join(os.devnull, "report.json")]),
+    # a body or a motion near the float range: refused with no numpy warning
+    "vast-ball-crofton": (
+        '{"kind": "ball", "center": [0, 0, 0], "radius": 1e200}', ["crofton", "--n", "1000"]
+    ),
+    "motion-overflow": (None, ["invariance", "--n", "1000", "--motion", "1e200,0,0,0"]),
 }
 
 # every body-file number is a JSON number: a numeric string, a boolean
@@ -613,7 +657,7 @@ def test_bad_input_is_a_configuration_error(capsys, tmp_path, ball_file, case):
         with open(body, "w", encoding="utf-8") as fh:
             fh.write(text)
     code, out, err = run_cli(capsys, [argv[0], "--body", body, *argv[1:]])
-    assert code == 2 and err.startswith("error:") and out == ""
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1 and out == ""
 
 
 def test_ellipsoid_body_file(capsys, tmp_path):
