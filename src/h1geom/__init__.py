@@ -10,20 +10,9 @@ quasi-Monte Carlo (the grid method) integration, each with an error bar.
 
 from .core import (
     TWO_PI,
-    HorizontalLine,
-    Point,
     PshMotion,
-    contact_form_at,
-    levi_length,
-    levi_length_fixed_plane,
     line_chart_image,
-    line_direction,
-    line_point_at,
-    line_through,
     motion_affine,
-    normalize_angle,
-    psh_apply_line,
-    psh_apply_point,
     psh_compose,
     psh_inverse,
 )
@@ -64,22 +53,11 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "TWO_PI",
-    "Point",
     "PshMotion",
-    "HorizontalLine",
-    "normalize_angle",
-    "psh_apply_point",
     "psh_compose",
     "psh_inverse",
     "motion_affine",
-    "line_point_at",
-    "line_direction",
-    "line_through",
     "line_chart_image",
-    "psh_apply_line",
-    "contact_form_at",
-    "levi_length",
-    "levi_length_fixed_plane",
     "CapabilityError",
     "ConvexBody",
     "Ball",

@@ -426,9 +426,9 @@ class Polytope(ConvexBody):
     pair of planes meets in a line, clipped against all H halfspaces, so
     a build costs O(H^3) time in chunks of bounded memory.  Ends found
     from different edges are one vertex when they lie on the same set of
-    planes (within 1e-9 of the ends' largest coordinate distance from
-    their mean, plus 64 ulps of their largest coordinate), and an end
-    outside a halfspace by more than that is dropped.  Each distinct
+    planes, each within 64 ulps of the ends' largest coordinate, and an
+    end outside a halfspace by more than that plus 1e-9 of the ends'
+    largest coordinate distance from their mean is dropped.  Each distinct
     plane holding at least three vertices is a facet, and only the
     facets are kept as ``normals`` and ``offsets``.  One lexsort of every
     (facet, vertex) incidence by facet and by angle about the facet's
@@ -468,11 +468,12 @@ class Polytope(ConvexBody):
         ends = ends.reshape(-1, 3)
         if not len(ends):
             raise ValueError("Polytope has empty interior")
-        # the incidence tolerance scales with the body itself, not with its
-        # distance from the origin or a far redundant halfspace: 1e-9 of the
-        # ends' extent about their mean, plus their own round-off
-        tol = 1e-9 * float(np.abs(ends - ends.mean(axis=0)).max())
-        tol += 64.0 * np.finfo(float).eps * float(np.abs(ends).max())
+        # an end lies on a plane up to its own round-off; an end outside
+        # the body by more than 1e-9 of the ends' extent about their mean
+        # (a scale of the body itself, not of its distance from the origin
+        # or of a far redundant halfspace) is no vertex
+        roundoff = 64.0 * np.finfo(float).eps * float(np.abs(ends).max())
+        tol = 1e-9 * float(np.abs(ends - ends.mean(axis=0)).max()) + roundoff
         # _hull_edges keeps a line parallel to a plane it lies outside by
         # less than 1e-9 of the largest |d_i|, which a far redundant
         # halfspace makes large: the ends of such a line lie outside the
@@ -483,12 +484,14 @@ class Polytope(ConvexBody):
             raise ValueError("Polytope has empty interior")
         ends = ends[inside]
         # ends of one vertex reached along different edges differ by
-        # round-off only, and lie on the same planes
-        active = np.abs(slack[inside]) <= tol
+        # round-off only, and lie on the same planes; the incidence test
+        # reads round-off alone, since a far image's nearly parallel
+        # facets pass closer to its vertices than 1e-9 of its extent
+        active = np.abs(slack[inside]) <= roundoff
         first = _distinct_rows(active)
         self._vertices, active = ends[first], active[first]
         centroid = self._vertices.mean(axis=0)
-        if np.min(offsets - normals @ centroid) <= tol:
+        if np.min(offsets - normals @ centroid) <= roundoff:
             raise ValueError("Polytope has empty interior")
         # duplicate halfspaces hold the same vertices: one facet per set,
         # and only the facets' halfspaces are kept, so a redundant one

@@ -10,7 +10,6 @@ from h1geom import (
     Ball,
     Box,
     Ellipsoid,
-    HorizontalLine,
     Polytope,
     PshMotion,
     p_area,
@@ -91,12 +90,20 @@ def random_motion(rng: np.random.Generator, scale: float = 1.0) -> PshMotion:
 
 def random_line(
     rng: np.random.Generator, p_max: float = 2.0, t_max: float = 2.0
-) -> HorizontalLine:
-    return HorizontalLine(
+) -> tuple[float, float, float]:
+    """Chart coordinates (p, theta, t) of a random line with p >= 0."""
+    return (
         rng.uniform(0.0, p_max),
         rng.uniform(0.0, 2.0 * np.pi),
         rng.uniform(-t_max, t_max),
     )
+
+
+def line_points(p, theta, t, s) -> np.ndarray:
+    """The points gamma(s) of the lines (p, theta, t) in the chart of
+    h1geom.core, broadcast over all four arguments and stacked as (..., 3)."""
+    ct, st = np.cos(theta), np.sin(theta)
+    return np.stack(np.broadcast_arrays(p * ct + s * st, p * st - s * ct, t + s * p), axis=-1)
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     cylinder,
     forget_line_pass,
+    line_points,
     make_acceptance_bodies,
     quadratic_form,
     random_line,
@@ -22,14 +23,12 @@ from h1geom import (
     CapabilityError,
     ConvexBody,
     Ellipsoid,
-    HorizontalLine,
     Polytope,
     PshMotion,
     estimate_line_measure,
-    line_point_at,
+    line_chart_image,
     motion_affine,
     p_area,
-    psh_apply_line,
     transform_body,
 )
 from h1geom.bodies import _direction, _solve_chord_quadratic
@@ -139,8 +138,8 @@ def test_box_chord_example():
     )
     assert hit.all()
     assert abs(s_lo[0] + 1.0) < 1e-12 and abs(s_hi[0] - 1.0) < 1e-12
-    mid = line_point_at(HorizontalLine(0.5, 0.0, 0.25), 0.5 * (s_lo[1] + s_hi[1]))
-    assert box.contains_batch(mid.as_array()[None])[0]
+    mid = line_points(0.5, 0.0, 0.25, 0.5 * (s_lo[1] + s_hi[1]))
+    assert box.contains_batch(mid[None])[0]
 
 
 def test_constructor_validation():
@@ -461,18 +460,8 @@ def test_polytope_chord_against_dense_sampling():
     checked = 0
     for _ in range(100):
         g = random_line(rng, p_max=1.8, t_max=1.5)
-        pts = np.stack(
-            [
-                g.p * math.cos(g.theta) + grid * math.sin(g.theta),
-                g.p * math.sin(g.theta) - grid * math.cos(g.theta),
-                g.t + grid * g.p,
-            ],
-            axis=-1,
-        )
-        mask = poly.contains_batch(pts)
-        (s_lo,), (s_hi,), (hit,) = poly.chord_batch(
-            np.array([g.p]), np.array([g.theta]), np.array([g.t])
-        )
+        mask = poly.contains_batch(line_points(*g, grid))
+        (s_lo,), (s_hi,), (hit,) = poly.chord_batch(*(np.array([x]) for x in g))
         if not mask.any():
             assert not hit or s_hi - s_lo <= 2.0 * step
             continue
@@ -519,6 +508,17 @@ def test_transform_preserves_volume():
             img = transform_body(m, body)
             v0, v1 = body.volume_exact(), img.volume_exact()
             assert abs(v0 - v1) <= 1e-8 * max(1.0, v0), name
+    # far images of the polytope are long in t with nearly parallel
+    # facets, which pass closer to the vertices than 1e-9 of the extent:
+    # each keeps all 12 vertices, and its volume up to the mapped
+    # vertices' round-off
+    poly = BODIES["polytope"]
+    v0 = poly.volume_exact()
+    for s in (1e4, 3e4, 1e5):
+        img = transform_body(PshMotion(s, 0.3 * s, 0.1, 0.7), poly)
+        assert len(img.vertices) == len(poly.vertices) == 12, s
+        if s < 1e5:
+            assert abs(img.volume_exact() - v0) <= 1e-7 * v0, s
 
 
 def test_membership_equivariance():
@@ -543,16 +543,13 @@ def test_chord_length_is_motion_invariant():
     for name, body in BODIES.items():
         m = random_motion(rng, 1.2)
         img = transform_body(m, body)
-        lines = [random_line(rng, p_max=1.8, t_max=2.0) for _ in range(n)]
-        p = np.array([g.p for g in lines])
-        theta = np.array([g.theta for g in lines])
-        t = np.array([g.t for g in lines])
-        s_lo, s_hi, hit = body.chord_batch(p, theta, t)
-        moved = [psh_apply_line(m, g) for g in lines]
-        mp = np.array([g.p for g in moved])
-        mtheta = np.array([g.theta for g in moved])
-        mt = np.array([g.t for g in moved])
-        m_lo, m_hi, m_hit = img.chord_batch(mp, mtheta, mt)
+        lines = np.array([random_line(rng, p_max=1.8, t_max=2.0) for _ in range(n)]).T
+        s_lo, s_hi, hit = body.chord_batch(*lines)
+        # the unfolded image lines, with p' of either sign: a line and its
+        # image share their chord's parameters
+        moved = line_chart_image(m, *lines)
+        assert (moved[0] < 0.0).any() and (moved[0] > 0.0).any(), name
+        m_lo, m_hi, m_hit = img.chord_batch(*moved)
         solid = hit & ((s_hi - s_lo) > 1e-9)
         assert (m_hit[solid]).all(), name
         sigma = s_hi[solid] - s_lo[solid]
@@ -746,20 +743,20 @@ def reference_box_chords(lo, hi, p, theta, t):
     return s_lo, s_hi, s_lo <= s_hi
 
 
-def line_through(x, theta) -> HorizontalLine:
-    """The horizontal line of direction angle theta (theta + pi if that
-    makes p >= 0) through the point x = (p cos + s sin, p sin - s cos,
-    t + s p)."""
+def line_through(x, theta) -> tuple[float, float, float]:
+    """The chart (p, theta, t) of the horizontal line of direction angle
+    theta (theta + pi if that makes p >= 0) through the point
+    x = (p cos + s sin, p sin - s cos, t + s p)."""
     ct, st = math.cos(theta), math.sin(theta)
     p = x[0] * ct + x[1] * st
     s = x[0] * st - x[1] * ct
     if p < 0.0:
         p, theta = -p, theta + math.pi
-    return HorizontalLine(p, theta % (2.0 * math.pi), x[2] - s * p)
+    return p, theta % (2.0 * math.pi), x[2] - s * p
 
 
 def lines_arrays(lines):
-    return tuple(np.array([getattr(g, k) for g in lines]) for k in ("p", "theta", "t"))
+    return tuple(np.array(column) for column in zip(*lines))
 
 
 def random_planar_lines(rng, body: Polytope, n=10_000):
@@ -796,10 +793,10 @@ def face_plane_lines(body: Box):
         if normal[0] != 0.0:
             c[0] = normal[0] * offset
             if c[0] >= 0.0:
-                lines.append(HorizontalLine(c[0], 0.0, c[2] + c[1] * c[0]))
+                lines.append((c[0], 0.0, c[2] + c[1] * c[0]))
         elif normal[2] != 0.0:
             theta = math.atan2(c[0], -c[1]) % (2.0 * math.pi)
-            lines.append(HorizontalLine(0.0, theta, normal[2] * offset))
+            lines.append((0.0, theta, normal[2] * offset))
     return lines
 
 

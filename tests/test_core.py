@@ -1,94 +1,73 @@
-"""Group operations, horizontal lines, frames, and invariant densities."""
+"""Group operations, the line chart and its motion action, and invariant
+densities."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_line, random_motion
+from conftest import line_points, random_line, random_motion
 from h1geom import (
-    HorizontalLine,
-    Point,
     PshMotion,
-    contact_form_at,
-    levi_length,
-    levi_length_fixed_plane,
     line_chart_image,
-    line_direction,
-    line_point_at,
-    line_through,
     motion_affine,
-    normalize_angle,
-    psh_apply_line,
-    psh_apply_point,
     psh_compose,
     psh_inverse,
 )
 
 
-def pt_close(a: Point, b: Point, tol: float) -> bool:
-    scale = 1.0 + max(map(abs, (a.x, a.y, a.t, b.x, b.y, b.t)))
-    return (
-        abs(a.x - b.x) <= tol * scale
-        and abs(a.y - b.y) <= tol * scale
-        and abs(a.t - b.t) <= tol * scale
-    )
+def move(m: PshMotion, x) -> np.ndarray:
+    """The motion applied to points x (..., 3) by its affine map."""
+    a_mat, q = motion_affine(m)
+    return np.asarray(x, dtype=float) @ a_mat.T + q
+
+
+def assert_close(a, b, tol: float) -> None:
+    a, b = np.asarray(a), np.asarray(b)
+    scale = 1.0 + max(np.abs(a).max(), np.abs(b).max())
+    assert np.all(np.abs(a - b) <= tol * scale)
 
 
 def test_normalize_angle():
-    assert normalize_angle(0.0) == 0.0
-    assert abs(normalize_angle(2.0 * math.pi)) < 1e-12
-    assert abs(normalize_angle(-math.pi / 4) - 7 * math.pi / 4) < 1e-12
-    assert abs(normalize_angle(5.0 * math.pi) - math.pi) < 1e-12
+    # a motion stores alpha reduced to [0, 2 pi)
+    def alpha(angle):
+        return PshMotion(0.0, 0.0, 0.0, angle).alpha
+
+    assert alpha(0.0) == 0.0
+    assert abs(alpha(2.0 * math.pi)) < 1e-12
+    assert abs(alpha(-math.pi / 4) - 7 * math.pi / 4) < 1e-12
+    assert abs(alpha(5.0 * math.pi) - math.pi) < 1e-12
     for k in range(-3, 4):
-        v = normalize_angle(1.3 + 2.0 * math.pi * k)
+        v = alpha(1.3 + 2.0 * math.pi * k)
         assert 0.0 <= v < 2.0 * math.pi
         assert abs(v - 1.3) < 1e-9
 
 
 def test_apply_point_translation_example():
-    out = psh_apply_point(PshMotion(1.0, 2.0, 3.0, 0.0), Point(4.0, 5.0, 6.0))
-    assert (out.x, out.y, out.t) == (5.0, 7.0, 12.0)
+    out = move(PshMotion(1.0, 2.0, 3.0, 0.0), [4.0, 5.0, 6.0])
+    assert out.tolist() == [5.0, 7.0, 12.0]
 
 
 def test_apply_point_rotation_example():
-    out = psh_apply_point(PshMotion(0.0, 0.0, 0.0, math.pi / 2), Point(1.0, 0.0, 0.0))
-    assert pt_close(out, Point(0.0, 1.0, 0.0), 1e-12)
+    out = move(PshMotion(0.0, 0.0, 0.0, math.pi / 2), [1.0, 0.0, 0.0])
+    assert_close(out, [0.0, 1.0, 0.0], 1e-12)
 
 
 def test_constructors_and_validation():
-    ident = PshMotion.identity()
-    assert (ident.a, ident.b, ident.c, ident.alpha) == (0.0, 0.0, 0.0, 0.0)
-    tr = PshMotion.translation(1.0, 2.0, 3.0)
-    assert (tr.a, tr.b, tr.c, tr.alpha) == (1.0, 2.0, 3.0, 0.0)
-    rot = PshMotion.rotation(0.7)
-    assert (rot.a, rot.b, rot.c) == (0.0, 0.0, 0.0) and abs(rot.alpha - 0.7) < 1e-15
     # alpha is stored normalized
     assert abs(PshMotion(0.0, 0.0, 0.0, 2.0 * math.pi + 1.0).alpha - 1.0) < 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="PshMotion requires finite coordinates"):
         PshMotion(math.nan, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Point(math.inf, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        HorizontalLine(-0.1, 0.0, 0.0)
-
-
-def test_point_array_round_trip():
-    pt = Point(1.5, -2.0, 0.25)
-    arr = pt.as_array()
-    assert arr.shape == (3,)
-    back = Point.from_array(arr)
-    assert (back.x, back.y, back.t) == (pt.x, pt.y, pt.t)
+    with pytest.raises(ValueError, match="PshMotion requires finite coordinates"):
+        PshMotion(0.0, 0.0, 0.0, math.inf)
 
 
 def test_compose_defining_property():
     rng = np.random.default_rng(101)
     for _ in range(500):
         m1, m2 = random_motion(rng, 2.0), random_motion(rng, 2.0)
-        g = Point(*rng.uniform(-3.0, 3.0, 3))
-        lhs = psh_apply_point(psh_compose(m1, m2), g)
-        rhs = psh_apply_point(m1, psh_apply_point(m2, g))
-        assert pt_close(lhs, rhs, 1e-12)
+        g = rng.uniform(-3.0, 3.0, 3)
+        assert_close(move(psh_compose(m1, m2), g), move(m1, move(m2, g)), 1e-12)
 
 
 def test_compose_translation_example():
@@ -114,131 +93,104 @@ def test_associativity():
 
 def test_inverse():
     rng = np.random.default_rng(55)
-    ident = PshMotion.identity()
+    ident = PshMotion(0.0, 0.0, 0.0, 0.0)
     for _ in range(500):
         m = random_motion(rng, 2.0)
         r = psh_compose(m, psh_inverse(m))
         assert abs(r.a) < 1e-12 and abs(r.b) < 1e-12 and abs(r.c) < 1e-12
         d = r.alpha % (2.0 * math.pi)
         assert min(d, 2.0 * math.pi - d) < 1e-12
-        g = Point(*rng.uniform(-2.0, 2.0, 3))
-        back = psh_apply_point(psh_inverse(m), psh_apply_point(m, g))
-        assert pt_close(back, g, 1e-12)
-        assert pt_close(psh_apply_point(ident, g), g, 0.0)
-
-
-def test_matrix_matches_apply():
-    rng = np.random.default_rng(303)
-    for _ in range(200):
-        m = random_motion(rng, 2.0)
-        g = Point(*rng.uniform(-3.0, 3.0, 3))
-        hom = m.matrix() @ np.array([1.0, g.x, g.y, g.t])
-        img = psh_apply_point(m, g)
-        assert hom[0] == 1.0
-        assert np.allclose(hom[1:], img.as_array(), rtol=0.0, atol=1e-12 * 10)
+        g = rng.uniform(-2.0, 2.0, 3)
+        assert_close(move(psh_inverse(m), move(m, g)), g, 1e-12)
+        assert np.array_equal(move(ident, g), g)
 
 
 def test_matrix_of_compose_is_product():
+    # the affine map of m1 after m2 is the product of theirs
     rng = np.random.default_rng(304)
     for _ in range(200):
         m1, m2 = random_motion(rng, 2.0), random_motion(rng, 2.0)
-        lhs = psh_compose(m1, m2).matrix()
-        rhs = m1.matrix() @ m2.matrix()
-        assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12 * 10)
+        (a12, q12), (a1, q1), (a2, q2) = map(motion_affine, (psh_compose(m1, m2), m1, m2))
+        assert np.allclose(a12, a1 @ a2, rtol=0.0, atol=1e-12 * 10)
+        assert np.allclose(q12, a1 @ q2 + q1, rtol=0.0, atol=1e-12 * 10)
 
 
 def test_motion_affine():
+    # the group law of the module docstring: rotate (x, y) by alpha, then
+    # left-multiply by (a, b, c) in the polarized product
     rng = np.random.default_rng(305)
     for _ in range(100):
         m = random_motion(rng, 2.0)
         a_mat, q = motion_affine(m)
         g = rng.uniform(-2.0, 2.0, 3)
-        img = psh_apply_point(m, Point(*g))
-        assert np.allclose(a_mat @ g + q, img.as_array(), atol=1e-12 * 10)
+        ca, sa = math.cos(m.alpha), math.sin(m.alpha)
+        x, y = g[0] * ca - g[1] * sa, g[0] * sa + g[1] * ca
+        law = [m.a + x, m.b + y, m.c + g[2] + m.b * x - m.a * y]
+        assert np.allclose(a_mat @ g + q, law, rtol=0.0, atol=1e-12 * 10)
 
 
 def test_line_point_at_examples():
-    out = line_point_at(HorizontalLine(1.0, 0.0, 0.0), 2.0)
-    assert (out.x, out.y, out.t) == (1.0, -2.0, 2.0)
+    # the chart of the module docstring, which line_points evaluates for
+    # the tests: gamma(s) = (p cos + s sin, p sin - s cos, t + s p)
+    assert line_points(1.0, 0.0, 0.0, 2.0).tolist() == [1.0, -2.0, 2.0]
+    s = np.array([-1.0, 0.5, 2.0])
     for theta in (0.3, 1.0, 4.0):
-        g = HorizontalLine(0.0, theta, 0.0)
-        for s in (-1.0, 0.5, 2.0):
-            pt = line_point_at(g, s)
-            assert abs(pt.x - s * math.sin(theta)) < 1e-15 * (1 + abs(s))
-            assert abs(pt.y + s * math.cos(theta)) < 1e-15 * (1 + abs(s))
-            assert pt.t == 0.0
-    assert np.allclose(
-        line_direction(HorizontalLine(2.0, 0.0, 0.0)), [0.0, -1.0, 2.0]
-    )
-
-
-def test_line_accessors():
-    g = HorizontalLine(1.5, 0.25, -0.5)
-    # s = 0 is the base point (p cos theta, p sin theta, t), exactly
-    assert line_point_at(g, 0.0) == Point(1.5 * math.cos(0.25), 1.5 * math.sin(0.25), -0.5)
-    assert np.array_equal(line_direction(g), [math.sin(0.25), -math.cos(0.25), 1.5])
+        pts = line_points(0.0, theta, 0.0, s)
+        assert pts.shape == (3, 3)
+        assert np.all(np.abs(pts[:, 0] - s * math.sin(theta)) < 1e-15 * (1 + np.abs(s)))
+        assert np.all(np.abs(pts[:, 1] + s * math.cos(theta)) < 1e-15 * (1 + np.abs(s)))
+        assert np.all(pts[:, 2] == 0.0)
 
 
 def test_horizontality():
+    # Theta = dt + x dy - y dx annihilates the velocity (sin, -cos, p) at
+    # every point of a line; one row of doubles per random_line and s
     rng = np.random.default_rng(808)
-    for _ in range(1000):
-        g = random_line(rng)
-        s = rng.uniform(-3.0, 3.0)
-        pt = line_point_at(g, s)
-        v = line_direction(g)
-        scale = 1.0 + abs(pt.x) + abs(pt.y) + abs(v[2])
-        assert abs(contact_form_at(pt, v)) <= 1e-12 * scale
-    # the Reeb direction is not horizontal
-    assert contact_form_at(Point(0.0, 0.0, 0.0), (0.0, 0.0, 1.0)) == 1.0
-
-
-def test_line_through():
-    rng = np.random.default_rng(909)
-    for _ in range(1000):
-        pt = Point(*rng.uniform(-2.0, 2.0, 3))
-        theta = rng.uniform(-7.0, 7.0)
-        g, s = line_through(pt, theta)
-        assert g.p >= 0.0
-        assert 0.0 <= g.theta < 2.0 * math.pi
-        assert pt_close(line_point_at(g, s), pt, 1e-12)
+    u = rng.random((1000, 4))
+    p, theta, t, s = (u * [2.0, 2.0 * np.pi, 4.0, 6.0] + [0.0, 0.0, -2.0, -3.0]).T
+    x, y, _ = line_points(p, theta, t, s).T
+    vx, vy = np.sin(theta), -np.cos(theta)
+    scale = 1.0 + np.abs(x) + np.abs(y) + p
+    assert np.all(np.abs(p + x * vy - y * vx) <= 1e-12 * scale)
 
 
 def test_apply_line_example():
-    g = psh_apply_line(PshMotion(1.0, 1.0, 1.0, 0.0), HorizontalLine(1.0, 0.0, 0.0))
-    assert (g.p, g.theta) == (2.0, 0.0)
-    assert g.t == 4.0
+    # the translation (1, 1, 1) moves each line of normal angle 0 one unit
+    # along its normal and lifts its base point by 1 + (2 p + 1), over the
+    # broadcast shape of the chart arrays
+    p, th, t = line_chart_image(
+        PshMotion(1.0, 1.0, 1.0, 0.0), np.array([[1.0], [0.0]]), np.zeros(3), 0.0
+    )
+    assert p.shape == th.shape == t.shape == (2, 3)
+    assert p.tolist() == [[2.0] * 3, [1.0] * 3]
+    assert th.tolist() == [[0.0] * 3] * 2
+    assert t.tolist() == [[4.0] * 3, [2.0] * 3]
 
 
 def test_apply_line_matches_pointwise_action():
+    # the motion maps the points of a line onto its chart image, on
+    # either sheet of p'
     rng = np.random.default_rng(606)
     for _ in range(200):
         m = random_motion(rng, 2.0)
         g = random_line(rng)
-        img = psh_apply_line(m, g)
-        assert img.p >= 0.0
-        ct, st = math.cos(img.theta), math.sin(img.theta)
-        for s in rng.uniform(-3.0, 3.0, 10):
-            q = psh_apply_point(m, line_point_at(g, s))
-            # recover the parameter of q on the image line by projecting
-            # its xy-offset from the base point onto the unit direction
-            s_img = (q.x - img.p * ct) * st - (q.y - img.p * st) * ct
-            assert pt_close(line_point_at(img, s_img), q, 1e-10)
-
-
-def test_apply_line_canonicalizes():
-    # pushing the footpoint across the origin flips the sheet
-    g = psh_apply_line(PshMotion(-2.0, 0.0, 0.0, 0.0), HorizontalLine(1.0, 0.0, 0.5))
-    assert g.p == 1.0
-    assert abs(g.theta - math.pi) < 1e-12
-    assert g.t == 0.5
+        p, theta, _ = img = line_chart_image(m, *g)
+        ct, st = np.cos(theta), np.sin(theta)
+        q = move(m, line_points(*g, rng.uniform(-3.0, 3.0, 10)))
+        # recover the parameter of q on the image line by projecting its
+        # xy-offset from the base point onto the unit direction
+        s_img = (q[:, 0] - p * ct) * st - (q[:, 1] - p * st) * ct
+        assert_close(line_points(*img, s_img), q, 1e-10)
 
 
 def test_line_chart_image_is_smooth_chart():
-    # same data as psh_apply_line before canonical folding
+    # no folding onto p >= 0 and no reduction of theta
     p, th, t = line_chart_image(PshMotion(1.0, 1.0, 1.0, 0.0), 1.0, 0.0, 0.0)
     assert (p, th, t) == (2.0, 0.0, 4.0)
     p, th, t = line_chart_image(PshMotion(-2.0, 0.0, 0.0, 0.0), 1.0, 0.0, 0.5)
     assert p == -1.0 and th == 0.0 and t == 0.5
+    _, th, _ = line_chart_image(PshMotion(0.0, 0.0, 0.0, 4.0), 1.0, 4.0, 0.0)
+    assert th == 8.0
 
 
 def _fd_jacobian(f, x, h=1e-5):
@@ -273,8 +225,7 @@ def test_segment_density_is_invariant():
 
     def chart(x):
         p, theta, t, h = x
-        q = line_point_at(HorizontalLine(p, theta, t), h)
-        return (q.x, q.y, q.t, theta + 0.5 * math.pi)
+        return (*line_points(p, theta, t, h), theta + 0.5 * math.pi)
 
     for _ in range(20):
         x0 = np.array(
@@ -289,22 +240,15 @@ def test_segment_density_is_invariant():
         assert abs(np.linalg.det(jac) - 1.0) < 1e-6
 
 
-def test_levi_length():
-    assert levi_length(HorizontalLine(0.0, 0.7, 0.0), -1.0, 1.0) == 2.0
-    assert levi_length(HorizontalLine(2.0, 0.0, 1.0), 0.5, 4.0) == 3.5
-    with pytest.raises(ValueError):
-        levi_length(HorizontalLine(1.0, 0.0, 0.0), 1.0, 0.0)
-
-
 def test_levi_length_fixed_plane_agrees():
-    assert abs(levi_length_fixed_plane(HorizontalLine(0.0, 0.7, 0.0), -1.0, 1.0) - 2.0) < 1e-12
+    # in the frame {X1(A), X2(A), T} of the start point A = gamma(s0) the
+    # velocity (sin, -cos, p) has no T-part and a unit horizontal part, so
+    # the segment's Levi length, measured in that one contact plane, is
+    # s1 - s0; one row of doubles per random_line, s0 and s1 - s0
     rng = np.random.default_rng(313)
-    for _ in range(500):
-        g = random_line(rng)
-        s0 = rng.uniform(-2.0, 2.0)
-        s1 = s0 + rng.uniform(0.0, 3.0)
-        direct = levi_length(g, s0, s1)
-        fixed = levi_length_fixed_plane(g, s0, s1)
-        assert abs(direct - fixed) <= 1e-12 * (1.0 + direct)
-    with pytest.raises(ValueError):
-        levi_length_fixed_plane(HorizontalLine(1.0, 0.0, 0.0), 1.0, 0.0)
+    u = rng.random((500, 5))
+    p, theta, t, s0, ds = (u * [2.0, 2.0 * np.pi, 4.0, 4.0, 3.0] + [0.0, 0.0, -2.0, -2.0, 0.0]).T
+    ax, ay, _ = line_points(p, theta, t, s0).T
+    vx, vy = np.sin(theta), -np.cos(theta)
+    assert np.all(np.abs(p - (vx * ay - vy * ax)) <= 1e-9 * (1.0 + p))
+    assert np.all(np.abs(np.hypot(vx, vy) * ds - ds) <= 1e-12 * (1.0 + ds))

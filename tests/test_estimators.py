@@ -12,7 +12,7 @@ import pytest
 
 import h1geom.cli as cli
 import h1geom.estimators as estimators
-from conftest import forget_line_pass, make_acceptance_bodies, random_motion
+from conftest import forget_line_pass, line_points, make_acceptance_bodies, random_motion
 from h1geom import (
     Ball,
     Box,
@@ -26,7 +26,6 @@ from h1geom import (
     estimate_segment_containment_measure,
     estimate_segment_hit_measure,
     invariance_check,
-    line_through,
     p_area,
     transform_body,
     volume,
@@ -102,17 +101,12 @@ def test_window_contains_every_meeting_line():
     p = pts[:, 0] * ct + pts[:, 1] * st
     s = pts[:, 0] * st - pts[:, 1] * ct
     t = pts[:, 2] - s * p
+    # the chart math: the line (p, theta, t) meets its point at s; its
+    # other sheet (-p, theta + pi, t) is the window's, with p >= 0
+    assert np.all(np.abs(line_points(p, theta, t, s) - pts) <= 1e-12)
     p = np.abs(p)
     assert np.all(p <= w.p_max)
     assert np.all((t >= w.t_lo) & (t <= w.t_hi))
-    # spot-check the vectorized chart math against line_through
-    from h1geom import Point
-
-    for i in rng.integers(0, len(pts), 1000):
-        g, _ = line_through(Point(*pts[i]), float(theta[i]))
-        assert abs(g.p - p[i]) < 1e-12
-        assert abs(g.t - t[i]) < 1e-12
-        assert 0.0 <= g.p <= w.p_max and w.t_lo <= g.t <= w.t_hi
 
 
 def test_line_measure_matches_double_p_area():
